@@ -2,7 +2,7 @@
 
 Samples 10,000 random long-only portfolios over a hand-written market,
 selects the minimum-risk and maximum-Sharpe books, and shows that the
-cloud is a pure function of the seed regardless of worker count.
+cloud is a pure function of the seed; the `workers` argument changes nothing.
 """
 
 import tempfile
@@ -60,7 +60,7 @@ def main():
           f"sharpe {stats.sharpe:.3f}")
     assert mrp.annual_risk <= portfolio_annual_risk(ewp, COV)
 
-    # same seed, different worker counts: bitwise the same cloud
+    # same seed, any worker count: bitwise the same cloud
     for workers in (2, 8):
         rerun = sample_frontier(MU, COV, n_samples=N_SAMPLES, seed=SEED, workers=workers)
         assert rerun.risks().tobytes() == risks.tobytes()

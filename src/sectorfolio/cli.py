@@ -339,8 +339,12 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--samples", type=int, default=10_000, help="cloud size (default 10000)")
     mc.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     mc.add_argument("--rf", type=float, default=0.01, help="annual risk-free rate (default 0.01)")
-    mc.add_argument("--workers", type=int, default=1, help="sampling threads; any count gives identical results")
-    mc.add_argument("--sampler", choices=sorted(WEIGHT_SAMPLERS), default="uniform")
+    mc.add_argument("--workers", type=int, default=1, help="accepted for compatibility, must be >= 1; has no effect")
+    mc.add_argument(
+        "--sampler", choices=sorted(WEIGHT_SAMPLERS), default="uniform",
+        help="uniform (default): iid uniforms over their sum, pulled toward 1/n; "
+        "dirichlet: flat Dirichlet, uniform on the simplex",
+    )
 
     p = sub.add_parser("stats", parents=[run], help="per-ticker training stats")
     p.set_defaults(handler=_handle_stats)

@@ -1,28 +1,43 @@
 """Monte Carlo frontier clouds of random long-only portfolios.
 
-A cloud is built by drawing `n_samples` weight vectors, scoring each
-with the portfolio module, and keeping every sample. Two selections
-matter downstream: the minimum-risk portfolio (MRP, leftmost point) and
-the optimum-risk portfolio (ORP, maximum Sharpe ratio).
+A cloud holds `n_samples` random weight vectors on the long-only simplex
+as arrays: the weights (one row per sample) and each sample's annual
+return, annual risk and Sharpe ratio. Two selections matter downstream:
+the minimum-risk portfolio (MRP, leftmost point) and the optimum-risk
+portfolio (ORP, maximum Sharpe ratio).
+
+Samplers
+--------
+Weight samplers are pluggable by name via `WEIGHT_SAMPLERS`. Each maps a
+block of iid U[0, 1) draws to simplex rows:
+
+* ``uniform`` (the default, as in the paper) divides iid uniforms by
+  their sum. Despite the name this is *not* uniform on the simplex: it
+  pulls weights toward 1/n. At 10 assets a weight has variance about
+  0.0033, against 0.0082 for a flat draw.
+* ``dirichlet`` divides iid unit exponentials by their sum. That is the
+  flat Dirichlet(1, ..., 1), the uniform distribution on the simplex
+  (Smith & Tromble, *Sampling Uniformly from the Unit Simplex*, 2004);
+  each weight is Beta(1, n - 1).
 
 Determinism contract
 --------------------
 Sampling uses a counter-based generator (Philox) with a fixed draw
-budget per sample, padded to the generator's four-draw block size. The
-weights of sample ``i`` are therefore a pure function of ``(seed, i)``:
-any chunking of the index range, sequential or threaded, reproduces the
-same cloud bit for bit. Worker count is a throughput knob only.
-
-Weight samplers are pluggable by name via `WEIGHT_SAMPLERS`. Every
-sampler maps a block of uniform draws to simplex rows, so the contract
-above holds for all of them.
+budget per sample, padded to the generator's four-draw block size, so
+the weights of sample ``i`` are a pure function of ``(seed, i)``. Scores
+come from fixed global blocks of `_BLOCK` samples, each scored with
+numpy's own array loops (``einsum`` and row sums), never BLAS: OpenBLAS
+rounds matrix products differently under different thread counts
+(measured with OpenBLAS 0.3.31 on x86-64 for ``W @ mu`` at 200 assets
+and for ``W @ C`` at 300). For a given
+seed, sampler and sample count, neither the ``workers`` argument nor
+the BLAS thread count changes a bit of the cloud.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable, Mapping, Sequence
@@ -30,15 +45,8 @@ from typing import IO, Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataFormatError, DegenerateSampleError, EmptyCloudError
-from .portfolio import (
-    RiskFreeAssumption,
-    WeightVector,
-    _aligned,
-    portfolio_annual_risk,
-    portfolio_return,
-    sharpe_ratio,
-)
-from .return_stats import CovarianceMatrix
+from .portfolio import _SUM_TOLERANCE, RiskFreeAssumption, WeightVector, _aligned
+from .return_stats import TRADING_DAYS_PER_YEAR, CovarianceMatrix
 
 __all__ = [
     "FrontierSample",
@@ -50,6 +58,10 @@ __all__ = [
     "export_frontier",
     "read_frontier_csv",
 ]
+
+# samples per scoring and export block; block edges are global, never
+# derived from an argument, so they cannot move a bit of the cloud
+_BLOCK = 2048
 
 
 @dataclass(eq=False)
@@ -66,37 +78,103 @@ class FrontierSample:
     sharpe: float
 
 
-@dataclass(eq=False)
 class FrontierCloud:
-    """All samples of one frontier run plus the inputs that made it."""
+    """All samples of one frontier run as arrays, plus the inputs that made it.
 
-    samples: list[FrontierSample]
-    tickers: list[str]
-    seed: int
-    rf: RiskFreeAssumption
-    sampler: str = "uniform"
+    `weights` has one row per sample in `tickers` order;
+    `annual_returns`, `annual_risks` and `sharpe_ratios` have one entry
+    per sample, and a Sharpe ratio is NaN where the risk is exactly zero.
+
+    The constructor takes finished `FrontierSample` objects;
+    `sample_frontier` builds clouds through `from_arrays`. `sample(i)`
+    builds the object for one index on demand and caches it, and
+    `samples` lists them all through the same cache, so an index always
+    yields the same object.
+    """
+
+    def __init__(
+        self,
+        samples: Sequence[FrontierSample],
+        tickers: Sequence[str],
+        seed: int,
+        rf: RiskFreeAssumption,
+        sampler: str = "uniform",
+    ) -> None:
+        samples = list(samples)
+        self.tickers = list(tickers)
+        self.seed = seed
+        self.rf = rf
+        self.sampler = sampler
+        self.weights = np.array(
+            [s.weights.weights for s in samples], dtype=float
+        ).reshape(len(samples), len(self.tickers))
+        self.annual_returns = np.array([s.annual_return for s in samples], dtype=float)
+        self.annual_risks = np.array([s.annual_risk for s in samples], dtype=float)
+        self.sharpe_ratios = np.array([s.sharpe for s in samples], dtype=float)
+        self._built: dict[int, FrontierSample] = dict(enumerate(samples))
+        self._samples: list[FrontierSample] | None = None
+
+    @classmethod
+    def from_arrays(
+        cls,
+        weights: np.ndarray,
+        annual_returns: np.ndarray,
+        annual_risks: np.ndarray,
+        sharpe_ratios: np.ndarray,
+        tickers: Sequence[str],
+        seed: int,
+        rf: RiskFreeAssumption,
+        sampler: str = "uniform",
+    ) -> FrontierCloud:
+        """A cloud over already scored arrays, taken without copying."""
+        cloud = cls([], tickers, seed, rf, sampler)
+        cloud.weights = weights
+        cloud.annual_returns = annual_returns
+        cloud.annual_risks = annual_risks
+        cloud.sharpe_ratios = sharpe_ratios
+        return cloud
 
     @property
     def sample_count(self) -> int:
-        return len(self.samples)
+        return len(self.annual_risks)
 
     def risks(self) -> np.ndarray:
-        return np.array([s.annual_risk for s in self.samples])
+        return self.annual_risks
 
     def returns(self) -> np.ndarray:
-        return np.array([s.annual_return for s in self.samples])
+        return self.annual_returns
 
     def sharpes(self) -> np.ndarray:
-        return np.array([s.sharpe for s in self.samples])
+        return self.sharpe_ratios
+
+    def sample(self, index: int) -> FrontierSample:
+        """Sample `index` as an object, built on first use and cached."""
+        # normalizes a negative index and raises IndexError out of range
+        index = range(self.sample_count)[index]
+        if index not in self._built:
+            self._built[index] = FrontierSample(
+                WeightVector(list(self.tickers), self.weights[index].copy()),
+                float(self.annual_returns[index]),
+                float(self.annual_risks[index]),
+                float(self.sharpe_ratios[index]),
+            )
+        return self._built[index]
+
+    @property
+    def samples(self) -> list[FrontierSample]:
+        """Every sample as an object, built on first use through `sample`."""
+        if self._samples is None:
+            self._samples = [self.sample(i) for i in range(self.sample_count)]
+        return self._samples
 
 
 def _simplex_uniform(u: np.ndarray) -> np.ndarray:
-    """Independent uniforms normalized by their sum."""
+    """Independent uniforms normalized by their sum (centre-heavy, not flat)."""
     return u / u.sum(axis=1, keepdims=True)
 
 
 def _simplex_dirichlet(u: np.ndarray) -> np.ndarray:
-    """Flat Dirichlet via normalized exponentials of the same uniforms."""
+    """Flat Dirichlet, uniform on the simplex: normalized exponentials of `u`."""
     e = -np.log1p(-u)
     return e / e.sum(axis=1, keepdims=True)
 
@@ -121,6 +199,19 @@ def _block_draws(seed: int, lo: int, hi: int, n_assets: int) -> np.ndarray:
     return draws[:, :n_assets]
 
 
+def _check_simplex(rows: np.ndarray, sampler: str, lo: int) -> None:
+    """The checks `WeightVector` makes, applied to a whole block at once."""
+    if (
+        not np.all(np.isfinite(rows))
+        or np.any(rows < 0.0)
+        or np.any(np.abs(rows.sum(axis=1) - 1.0) > _SUM_TOLERANCE)
+    ):
+        raise ValueError(
+            f"sampler {sampler!r} drew weights off the simplex in samples "
+            f"{lo}..{lo + len(rows) - 1}"
+        )
+
+
 def sample_frontier(
     expected_returns: Mapping[str, float] | Sequence[float] | np.ndarray,
     cov: CovarianceMatrix,
@@ -140,8 +231,10 @@ def sample_frontier(
     n_samples : cloud size, at least 1.
     seed : generator seed; same seed, same cloud.
     rf : risk-free assumption for per-sample Sharpe ratios.
-    workers : thread count. Any value yields the identical cloud.
-    sampler : name of a registered weight sampler.
+    workers : accepted for compatibility and validated (at least 1); it
+        changes nothing, since scoring is one array pass per block.
+    sampler : name of a registered weight sampler (see the module docs
+        for what each one draws).
 
     Raises
     ------
@@ -163,31 +256,23 @@ def sample_frontier(
     mu = _aligned(expected_returns, tickers, "expected returns")
     rf = rf if isinstance(rf, RiskFreeAssumption) else RiskFreeAssumption(float(rf))
 
-    def build(lo: int, hi: int) -> list[FrontierSample]:
-        if hi <= lo:
-            return []
-        rows = to_simplex(_block_draws(seed, lo, hi, len(tickers)))
-        chunk = []
-        for row in rows:
-            wv = WeightVector(list(tickers), row)
-            annual_return = portfolio_return(wv, mu)
-            annual_risk = portfolio_annual_risk(wv, cov)
-            sharpe = (
-                sharpe_ratio(annual_return, annual_risk, rf)
-                if annual_risk > 0.0
-                else math.nan
-            )
-            chunk.append(FrontierSample(wv, annual_return, annual_risk, sharpe))
-        return chunk
-
-    if workers == 1:
-        samples = build(0, n_samples)
-    else:
-        bounds = [n_samples * k // workers for k in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(build, bounds[:-1], bounds[1:])
-            samples = [s for part in parts for s in part]
-    return FrontierCloud(samples, tickers, seed, rf, sampler)
+    weights = np.empty((n_samples, len(tickers)))
+    returns = np.empty(n_samples)
+    variances = np.empty(n_samples)
+    for lo in range(0, n_samples, _BLOCK):
+        hi = min(lo + _BLOCK, n_samples)
+        w = to_simplex(_block_draws(seed, lo, hi, len(tickers)))
+        _check_simplex(w, sampler, lo)
+        weights[lo:hi] = w
+        # no BLAS here (not W @ mu, not W @ C): see the determinism contract
+        returns[lo:hi] = (w * mu).sum(axis=1)
+        variances[lo:hi] = (np.einsum("ij,jk->ik", w, cov.entries) * w).sum(axis=1)
+    # a PSD-validated covariance can still round the quadratic form a
+    # hair below zero; clamp before the square root
+    risks = np.sqrt(np.maximum(variances, 0.0) * TRADING_DAYS_PER_YEAR)
+    sharpes = np.full(n_samples, math.nan)
+    np.divide(returns - rf.rate, risks, out=sharpes, where=risks > 0.0)
+    return FrontierCloud.from_arrays(weights, returns, risks, sharpes, tickers, seed, rf, sampler)
 
 
 def min_risk_portfolio(cloud: FrontierCloud) -> FrontierSample:
@@ -197,7 +282,7 @@ def min_risk_portfolio(cloud: FrontierCloud) -> FrontierSample:
     """
     if cloud.sample_count == 0:
         raise EmptyCloudError("cannot select from an empty cloud")
-    return cloud.samples[int(np.argmin(cloud.risks()))]
+    return cloud.sample(int(np.argmin(cloud.annual_risks)))
 
 
 def optimum_risk_portfolio(cloud: FrontierCloud) -> FrontierSample:
@@ -211,12 +296,11 @@ def optimum_risk_portfolio(cloud: FrontierCloud) -> FrontierSample:
     """
     if cloud.sample_count == 0:
         raise EmptyCloudError("cannot select from an empty cloud")
-    risks = cloud.risks()
-    if np.any(risks == 0.0):
+    if np.any(cloud.annual_risks == 0.0):
         raise DegenerateSampleError(
             "cloud contains a zero-risk sample; Sharpe selection is undefined"
         )
-    return cloud.samples[int(np.argmax(cloud.sharpes()))]
+    return cloud.sample(int(np.argmax(cloud.sharpe_ratios)))
 
 
 def export_frontier(cloud: FrontierCloud, dest: str | Path | IO[str]) -> None:
@@ -225,35 +309,35 @@ def export_frontier(cloud: FrontierCloud, dest: str | Path | IO[str]) -> None:
     Columns: annual_risk, annual_return, sharpe, one ``w_<ticker>``
     column per asset, and ``flag`` holding ``mrp``, ``orp``, ``mrp+orp``
     or nothing. Values carry 12 significant digits so reloading
-    reproduces selection and stats to numerical noise.
+    reproduces selection and stats to numerical noise. Rows are
+    formatted and written one block of samples at a time.
     """
     if cloud.sample_count == 0:
         raise EmptyCloudError("cannot export an empty cloud")
-    risks = cloud.risks()
-    mrp_index = int(np.argmin(risks))
-    orp_index = (
-        int(np.argmax(cloud.sharpes())) if not np.any(risks == 0.0) else None
-    )
+    mrp_index = int(np.argmin(cloud.annual_risks))
+    flags = {mrp_index: "mrp"}
+    if not np.any(cloud.annual_risks == 0.0):
+        orp_index = int(np.argmax(cloud.sharpe_ratios))
+        flags[orp_index] = "mrp+orp" if orp_index == mrp_index else "orp"
+    # "%.12g" prints exactly what format(x, ".12g") does
+    row = ",".join(["%.12g"] * (3 + len(cloud.tickers))) + ",%s\n"
 
     def run(fh: IO[str]) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
+        csv.writer(fh, lineterminator="\n").writerow(
             ["annual_risk", "annual_return", "sharpe"]
             + [f"w_{t}" for t in cloud.tickers]
             + ["flag"]
         )
-        for i, s in enumerate(cloud.samples):
-            flags = []
-            if i == mrp_index:
-                flags.append("mrp")
-            if i == orp_index:
-                flags.append("orp")
-            writer.writerow(
-                [format(s.annual_risk, ".12g"), format(s.annual_return, ".12g"),
-                 format(s.sharpe, ".12g")]
-                + [format(w, ".12g") for w in s.weights.weights]
-                + ["+".join(flags)]
-            )
+        for lo in range(0, cloud.sample_count, _BLOCK):
+            hi = min(lo + _BLOCK, cloud.sample_count)
+            table = np.column_stack((
+                cloud.annual_risks[lo:hi], cloud.annual_returns[lo:hi],
+                cloud.sharpe_ratios[lo:hi], cloud.weights[lo:hi],
+            ))
+            fh.write("".join(
+                row % (*values, flags.get(i, ""))
+                for i, values in enumerate(table.tolist(), lo)
+            ))
 
     if hasattr(dest, "write"):
         run(dest)

@@ -2,9 +2,15 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import sectorfolio
 
 from sectorfolio import (
     AlignmentError,
@@ -22,6 +28,7 @@ from sectorfolio import (
     read_frontier_csv,
     sample_frontier,
 )
+from sectorfolio.frontier import _BLOCK
 
 TICKERS3 = ["AAA", "BBB", "CCC"]
 MU3 = {"AAA": 0.08, "BBB": 0.15, "CCC": 0.30}
@@ -196,3 +203,129 @@ def test_read_frontier_rejects_malformed_input(tmp_path):
     )
     with pytest.raises(DataFormatError, match="line 2"):
         read_frontier_csv(path)
+
+
+def _cloud(tickers, rows):
+    samples = [
+        FrontierSample(WeightVector(list(tickers), np.array(w, float)), ret, risk, sharpe)
+        for w, ret, risk, sharpe in rows
+    ]
+    return FrontierCloud(samples, list(tickers), seed=0, rf=RiskFreeAssumption())
+
+
+def _exported(cloud):
+    buf = io.StringIO()
+    export_frontier(cloud, buf)
+    return buf.getvalue()
+
+
+def test_export_format_is_pinned_byte_for_byte():
+    third = 1.0 / 3.0
+    both = _cloud(TICKERS3, [
+        ([third, third, third], 0.1 + 0.2, 0.2, 1.45),
+        ([0.1, 0.2, 0.7], -0.0123456789012345, 0.25, -0.0893827156049),
+    ])
+    assert _exported(both) == (
+        "annual_risk,annual_return,sharpe,w_AAA,w_BBB,w_CCC,flag\n"
+        "0.2,0.3,1.45,0.333333333333,0.333333333333,0.333333333333,mrp+orp\n"
+        "0.25,-0.0123456789012,-0.0893827156049,0.1,0.2,0.7,\n"
+    )
+
+    pair = _cloud(TICKERS3, [
+        ([1e-05, 0.49999, 0.5], 0.05, 0.1, 0.4),
+        ([0.0, 0.0, 1.0], 123456789.123, 0.3, 2.0 / 3.0),
+        ([0.25, 0.25, 0.5], 0.08, 0.15, 0.07 / 0.15),
+    ])
+    assert _exported(pair) == (
+        "annual_risk,annual_return,sharpe,w_AAA,w_BBB,w_CCC,flag\n"
+        "0.1,0.05,0.4,1e-05,0.49999,0.5,mrp\n"
+        "0.3,123456789.123,0.666666666667,0,0,1,orp\n"
+        "0.15,0.08,0.466666666667,0.25,0.25,0.5,\n"
+    )
+
+    flat = _cloud(["ZZZ"], [([1.0], 0.12, 0.0, math.nan), ([1.0], 0.12, 0.0, math.nan)])
+    assert _exported(flat) == (
+        "annual_risk,annual_return,sharpe,w_ZZZ,flag\n"
+        "0,0.12,nan,1,mrp\n"
+        "0,0.12,nan,1,\n"
+    )
+
+
+def test_block_edges_do_not_depend_on_workers():
+    n = 2 * _BLOCK + 3
+    one = sample_frontier(MU3, COV3, n_samples=n, seed=5)
+    three = sample_frontier(MU3, COV3, n_samples=n, seed=5, workers=3)
+    for name in ("weights", "annual_returns", "annual_risks", "sharpe_ratios"):
+        assert getattr(one, name).tobytes() == getattr(three, name).tobytes(), name
+
+
+_BLAS_PROBE = """
+import hashlib, sys
+import numpy as np
+from sectorfolio import CovarianceMatrix, sample_frontier
+n, samples = int(sys.argv[1]), int(sys.argv[2])
+# built without BLAS, so only sampling can depend on the thread count
+sigma = np.linspace(0.008, 0.03, n)
+corr = np.full((n, n), 0.2)
+np.fill_diagonal(corr, 1.0)
+cov = CovarianceMatrix([f"T{i}" for i in range(n)], np.outer(sigma, sigma) * corr)
+mu = np.random.default_rng(3).normal(0.1, 0.2, n)
+cloud = sample_frontier(mu, cov, n_samples=samples, seed=17)
+for values in (cloud.annual_returns, cloud.annual_risks, cloud.sharpe_ratios):
+    print(hashlib.sha256(values.tobytes()).hexdigest())
+"""
+
+
+def test_cloud_bits_do_not_depend_on_blas_threads():
+    # at this size OpenBLAS rounds W @ C, and W @ mu on the odd-sized
+    # last block, differently under 1 and 2 threads
+    n_assets, n_samples = 300, 3 * _BLOCK - 3
+    src = str(Path(sectorfolio.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE, str(n_assets), str(n_samples)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.split())
+    assert len(digests[0]) == 3
+    assert digests[0] == digests[1]
+
+
+def _marginal(sampler, n_assets=10, n_samples=40_000):
+    tickers = [f"T{i}" for i in range(n_assets)]
+    cov = CovarianceMatrix(tickers, np.eye(n_assets) * 1e-4)
+    cloud = sample_frontier(np.zeros(n_assets), cov, n_samples=n_samples, seed=23,
+                            sampler=sampler)
+    # one column: rows are independent, so the iid standard errors hold
+    w = cloud.weights[:, 0]
+    dev2 = (w - 1.0 / n_assets) ** 2
+    below = (w < 1.0 / 20).mean()
+    z = 5.0  # a correct sampler misses by 5 standard errors ~1 run in 1.7M
+    return (
+        dev2.mean(), z * dev2.std() / math.sqrt(w.size),
+        below, z * math.sqrt(below * (1 - below) / w.size),
+    )
+
+
+def test_sampler_marginals_match_what_the_docs_say():
+    n = 10
+    # dirichlet is flat on the simplex: each weight is Beta(1, n - 1)
+    var, var_tol, below, below_tol = _marginal("dirichlet")
+    beta_var = (n - 1) / (n**2 * (n + 1))
+    beta_below = 1.0 - (1.0 - 1.0 / 20) ** (n - 1)
+    assert beta_var == pytest.approx(0.00818, abs=1e-5)
+    assert beta_below == pytest.approx(0.370, abs=1e-3)
+    assert abs(var - beta_var) <= var_tol
+    assert abs(below - beta_below) <= below_tol
+
+    # uniform normalizes iid uniforms and sits nearer 1/n; the reference
+    # values come from 2e8 pooled draws, far tighter than the tolerances
+    var, var_tol, below, below_tol = _marginal("uniform")
+    assert abs(var - 0.003311) <= var_tol
+    assert abs(below - 0.2368) <= below_tol
+    assert var + var_tol < beta_var
+    assert below + below_tol < beta_below
