@@ -24,6 +24,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
+from ._files import text_stream
 from .errors import InsufficientDataError
 from .market_data import PricePanel
 from .portfolio import WeightVector, _aligned
@@ -163,8 +164,7 @@ def write_backtest_csv(report: BacktestReport, dest: str | Path | IO[str]) -> No
     share figures use two decimals, weights six; the percent return
     appears only on the TOTAL row.
     """
-
-    def run(fh: IO[str]) -> None:
+    with text_stream(dest, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["ticker", "weight", "buy_price", "amount_invested",
@@ -181,9 +181,3 @@ def write_backtest_csv(report: BacktestReport, dest: str | Path | IO[str]) -> No
              f"{report.initial_capital:.2f}", "", "",
              f"{report.terminal_capital:.2f}", f"{report.holding_return * 100.0:.2f}"]
         )
-
-    if hasattr(dest, "write"):
-        run(dest)
-    else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            run(fh)

@@ -27,7 +27,12 @@ from datetime import date
 from pathlib import Path
 
 from .backtest import MODES, backtest_from_panel, write_backtest_csv
-from .errors import AnalyticsError, EmptySummaryError, EmptyUniverseError
+from .errors import (
+    AnalyticsError,
+    EmptySummaryError,
+    EmptyUniverseError,
+    InsufficientDataError,
+)
 from .frontier import (
     WEIGHT_SAMPLERS,
     FrontierCloud,
@@ -42,6 +47,7 @@ from .market_data import (
     apply_missing_data_policy,
     fill_gaps,
     load_price_panel,
+    parse_price_file,
     read_universe_config,
     write_long_csv,
 )
@@ -111,13 +117,15 @@ class _TrainArtifacts:
     cloud: FrontierCloud
 
 
-def _train_panel(config: RunConfig) -> tuple[PricePanel, list[tuple[str, float]]]:
-    raw = load_price_panel(config.prices, config.universe, config.train_window)
+def _train_panel(
+    config: RunConfig, prices: PricePanel
+) -> tuple[PricePanel, list[tuple[str, float]]]:
+    raw = load_price_panel(prices, config.universe, config.train_window)
     return apply_missing_data_policy(raw, config.threshold)
 
 
-def _train(config: RunConfig) -> _TrainArtifacts:
-    panel, excluded = _train_panel(config)
+def _train(config: RunConfig, prices: PricePanel) -> _TrainArtifacts:
+    panel, excluded = _train_panel(config, prices)
     stats = asset_stats(panel)
     cov = covariance_matrix(panel)
     mu = {s.ticker: s.annual_return for s in stats}
@@ -145,7 +153,7 @@ def _write_exclusions(excluded: list[tuple[str, float]], out_dir: Path) -> None:
 
 def cmd_stats(config: RunConfig) -> Path:
     """Write training-window per-ticker stats; returns the file path."""
-    panel, excluded = _train_panel(config)
+    panel, excluded = _train_panel(config, parse_price_file(config.prices))
     config.out_dir.mkdir(parents=True, exist_ok=True)
     path = config.out_dir / "stats.csv"
     write_stats_csv(asset_stats(panel), path)
@@ -155,7 +163,7 @@ def cmd_stats(config: RunConfig) -> Path:
 
 def cmd_weights(config: RunConfig) -> Path:
     """Write the EWP, MRP, and ORP books for one sector."""
-    art = _train(config)
+    art = _train(config, parse_price_file(config.prices))
     config.out_dir.mkdir(parents=True, exist_ok=True)
     path = config.out_dir / "weights.csv"
     write_weights_csv(
@@ -170,7 +178,7 @@ def cmd_weights(config: RunConfig) -> Path:
 
 def cmd_frontier(config: RunConfig) -> Path:
     """Write the sampled frontier cloud with MRP/ORP flags."""
-    art = _train(config)
+    art = _train(config, parse_price_file(config.prices))
     config.out_dir.mkdir(parents=True, exist_ok=True)
     path = config.out_dir / "frontier.csv"
     export_frontier(art.cloud, path)
@@ -178,9 +186,19 @@ def cmd_frontier(config: RunConfig) -> Path:
     return _emit(path)
 
 
-def _test_panel(config: RunConfig, tickers: list[str]) -> PricePanel:
-    raw = load_price_panel(config.prices, config.universe, config.test_window)
-    return fill_gaps(raw.restrict(tickers))
+def _test_panel(config: RunConfig, prices: PricePanel, tickers: list[str]) -> PricePanel:
+    """A book's complete test-window closes.
+
+    A leading gap carries the ticker's last close on or before the test
+    start, taken from the full-span `prices`, never a later quote. A
+    ticker without such a close, or without any test quote, fails the
+    sector.
+    """
+    panel = load_price_panel(prices, config.universe, config.test_window).restrict(tickers)
+    try:
+        return fill_gaps(panel, prices.last_closes(tickers, config.test_window[0]))
+    except InsufficientDataError as exc:
+        raise InsufficientDataError(f"{config.universe.sector}: {exc}") from None
 
 
 def cmd_backtest(
@@ -197,24 +215,27 @@ def cmd_backtest(
             f"{weights_file}: no {column!r} column, has: {', '.join(books)}"
         )
     book = books[column]
-    report = backtest_from_panel(
-        book, _test_panel(config, book.tickers), config.capital, mode, nominal
-    )
+    test_panel = _test_panel(config, parse_price_file(config.prices), book.tickers)
+    report = backtest_from_panel(book, test_panel, config.capital, mode, nominal)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     path = config.out_dir / f"backtest_{column}.csv"
     write_backtest_csv(report, path)
     return _emit(path)
 
 
-def cmd_pipeline(config: RunConfig) -> SectorResult:
+def cmd_pipeline(config: RunConfig, prices: PricePanel | None = None) -> SectorResult:
     """Run one sector end to end and write all report files.
 
     Training: stats, covariance, frontier cloud, candidate books.
     Test: a fixed-amount-per-stock equal-weight backtest (one ticket of
     capital/n per configured ticker, so exclusions leave cash idle)
-    against a full-capital ORP backtest.
+    against a full-capital ORP backtest. `prices` is `config.prices`
+    already parsed (`parse_price_file`); without it the file is parsed
+    here. Both windows are cut from that one panel.
     """
-    art = _train(config)
+    if prices is None:
+        prices = parse_price_file(config.prices)
+    art = _train(config, prices)
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     write_stats_csv(art.stats, out / "stats.csv")
@@ -228,7 +249,7 @@ def cmd_pipeline(config: RunConfig) -> SectorResult:
     export_frontier(art.cloud, out / "frontier.csv")
     _emit(out / "frontier.csv")
 
-    test_panel = _test_panel(config, art.panel.tickers)
+    test_panel = _test_panel(config, prices, art.panel.tickers)
     ewp_report = backtest_from_panel(
         ewp, test_panel, config.capital,
         mode="fixed-amount-per-stock", nominal_universe_size=len(config.universe.tickers),
@@ -281,14 +302,12 @@ def _resolve_prices(prices_arg: str | None, universe: UniverseConfig, config_pat
     )
 
 
-def _config_from_args(
-    args: argparse.Namespace, config_path: Path, out_dir: Path | None = None
-) -> RunConfig:
+def _config_from_args(args: argparse.Namespace, config_path: Path) -> RunConfig:
     universe = read_universe_config(config_path)
     return RunConfig(
         universe=universe,
         prices=_resolve_prices(args.prices, universe, config_path),
-        out_dir=out_dir if out_dir is not None else Path(args.out),
+        out_dir=Path(args.out),
         train_window=args.train or universe.train_window,
         test_window=args.test or universe.test_window,
         samples=getattr(args, "samples", 10_000),
@@ -419,16 +438,21 @@ def _handle_pipeline(args: argparse.Namespace) -> int:
     if not config_paths:
         raise EmptyUniverseError(f"no universe configs (*.ini) in {args.universe}")
     out = Path(args.out)
+    configs = [_config_from_args(args, path) for path in config_paths]
+    for config in configs:
+        config.out_dir = out / _slug(config.universe.sector)
+    # each distinct price file is parsed once, here, before any sector
+    # thread starts; the threads only read the panels
+    panels = {path: parse_price_file(path) for path in dict.fromkeys(c.prices for c in configs)}
 
-    def one(path: Path) -> SectorResult:
-        universe = read_universe_config(path)
-        return cmd_pipeline(_config_from_args(args, path, out / _slug(universe.sector)))
+    def one(config: RunConfig) -> SectorResult:
+        return cmd_pipeline(config, panels[config.prices])
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(one, config_paths))
+            results = list(pool.map(one, configs))
     else:
-        results = [one(path) for path in config_paths]
+        results = [one(config) for config in configs]
     out.mkdir(parents=True, exist_ok=True)
     write_summary(results, out / "summary.csv")
     _emit(out / "summary.csv")

@@ -44,6 +44,7 @@ from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
+from ._files import text_stream
 from .errors import DataFormatError, DegenerateSampleError, EmptyCloudError
 from .portfolio import _SUM_TOLERANCE, RiskFreeAssumption, WeightVector, _aligned
 from .return_stats import TRADING_DAYS_PER_YEAR, CovarianceMatrix
@@ -322,7 +323,7 @@ def export_frontier(cloud: FrontierCloud, dest: str | Path | IO[str]) -> None:
     # "%.12g" prints exactly what format(x, ".12g") does
     row = ",".join(["%.12g"] * (3 + len(cloud.tickers))) + ",%s\n"
 
-    def run(fh: IO[str]) -> None:
+    with text_stream(dest, "w") as fh:
         csv.writer(fh, lineterminator="\n").writerow(
             ["annual_risk", "annual_return", "sharpe"]
             + [f"w_{t}" for t in cloud.tickers]
@@ -339,12 +340,6 @@ def export_frontier(cloud: FrontierCloud, dest: str | Path | IO[str]) -> None:
                 for i, values in enumerate(table.tolist(), lo)
             ))
 
-    if hasattr(dest, "write"):
-        run(dest)
-    else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            run(fh)
-
 
 def read_frontier_csv(
     source: str | Path | IO[str],
@@ -354,8 +349,8 @@ def read_frontier_csv(
     Each row is (annual_risk, annual_return, sharpe, weights, flag).
     Raises DataFormatError on any malformed line.
     """
-
-    def run(fh: IO[str], path: str):
+    with text_stream(source) as fh:
+        path = str(getattr(fh, "name", "<stream>"))
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -383,8 +378,3 @@ def read_frontier_csv(
                 (values[0], values[1], values[2], np.array(values[3:]), row[-1])
             )
         return tickers, rows
-
-    if hasattr(source, "read"):
-        return run(source, getattr(source, "name", "<stream>"))
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        return run(fh, str(source))

@@ -29,18 +29,34 @@ Tickers are separated by whitespace or commas. Windows are inclusive
 ``start:end`` date ranges, and the training window must end before the
 test window begins.
 
-A loaded panel keeps the union of observed dates for its tickers, with
-NaN marking the gaps. `apply_missing_data_policy` drops tickers whose
-missing fraction exceeds the threshold, then fills the remaining gaps:
+`parse_price_file` reads a whole file in one streaming pass into a
+full-span panel: every ticker in the file over every date, NaN marking
+the gaps. `PricePanel.window` cuts a universe's tickers and one date
+window from it by slicing, keeping the union of in-window dates on
+which those tickers trade. The CLI parses each price file once per
+invocation and cuts every window it needs from that one panel with
+`load_price_panel`, which also takes a file and parses it whole.
+
+`apply_missing_data_policy` drops tickers whose missing fraction over
+the panel's dates exceeds the threshold, then fills the remaining gaps:
 forward from the last traded price, and backward only at the head of a
-series (a late listing has no earlier price to carry).
+series (a late listing has no earlier price to carry). The test window
+is never back-filled: `fill_gaps` with an ``opening`` price fills a
+book ticker's leading test gap with its last close on or before the
+test start (`PricePanel.last_closes` on the full-span panel), so a
+backtest never buys at a quote from after its buy date. A book ticker
+with no quote in the test window is not filled at all: it raises
+InsufficientDataError.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
+import math
 import re
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -48,6 +64,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
+from ._files import text_stream
 from .errors import (
     DataFormatError,
     EmptyPanelError,
@@ -61,6 +78,7 @@ __all__ = [
     "PricePanel",
     "UniverseConfig",
     "read_universe_config",
+    "parse_price_file",
     "load_price_panel",
     "fill_gaps",
     "apply_missing_data_policy",
@@ -169,11 +187,58 @@ class PricePanel:
         rows = [self._index(t) for t in wanted]
         return PricePanel(wanted, list(self.dates), self.closes[rows].copy())
 
+    def window(
+        self,
+        tickers: Iterable[str],
+        start: date | None = None,
+        end: date | None = None,
+        *,
+        sector: str = "panel",
+    ) -> "PricePanel":
+        """Sub-panel of `tickers`, in the given order, over one date window.
+
+        The window is inclusive; None leaves that end open. Its dates are
+        the window's dates on which at least one of `tickers` has a quote.
+
+        Raises
+        ------
+        MissingTickerError : some ticker is not in this panel.
+        EmptyPanelError : none of `tickers` has a quote in the window; the
+            message names `sector`.
+        """
+        wanted = list(tickers)
+        index = {t: i for i, t in enumerate(self.tickers)}
+        missing = [t for t in wanted if t not in index]
+        if missing:
+            raise MissingTickerError(missing)
+        lo = 0 if start is None else bisect_left(self.dates, start)
+        hi = len(self.dates) if end is None else bisect_right(self.dates, end)
+        block = self.closes[[index[t] for t in wanted], lo:hi]
+        quoted = np.flatnonzero(~np.isnan(block).all(axis=0))
+        if quoted.size == 0:
+            raise EmptyPanelError(_no_quotes_message(sector, start, end))
+        return PricePanel(wanted, [self.dates[lo + j] for j in quoted], block[:, quoted])
+
+    def last_closes(self, tickers: Iterable[str], on_or_before: date) -> np.ndarray:
+        """Each ticker's last close on or before a date; NaN where it has none."""
+        hi = bisect_right(self.dates, on_or_before)
+        block = self.closes[[self._index(t) for t in tickers], :hi]
+        last = np.where(np.isnan(block), -1, np.arange(block.shape[1])).max(axis=1, initial=-1)
+        out = np.full(len(block), np.nan)
+        quoted = last >= 0
+        out[quoted] = block[quoted, last[quoted]]
+        return out
+
     def _index(self, ticker: str) -> int:
         try:
             return self.tickers.index(ticker)
         except ValueError:
             raise MissingTickerError([ticker]) from None
+
+
+def _no_quotes_message(sector: str, start: date | None, end: date | None) -> str:
+    where = "" if start is None and end is None else f" in {start}:{end}"
+    return f"{sector}: no observations for any configured ticker{where}"
 
 
 @dataclass
@@ -262,57 +327,85 @@ def _parse_date(text: str, *, path: str, line: int) -> date:
         raise DataFormatError(f"{path}: line {line}: bad date {text!r}") from None
 
 
-def _parse_close(text: str, *, path: str, line: int, ticker: str) -> float:
+def _parse_close(text: str, path: str, line: int, ticker: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise DataFormatError(
             f"{path}: line {line}: bad close {text!r} for {ticker}"
         ) from None
-    if not np.isfinite(value) or value <= 0.0:
+    if not 0.0 < value < math.inf:
         raise DataFormatError(
             f"{path}: line {line}: close for {ticker} must be finite and positive, got {text!r}"
         )
     return value
 
 
-def _observations_from_long(
-    reader: "csv.reader", header: list[str], path: str
-) -> tuple[dict[str, dict[date, float]], set[str]]:
-    obs: dict[str, dict[date, float]] = {}
-    seen: set[str] = set()
-    for row in reader:
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 3:
-            raise DataFormatError(
-                f"{path}: line {reader.line_num}: expected 3 fields, got {len(row)}"
-            )
-        day = _parse_date(row[0], path=path, line=reader.line_num)
-        ticker = row[1].strip()
-        if not ticker:
-            raise DataFormatError(f"{path}: line {reader.line_num}: empty ticker")
-        seen.add(ticker)
-        close = _parse_close(row[2], path=path, line=reader.line_num, ticker=ticker)
-        per = obs.setdefault(ticker, {})
-        if day in per:
-            raise DataFormatError(
-                f"{path}: line {reader.line_num}: duplicate observation for {ticker} on {day}"
-            )
-        per[day] = close
-    return obs, seen
+# a parsed file: its tickers, its dates ascending, and closes[ticker, date]
+_Parsed = tuple[list[str], list[date], np.ndarray]
 
 
-def _observations_from_wide(
-    reader: "csv.reader", header: list[str], path: str
-) -> tuple[dict[str, dict[date, float]], set[str]]:
+def _parse_long(reader: "csv.reader", path: str) -> _Parsed:
+    tickers: dict[str, int] = {}  # ticker -> panel row
+    days: dict[date, int] = {}  # date -> code, in order of first appearance
+    day_codes: dict[str, int] = {}  # date cell text -> code
+    rows, codes, lines = array("q"), array("q"), array("q")
+    values = array("d")
+    try:
+        for row in reader:
+            code = day_codes.get(row[0]) if len(row) == 3 else None
+            if code is None:
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != 3:
+                    raise DataFormatError(
+                        f"{path}: line {reader.line_num}: expected 3 fields, got {len(row)}"
+                    )
+                day = _parse_date(row[0], path=path, line=reader.line_num)
+                code = day_codes[row[0]] = days.setdefault(day, len(days))
+            ticker = row[1].strip()
+            if not ticker:
+                raise DataFormatError(f"{path}: line {reader.line_num}: empty ticker")
+            values.append(_parse_close(row[2], path, reader.line_num, ticker))
+            rows.append(tickers.setdefault(ticker, len(tickers)))
+            codes.append(code)
+            lines.append(reader.line_num)
+    except (DataFormatError, csv.Error):
+        # a duplicate among the rows before this line is the earlier fault
+        _scatter_long(path, tickers, days, rows, codes, lines, values)
+        raise
+    return _scatter_long(path, tickers, days, rows, codes, lines, values)
+
+
+def _scatter_long(path, tickers, days, rows, codes, lines, values) -> _Parsed:
+    """Place long-layout rows into a full-span panel; reject a repeated (ticker, date)."""
+    dates = sorted(days)
+    rank = np.empty(len(dates), dtype=np.int64)
+    rank[[days[d] for d in dates]] = np.arange(len(dates))
+    r = np.frombuffer(rows, dtype=np.int64)
+    c = rank[np.frombuffer(codes, dtype=np.int64)]
+    keys = r * len(dates) + c
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if repeats.size:
+        k = int(repeats.min())
+        raise DataFormatError(
+            f"{path}: line {lines[k]}: duplicate observation for "
+            f"{list(tickers)[r[k]]} on {dates[c[k]]}"
+        )
+    closes = np.full((len(tickers), len(dates)), np.nan)
+    closes[r, c] = np.frombuffer(values)
+    return list(tickers), dates, closes
+
+
+def _parse_wide(reader: "csv.reader", header: list[str], path: str) -> _Parsed:
     tickers = [h.strip() for h in header[1:]]
     if not tickers or any(not t for t in tickers):
         raise DataFormatError(f"{path}: line 1: blank ticker column in header")
     if len(set(tickers)) != len(tickers):
         raise DataFormatError(f"{path}: line 1: duplicate ticker column in header")
-    obs: dict[str, dict[date, float]] = {t: {} for t in tickers}
-    seen_dates: set[date] = set()
+    days: dict[date, int] = {}  # date -> row of `values`
+    values = array("d")
     for row in reader:
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -321,54 +414,77 @@ def _observations_from_wide(
                 f"{path}: line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
             )
         day = _parse_date(row[0], path=path, line=reader.line_num)
-        if day in seen_dates:
+        if day in days:
             raise DataFormatError(f"{path}: line {reader.line_num}: duplicate date {day}")
-        seen_dates.add(day)
-        for ticker, cell in zip(tickers, row[1:]):
-            if not cell.strip():
-                continue
-            obs[ticker][day] = _parse_close(
-                cell, path=path, line=reader.line_num, ticker=ticker
-            )
-    return obs, set(tickers)
+        days[day] = len(days)
+        values.extend(
+            _parse_close(cell, path, reader.line_num, ticker) if cell.strip() else math.nan
+            for ticker, cell in zip(tickers, row[1:])
+        )
+    dates = sorted(days)
+    by_date = np.frombuffer(values).reshape(len(dates), len(tickers))
+    return tickers, dates, by_date[[days[d] for d in dates]].T.copy()
 
 
-def _read_observations(
-    source: str | Path | IO[str],
-) -> tuple[dict[str, dict[date, float]], set[str]]:
-    """Parse either CSV layout into {ticker: {date: close}} plus all tickers seen."""
-    if hasattr(source, "read"):
-        return _parse_stream(source, getattr(source, "name", "<stream>"))
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        return _parse_stream(fh, str(source))
+def _read_price_file(source: str | Path | IO[str]) -> tuple[str, _Parsed]:
+    """The source's name and its parsed contents, validated cell by cell."""
+    with text_stream(source) as fh:
+        path = str(getattr(fh, "name", "<stream>"))
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError(f"{path}: empty file")
+            names = [h.strip().lower() for h in header]
+            if names[:1] != ["date"]:
+                raise DataFormatError(
+                    f"{path}: line 1: first column must be 'date', got {header!r}"
+                )
+            if names == ["date", "ticker", "close"]:
+                return path, _parse_long(reader, path)
+            if len(names) < 2:
+                raise DataFormatError(f"{path}: line 1: unrecognized header {header!r}")
+            return path, _parse_wide(reader, header, path)
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _parse_stream(stream: IO[str], path: str):
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError(f"{path}: empty file") from None
-    names = [h.strip().lower() for h in header]
-    if names[:1] != ["date"]:
-        raise DataFormatError(f"{path}: line 1: first column must be 'date', got {header!r}")
-    if names == ["date", "ticker", "close"]:
-        return _observations_from_long(reader, header, path)
-    if len(names) >= 2:
-        return _observations_from_wide(reader, header, path)
-    raise DataFormatError(f"{path}: line 1: unrecognized header {header!r}")
+def parse_price_file(source: str | Path | IO[str]) -> PricePanel:
+    """Parse a long or wide price CSV into one full-span panel.
+
+    The panel holds every ticker the file names, in file order, over
+    every date in the file, ascending, with NaN where a ticker has no
+    quote. A wide-layout column with no quote at all is an all-NaN row.
+    The whole file is validated, including tickers no universe asks for;
+    cut windows from the result with `PricePanel.window`.
+
+    Raises
+    ------
+    DataFormatError : a row fails to parse (message names the line).
+    EmptyPanelError : the file holds a header but no quote.
+    """
+    path, (tickers, dates, closes) = _read_price_file(source)
+    if not dates:
+        raise EmptyPanelError(f"{path}: no quotes")
+    return PricePanel(tickers, dates, closes)
 
 
 def load_price_panel(
-    source: str | Path | IO[str],
+    source: str | Path | IO[str] | PricePanel,
     universe: UniverseConfig,
     window: tuple[date, date] | None = None,
 ) -> PricePanel:
     """Load, restrict, and align closing prices for a universe.
 
+    Parses a file source whole and cuts one window from it
+    (`PricePanel.window`). A caller that needs several windows of one
+    file parses it once (`parse_price_file`) and passes that panel as
+    `source` for each window; nothing is parsed then.
+
     Parameters
     ----------
-    source : path or open text stream holding a long or wide price CSV.
+    source : path or open text stream holding a long or wide price CSV,
+        or a full-span panel from `parse_price_file`.
     universe : the sector universe whose tickers should be loaded.
     window : inclusive (start, end) date range, or None for all dates.
 
@@ -383,40 +499,28 @@ def load_price_panel(
     MissingTickerError : a configured ticker never appears in the source.
     EmptyPanelError : no configured ticker has any in-window observation.
     """
-    obs, seen = _read_observations(source)
-    absent = [t for t in universe.tickers if t not in seen]
-    if absent:
-        raise MissingTickerError(absent)
-    per_ticker: list[dict[date, float]] = []
-    all_dates: set[date] = set()
-    for ticker in universe.tickers:
-        series = obs.get(ticker, {})
-        if window is not None:
-            start, end = window
-            series = {d: c for d, c in series.items() if start <= d <= end}
-        per_ticker.append(series)
-        all_dates.update(series)
-    if not all_dates:
-        raise EmptyPanelError(
-            f"{universe.sector}: no observations for any configured ticker"
-            + (f" in {window[0]}:{window[1]}" if window else "")
-        )
-    dates = sorted(all_dates)
-    index = {d: j for j, d in enumerate(dates)}
-    closes = np.full((len(universe.tickers), len(dates)), np.nan)
-    for i, series in enumerate(per_ticker):
-        for d, c in series.items():
-            closes[i, index[d]] = c
-    return PricePanel(list(universe.tickers), dates, closes)
+    start, end = window or (None, None)
+    if not isinstance(source, PricePanel):
+        _, (tickers, dates, closes) = _read_price_file(source)
+        if not dates:  # a file without quotes: no window holds any
+            absent = [t for t in universe.tickers if t not in tickers]
+            if absent:
+                raise MissingTickerError(absent)
+            raise EmptyPanelError(_no_quotes_message(universe.sector, start, end))
+        source = PricePanel(tickers, dates, closes)
+    return source.window(universe.tickers, start, end, sector=universe.sector)
 
 
-def fill_gaps(panel: PricePanel) -> PricePanel:
-    """Fill every gap from that ticker's own observed prices.
+def fill_gaps(panel: PricePanel, opening: np.ndarray | None = None) -> PricePanel:
+    """Fill every gap from that ticker's own prices.
 
-    Interior and trailing gaps carry the last traded price forward;
-    leading gaps take the first traded price. No new price levels are
-    invented. A ticker with no observations at all cannot be filled and
-    raises InsufficientDataError.
+    Interior and trailing gaps carry the last traded price forward. A
+    leading gap takes ``opening[i]``, the ticker's last close before the
+    panel's first date, when `opening` is given; without it, the first
+    traded price (a late listing has no earlier price to carry). No new
+    price levels are invented. A ticker with no observation in the
+    panel, or with a leading gap and no opening price for it, raises
+    InsufficientDataError.
     """
     closes = panel.closes.copy()
     n = panel.n_dates
@@ -425,11 +529,15 @@ def fill_gaps(panel: PricePanel) -> PricePanel:
         observed = np.flatnonzero(~np.isnan(row))
         if observed.size == 0:
             raise InsufficientDataError(f"{ticker}: no observations to fill from")
+        head = row[observed[0]] if opening is None else opening[i]
+        if np.isnan(head) and np.isnan(row[0]):
+            raise InsufficientDataError(
+                f"{ticker}: no close before {panel.dates[0]} to fill its leading gap from"
+            )
         # index of the most recent observation at or before each column,
         # -1 where none exists yet (the leading gap)
         carry = np.maximum.accumulate(np.where(np.isnan(row), -1, np.arange(n)))
-        carry[carry < 0] = observed[0]
-        closes[i] = row[carry]
+        closes[i] = np.where(carry < 0, head, row[carry])
     return PricePanel(list(panel.tickers), list(panel.dates), closes)
 
 
@@ -481,15 +589,8 @@ def write_long_csv(panel_or_series: PricePanel | Iterable[PriceSeries], dest: st
                 for d, c in zip(s.dates, s.closes):
                     yield d, s.ticker, float(c)
 
-    if hasattr(dest, "write"):
-        _write_long_rows(dest, rows())
-    else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            _write_long_rows(fh, rows())
-
-
-def _write_long_rows(fh: IO[str], rows: Iterable[tuple[date, str, float]]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["date", "ticker", "close"])
-    for d, t, c in rows:
-        writer.writerow([d.isoformat(), t, format(c, ".12g")])
+    with text_stream(dest, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["date", "ticker", "close"])
+        for d, t, c in rows():
+            writer.writerow([d.isoformat(), t, format(c, ".12g")])

@@ -15,6 +15,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
+from ._files import text_stream
 from .errors import AlignmentError, DataFormatError, EmptySummaryError
 from .portfolio import WeightVector
 from .return_stats import AssetStats
@@ -67,25 +68,15 @@ def winner_counts(results: Sequence[SectorResult]) -> dict[str, int]:
     return counts
 
 
-def _open_for(dest: str | Path | IO[str], mode: str):
-    if hasattr(dest, "read") or hasattr(dest, "write"):
-        return dest, False
-    return open(dest, mode, encoding="utf-8", newline=""), True
-
-
 def write_stats_csv(stats: Iterable[AssetStats], dest: str | Path | IO[str]) -> None:
     """Per-ticker annual return and risk, as percentages."""
-    fh, close = _open_for(dest, "w")
-    try:
+    with text_stream(dest, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["ticker", "annual_return_pct", "annual_risk_pct"])
         for s in stats:
             writer.writerow(
                 [s.ticker, f"{s.annual_return * 100.0:.2f}", f"{s.annual_volatility * 100.0:.2f}"]
             )
-    finally:
-        if close:
-            fh.close()
 
 
 def write_weights_csv(
@@ -103,17 +94,13 @@ def write_weights_csv(
     for name, m in maps.items():
         if set(m) != set(ewp.tickers):
             raise AlignmentError(f"{name} weights cover different tickers than ewp")
-    fh, close = _open_for(dest, "w")
-    try:
+    with text_stream(dest, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["ticker", "ewp", "mrp", "orp"])
         for t, w in zip(ewp.tickers, ewp.weights):
             writer.writerow(
                 [t, f"{w:.6f}", f"{maps['mrp'][t]:.6f}", f"{maps['orp'][t]:.6f}"]
             )
-    finally:
-        if close:
-            fh.close()
 
 
 def read_weights_csv(source: str | Path | IO[str]) -> dict[str, WeightVector]:
@@ -123,9 +110,8 @@ def read_weights_csv(source: str | Path | IO[str]) -> dict[str, WeightVector]:
     is renormalized by its sum. A column whose sum strays more than 1e-4
     from 1 is rejected as corrupt.
     """
-    fh, close = _open_for(source, "r")
-    path = getattr(fh, "name", "<stream>")
-    try:
+    with text_stream(source) as fh:
+        path = getattr(fh, "name", "<stream>")
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -161,9 +147,6 @@ def read_weights_csv(source: str | Path | IO[str]) -> dict[str, WeightVector]:
                 )
             out[name] = WeightVector(list(tickers), col / total)
         return out
-    finally:
-        if close:
-            fh.close()
 
 
 def write_sector_result(result: SectorResult, dest: str | Path | IO[str]) -> None:
@@ -184,8 +167,7 @@ def write_summary(results: Sequence[SectorResult], dest: str | Path | IO[str]) -
 def _write_result_rows(
     results: Sequence[SectorResult], dest: str | Path | IO[str], footer: bool
 ) -> None:
-    fh, close = _open_for(dest, "w")
-    try:
+    with text_stream(dest, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sector", "ewp_test_return_pct", "orp_test_return_pct", "winner"])
         for r in results:
@@ -198,9 +180,6 @@ def _write_result_rows(
             if counts["TIE"]:
                 note += f", ties: {counts['TIE']}"
             fh.write(note + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def read_sector_results(source: str | Path | IO[str]) -> list[SectorResult]:
@@ -210,9 +189,8 @@ def read_sector_results(source: str | Path | IO[str]) -> list[SectorResult]:
     two-decimal tie is allowed to carry either label, since rounding can
     mask a hairline margin).
     """
-    fh, close = _open_for(source, "r")
-    path = getattr(fh, "name", "<stream>")
-    try:
+    with text_stream(source) as fh:
+        path = getattr(fh, "name", "<stream>")
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -246,6 +224,3 @@ def read_sector_results(source: str | Path | IO[str]) -> list[SectorResult]:
             result.winner = winner if ewp == orp else result.winner
             results.append(result)
         return results
-    finally:
-        if close:
-            fh.close()

@@ -236,7 +236,11 @@ def covariance_matrix(panel: PricePanel) -> CovarianceMatrix:
     """
     _require_complete(panel, minimum_dates=3)
     returns = panel.closes[:, 1:] / panel.closes[:, :-1] - 1.0
-    entries = np.atleast_2d(np.cov(returns, ddof=1))
+    centred = returns - returns.mean(axis=1, keepdims=True)
+    # numpy's own loops, not BLAS: np.cov's bits change with the BLAS
+    # thread count (OpenBLAS 0.3.31, 100 tickers), and each (i, j) and
+    # (j, i) entry sums the same products in the same order
+    entries = np.einsum("it,jt->ij", centred, centred) / (returns.shape[1] - 1)
     return CovarianceMatrix(list(panel.tickers), entries)
 
 

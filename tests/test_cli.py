@@ -2,6 +2,7 @@
 
 import filecmp
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sectorfolio import (
     backtest_from_panel,
     fill_gaps,
     load_price_panel,
+    parse_price_file,
     read_frontier_csv,
     read_sector_results,
     read_universe_config,
@@ -19,6 +21,7 @@ from sectorfolio import (
     write_sector_result,
     SectorResult,
 )
+from sectorfolio import cli
 from sectorfolio.cli import main
 
 from helpers import random_panel, write_universe
@@ -258,3 +261,116 @@ def test_exclusions_log_written_for_sparse_ticker(tmp_path):
     assert log[1].startswith("DDD,0.8")
     books = read_weights_csv(out / "weights.csv")
     assert books["ewp"].tickers == ["AAA", "BBB", "CCC"]
+
+
+def test_backtest_buys_a_suspended_ticker_at_its_last_pre_test_close(tmp_path):
+    tickers, train_days, test_days = ["AAA", "BBB", "CCC"], 60, 30
+    panel = random_panel(tickers, train_days + test_days, seed=12, start=date(2021, 1, 4))
+    closes = panel.closes.copy()
+    # CCC is suspended for the first 10 test days and comes back at 2x
+    closes[2, train_days:train_days + 10] = np.nan
+    closes[2, train_days + 10:] *= 2.0
+    write_long_csv(PricePanel(tickers, panel.dates, closes), tmp_path / "demo.csv")
+    ini = write_universe(
+        tmp_path / "demo.ini", "Demo", tickers,
+        (panel.dates[0], panel.dates[train_days - 1]),
+        (panel.dates[train_days], panel.dates[-1]), prices="demo.csv",
+    )
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 200) == 0
+    rows = {r.split(",")[0]: r.split(",") for r in (out / "backtest_ewp.csv").read_text().splitlines()}
+    last_pre_test = closes[2, train_days - 1]
+    assert rows["CCC"][2] == f"{last_pre_test:.2f}"
+    assert rows["CCC"][2] != f"{closes[2, train_days + 10]:.2f}"
+    assert rows["AAA"][2] == f"{closes[0, train_days]:.2f}"
+
+
+def test_book_ticker_without_a_pre_test_close_names_sector_and_ticker(tmp_path, capsys):
+    # CCC lists three days into the test window: it has nothing to carry
+    ini, _ = build_sector(tmp_path, sector="Late Sector", seed=5, sparse_head=("CCC", 63))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "weights.csv").write_text(
+        "ticker,ewp,mrp,orp\n"
+        "AAA,0.333334,0.5,0.5\nBBB,0.333333,0.5,0.5\nCCC,0.333333,0.0,0.0\n",
+        encoding="utf-8",
+    )
+    assert run_cli(
+        "backtest", "--universe", ini, "--out", out,
+        "--weights", out / "weights.csv", "--column", "ewp",
+    ) == 1
+    err = capsys.readouterr().err
+    assert "Late Sector: CCC: no close before" in err
+
+
+def test_book_ticker_without_any_test_quote_fails_the_sector(tmp_path, capsys):
+    tickers, train_days, test_days = ["AAA", "BBB", "CCC"], 60, 15
+    panel = random_panel(tickers, train_days + test_days, seed=6, start=date(2021, 1, 4))
+    closes = panel.closes.copy()
+    closes[2, train_days:] = np.nan  # CCC stops trading when the test window opens
+    write_long_csv(PricePanel(tickers, panel.dates, closes), tmp_path / "demo.csv")
+    ini = write_universe(
+        tmp_path / "demo.ini", "Delisted", tickers,
+        (panel.dates[0], panel.dates[train_days - 1]),
+        (panel.dates[train_days], panel.dates[-1]), prices="demo.csv",
+    )
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 200) == 1
+    assert "Delisted: CCC: no observations to fill from" in capsys.readouterr().err
+    assert not (out / "backtest_ewp.csv").exists()
+
+
+def _count_parses(monkeypatch):
+    parsed: list[Path] = []
+
+    def counting(source):
+        parsed.append(Path(source))
+        return parse_price_file(source)
+
+    monkeypatch.setattr(cli, "parse_price_file", counting)
+    return parsed
+
+
+def test_pipeline_parses_its_price_file_once(tmp_path, monkeypatch):
+    ini, prices = build_sector(tmp_path, seed=3)
+    parsed = _count_parses(monkeypatch)
+    assert run_cli("pipeline", "--universe", ini, "--out", tmp_path / "out",
+                   "--samples", 200) == 0
+    assert parsed == [prices]
+
+
+def _three_sectors_sharing_one_file(root):
+    root.mkdir()
+    ini, prices = build_sector(root, seed=4, stem="shared")
+    universe = read_universe_config(ini)
+    ini.unlink()
+    for sector, tickers in (("Alpha", ["AAA", "BBB"]), ("Beta", ["BBB", "CCC"]),
+                            ("Gamma", ["AAA", "CCC"])):
+        write_universe(root / f"{sector.lower()}.ini", sector, tickers,
+                       universe.train_window, universe.test_window, prices=prices.name)
+    return prices
+
+
+def test_pipeline_all_parses_a_shared_price_file_once(tmp_path, monkeypatch):
+    prices = _three_sectors_sharing_one_file(tmp_path / "configs")
+    parsed = _count_parses(monkeypatch)
+    assert run_cli("pipeline", "--universe", tmp_path / "configs", "--all",
+                   "--out", tmp_path / "out", "--samples", 200, "--jobs", 2) == 0
+    assert parsed == [prices]
+    assert [r.sector for r in read_sector_results(tmp_path / "out" / "summary.csv")] == [
+        "Alpha", "Beta", "Gamma"]
+
+
+def test_pipeline_all_jobs_do_not_change_a_byte(tmp_path):
+    _three_sectors_sharing_one_file(tmp_path / "configs")
+    outs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        assert run_cli("pipeline", "--universe", tmp_path / "configs", "--all",
+                       "--out", out, "--samples", 300, "--seed", 2, "--jobs", jobs) == 0
+        outs.append(out)
+    files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+    assert len(files) == 3 * 6 + 1
+    assert sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file()) == files
+    for name in files:
+        assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name

@@ -18,6 +18,7 @@ from sectorfolio import (
     apply_missing_data_policy,
     fill_gaps,
     load_price_panel,
+    parse_price_file,
     read_universe_config,
     write_long_csv,
 )
@@ -340,3 +341,119 @@ def test_write_long_csv_skips_gaps(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "date,ticker,close"
     assert len(lines) == 3  # header + two observed rows
+
+
+def test_parse_price_file_is_full_span_in_file_order():
+    csv_text = (
+        "date,ticker,close\n"
+        "2022-01-05,ZZZ,7\n2022-01-03,AAA,100\n2022-01-04,AAA,110\n2022-01-05,AAA,99\n"
+    )
+    panel = parse_price_file(io.StringIO(csv_text))
+    assert panel.tickers == ["ZZZ", "AAA"]
+    assert panel.dates == [D1, D2, D3]
+    assert np.isnan(panel.closes[0, :2]).all() and panel.closes[0, 2] == 7.0
+    assert panel.closes[1].tolist() == [100.0, 110.0, 99.0]
+
+
+def test_window_cuts_the_full_span_like_load_price_panel():
+    full = parse_price_file(io.StringIO(LONG_CSV))
+    universe = make_universe(["BBB", "AAA"])
+    for window in (None, (D2, D3), (D1, D1)):
+        start, end = window or (None, None)
+        cut = full.window(universe.tickers, start, end, sector=universe.sector)
+        loaded = load_price_panel(io.StringIO(LONG_CSV), universe, window)
+        reused = load_price_panel(full, universe, window)  # cut only, nothing parsed
+        assert cut.tickers == loaded.tickers == reused.tickers == ["BBB", "AAA"]
+        assert cut.dates == loaded.dates == reused.dates
+        assert np.array_equal(cut.closes, loaded.closes)
+        assert np.array_equal(cut.closes, reused.closes)
+
+
+def test_window_dates_are_those_its_tickers_trade():
+    csv_text = "date,AAA,BBB\n2022-01-03,100,\n2022-01-04,,51\n2022-01-05,99,52\n"
+    full = parse_price_file(io.StringIO(csv_text))
+    assert full.window(["AAA"]).dates == [D1, D3]
+    assert full.window(["BBB"], D1, D2).dates == [D2]
+    with pytest.raises(MissingTickerError) as exc:
+        full.window(["AAA", "CCC", "DDD"])
+    assert exc.value.tickers == ["CCC", "DDD"]
+    with pytest.raises(EmptyPanelError, match="Metal: .* in 2022-01-03:2022-01-03"):
+        full.window(["BBB"], D1, D1, sector="Metal")
+
+
+def test_wide_column_without_quotes_is_an_all_nan_row():
+    csv_text = "date,AAA,BBB\n2022-01-03,100,\n2022-01-04,110,\n"
+    panel = load_price_panel(io.StringIO(csv_text), make_universe(["AAA", "BBB"]))
+    assert panel.dates == [D1, D2]
+    assert np.isnan(panel.closes[1]).all()
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # a duplicate is reported before a later malformed row
+        ("2022-01-03,AAA,1\n2022-01-03,AAA,2\n2022-01-04,AAA,oops\n", 3),
+        ("2022-01-03,AAA,1\n2022-01-04,AAA,oops\n2022-01-03,AAA,2\n", 3),
+        ("2022-01-03,AAA,1\n\n2022-01-04,BBB,2\n2022-01-03,AAA,1\n", 5),
+        ("2022-01-04,AAA,1\n2022-01-03,AAA,1\n2022-01-04,AAA,2\n2022-01-03,AAA,2\n", 4),
+        # ... and before a later row the csv module rejects (a field over its size limit)
+        ("2022-01-03,AAA,1\n2022-01-03,AAA,2\n2022-01-04,AAA,1\n2022-01-05,AAA," + "1" * 200_000
+         + "\n", 3),
+    ],
+    ids=["duplicate-then-bad-close", "bad-close-then-duplicate", "blank-line-counted",
+         "first-of-two-duplicates", "duplicate-then-csv-error"],
+)
+def test_first_faulty_line_is_reported(text, line):
+    with pytest.raises(DataFormatError, match=f"line {line}:"):
+        parse_price_file(io.StringIO("date,ticker,close\n" + text))
+
+
+def test_csv_module_errors_become_data_format_errors():
+    text = "date,ticker,close\n2022-01-03,AAA," + "1" * 200_000 + "\n"
+    with pytest.raises(DataFormatError, match="line 2"):
+        parse_price_file(io.StringIO(text))
+
+
+def test_parse_reports_a_path_source_by_name(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("date,ticker,close\n2022-01-03,AAA,x\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=f"{path}: line 2"):
+        parse_price_file(path)
+
+
+def test_last_closes_look_back_from_a_date():
+    closes = np.array([[10.0, np.nan, 12.0], [np.nan, np.nan, 6.0], [1.0, 2.0, np.nan]])
+    panel = PricePanel(["AAA", "BBB", "CCC"], [D1, D2, D3], closes)
+    assert panel.last_closes(["CCC", "AAA"], D2).tolist() == [2.0, 10.0]
+    assert np.isnan(panel.last_closes(["BBB"], D2)).all()
+    assert np.isnan(panel.last_closes(["AAA"], date(2021, 12, 31))).all()
+
+
+def test_fill_gaps_with_opening_never_fills_from_later_quotes():
+    closes = np.array([[np.nan, np.nan, 12.0, np.nan], [5.0, np.nan, 6.0, np.nan]])
+    panel = PricePanel(["AAA", "BBB"], weekdays(date(2022, 1, 3), 4), closes)
+    filled = fill_gaps(panel, np.array([9.0, np.nan]))
+    assert filled.closes.tolist() == [[9.0, 9.0, 12.0, 12.0], [5.0, 5.0, 6.0, 6.0]]
+    with pytest.raises(InsufficientDataError, match="AAA: no close before 2022-01-03"):
+        fill_gaps(panel, np.array([np.nan, 4.0]))
+    # an opening price never stands in for a ticker with no quote at all
+    closes[0] = np.nan
+    with pytest.raises(InsufficientDataError, match="AAA: no observations to fill from"):
+        fill_gaps(PricePanel(["AAA", "BBB"], panel.dates, closes), np.array([9.0, 4.0]))
+
+
+def test_a_file_without_quotes():
+    long_text, wide_text = "date,ticker,close\n\n", "date,AAA,BBB\n"
+    for text in (long_text, wide_text):
+        with pytest.raises(EmptyPanelError, match="<stream>: no quotes"):
+            parse_price_file(io.StringIO(text))
+    # load_price_panel reports it as the window it was asked for
+    with pytest.raises(MissingTickerError) as exc:
+        load_price_panel(io.StringIO(long_text), make_universe(["AAA"]))
+    assert exc.value.tickers == ["AAA"]
+    with pytest.raises(MissingTickerError) as exc:
+        load_price_panel(io.StringIO(wide_text), make_universe(["AAA", "CCC"]))
+    assert exc.value.tickers == ["CCC"]
+    with pytest.raises(EmptyPanelError, match="in 2022-01-03:2022-01-04"):
+        load_price_panel(io.StringIO(wide_text), make_universe(["AAA"]), (D1, D2))
+

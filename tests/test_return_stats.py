@@ -1,11 +1,16 @@
 """Return, volatility, and covariance statistics."""
 
 import math
+import os
+import subprocess
+import sys
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sectorfolio
 from sectorfolio import (
     TRADING_DAYS_PER_YEAR,
     CovarianceMatrix,
@@ -201,3 +206,33 @@ def test_correlation_rejects_zero_variance():
     panel = PricePanel(["FLAT", "MOVES"], dates, closes)
     with pytest.raises(DegenerateAssetError, match="FLAT"):
         correlation_matrix(covariance_matrix(panel))
+
+
+_BLAS_PROBE = """
+import hashlib, sys
+import numpy as np
+sys.path.insert(0, sys.argv[2])
+from helpers import random_panel
+from sectorfolio import covariance_matrix
+n = int(sys.argv[1])
+entries = covariance_matrix(random_panel([f"T{i}" for i in range(n)], 1250, seed=8)).entries
+print(hashlib.sha256(entries.tobytes()).hexdigest(), bool((entries == entries.T).all()))
+"""
+
+
+def test_covariance_bits_do_not_depend_on_blas_threads():
+    # at 100 tickers x 1,249 returns OpenBLAS rounds np.cov differently
+    # under 1 and 2 threads
+    src = str(Path(sectorfolio.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE, "100", str(Path(__file__).parent)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout.split())
+    assert outputs[0][1] == "True"  # exactly symmetric
+    assert outputs[0] == outputs[1]
