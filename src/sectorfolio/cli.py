@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -47,6 +46,7 @@ from .market_data import (
     apply_missing_data_policy,
     fill_gaps,
     load_price_panel,
+    parse_iso_date,
     parse_price_file,
     read_universe_config,
     write_long_csv,
@@ -87,7 +87,6 @@ class RunConfig:
     samples: int = 10_000
     seed: int = 0
     rf: RiskFreeAssumption = RiskFreeAssumption()
-    workers: int = 1
     sampler: str = "uniform"
     threshold: float = 0.30
     capital: float = 100_000.0
@@ -95,8 +94,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.capital <= 0.0:
             raise ValueError(f"capital must be positive, got {self.capital}")
         if not 0.0 <= self.threshold <= 1.0:
@@ -130,7 +127,7 @@ def _train(config: RunConfig, prices: PricePanel) -> _TrainArtifacts:
     cov = covariance_matrix(panel)
     mu = {s.ticker: s.annual_return for s in stats}
     cloud = sample_frontier(
-        mu, cov, config.samples, config.seed, config.rf, config.workers, config.sampler
+        mu, cov, config.samples, config.seed, config.rf, sampler=config.sampler
     )
     return _TrainArtifacts(panel, excluded, stats, cov, cloud)
 
@@ -313,7 +310,6 @@ def _config_from_args(args: argparse.Namespace, config_path: Path) -> RunConfig:
         samples=getattr(args, "samples", 10_000),
         seed=getattr(args, "seed", 0),
         rf=RiskFreeAssumption(getattr(args, "rf", 0.01)),
-        workers=getattr(args, "workers", 1),
         sampler=getattr(args, "sampler", "uniform"),
         threshold=args.threshold,
         capital=getattr(args, "capital", 100_000.0),
@@ -323,7 +319,7 @@ def _config_from_args(args: argparse.Namespace, config_path: Path) -> RunConfig:
 def _window_arg(text: str) -> tuple[date, date]:
     try:
         a, b = text.split(":")
-        window = date.fromisoformat(a), date.fromisoformat(b)
+        window = parse_iso_date(a), parse_iso_date(b)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected START:END ISO dates, got {text!r}"
@@ -335,9 +331,19 @@ def _window_arg(text: str) -> tuple[date, date]:
 
 def _date_arg(text: str) -> date:
     try:
-        return date.fromisoformat(text)
+        return parse_iso_date(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an ISO date, got {text!r}") from None
+
+
+def _ignored_count_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -358,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--samples", type=int, default=10_000, help="cloud size (default 10000)")
     mc.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     mc.add_argument("--rf", type=float, default=0.01, help="annual risk-free rate (default 0.01)")
-    mc.add_argument("--workers", type=int, default=1, help="accepted for compatibility, must be >= 1; has no effect")
+    mc.add_argument("--workers", type=_ignored_count_arg, help="ignored (must be >= 1); kept so older command lines run")
     mc.add_argument(
         "--sampler", choices=sorted(WEIGHT_SAMPLERS), default="uniform",
         help="uniform (default): iid uniforms over their sum, pulled toward 1/n; "
@@ -385,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", parents=[run, mc], help="full sector run")
     p.add_argument("--capital", type=float, default=100_000.0)
     p.add_argument("--all", action="store_true", help="--universe is a directory of universe INI files")
-    p.add_argument("--jobs", type=int, default=1, help="sectors to run in parallel with --all")
+    p.add_argument("--jobs", type=_ignored_count_arg, help="ignored (must be >= 1); kept so older command lines run")
     p.set_defaults(handler=_handle_pipeline)
 
     p = sub.add_parser("summary", help="combine sector results")
@@ -439,20 +445,14 @@ def _handle_pipeline(args: argparse.Namespace) -> int:
         raise EmptyUniverseError(f"no universe configs (*.ini) in {args.universe}")
     out = Path(args.out)
     configs = [_config_from_args(args, path) for path in config_paths]
-    for config in configs:
+    claimed: dict[Path, Path] = {}  # output directory -> the INI that claimed it
+    for path, config in zip(config_paths, configs):
         config.out_dir = out / _slug(config.universe.sector)
-    # each distinct price file is parsed once, here, before any sector
-    # thread starts; the threads only read the panels
+        first = claimed.setdefault(config.out_dir, path)
+        if first != path:
+            raise ValueError(f"{first} and {path} both write to {config.out_dir}")
     panels = {path: parse_price_file(path) for path in dict.fromkeys(c.prices for c in configs)}
-
-    def one(config: RunConfig) -> SectorResult:
-        return cmd_pipeline(config, panels[config.prices])
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(one, configs))
-    else:
-        results = [one(config) for config in configs]
+    results = [cmd_pipeline(config, panels[config.prices]) for config in configs]
     out.mkdir(parents=True, exist_ok=True)
     write_summary(results, out / "summary.csv")
     _emit(out / "summary.csv")

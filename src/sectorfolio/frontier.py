@@ -29,9 +29,8 @@ come from fixed global blocks of `_BLOCK` samples, each scored with
 numpy's own array loops (``einsum`` and row sums), never BLAS: OpenBLAS
 rounds matrix products differently under different thread counts
 (measured with OpenBLAS 0.3.31 on x86-64 for ``W @ mu`` at 200 assets
-and for ``W @ C`` at 300). For a given
-seed, sampler and sample count, neither the ``workers`` argument nor
-the BLAS thread count changes a bit of the cloud.
+and for ``W @ C`` at 300). For a given seed, sampler and sample count,
+the BLAS thread count changes no bit of the cloud.
 """
 
 from __future__ import annotations
@@ -79,94 +78,39 @@ class FrontierSample:
     sharpe: float
 
 
+@dataclass(eq=False)
 class FrontierCloud:
     """All samples of one frontier run as arrays, plus the inputs that made it.
 
     `weights` has one row per sample in `tickers` order;
     `annual_returns`, `annual_risks` and `sharpe_ratios` have one entry
     per sample, and a Sharpe ratio is NaN where the risk is exactly zero.
-
-    The constructor takes finished `FrontierSample` objects;
-    `sample_frontier` builds clouds through `from_arrays`. `sample(i)`
-    builds the object for one index on demand and caches it, and
-    `samples` lists them all through the same cache, so an index always
-    yields the same object.
+    `sample(i)` builds one row as a `FrontierSample`.
     """
 
-    def __init__(
-        self,
-        samples: Sequence[FrontierSample],
-        tickers: Sequence[str],
-        seed: int,
-        rf: RiskFreeAssumption,
-        sampler: str = "uniform",
-    ) -> None:
-        samples = list(samples)
-        self.tickers = list(tickers)
-        self.seed = seed
-        self.rf = rf
-        self.sampler = sampler
-        self.weights = np.array(
-            [s.weights.weights for s in samples], dtype=float
-        ).reshape(len(samples), len(self.tickers))
-        self.annual_returns = np.array([s.annual_return for s in samples], dtype=float)
-        self.annual_risks = np.array([s.annual_risk for s in samples], dtype=float)
-        self.sharpe_ratios = np.array([s.sharpe for s in samples], dtype=float)
-        self._built: dict[int, FrontierSample] = dict(enumerate(samples))
-        self._samples: list[FrontierSample] | None = None
-
-    @classmethod
-    def from_arrays(
-        cls,
-        weights: np.ndarray,
-        annual_returns: np.ndarray,
-        annual_risks: np.ndarray,
-        sharpe_ratios: np.ndarray,
-        tickers: Sequence[str],
-        seed: int,
-        rf: RiskFreeAssumption,
-        sampler: str = "uniform",
-    ) -> FrontierCloud:
-        """A cloud over already scored arrays, taken without copying."""
-        cloud = cls([], tickers, seed, rf, sampler)
-        cloud.weights = weights
-        cloud.annual_returns = annual_returns
-        cloud.annual_risks = annual_risks
-        cloud.sharpe_ratios = sharpe_ratios
-        return cloud
+    tickers: list[str]
+    weights: np.ndarray
+    annual_returns: np.ndarray
+    annual_risks: np.ndarray
+    sharpe_ratios: np.ndarray
+    seed: int
+    rf: RiskFreeAssumption
+    sampler: str
 
     @property
     def sample_count(self) -> int:
         return len(self.annual_risks)
 
-    def risks(self) -> np.ndarray:
-        return self.annual_risks
-
-    def returns(self) -> np.ndarray:
-        return self.annual_returns
-
-    def sharpes(self) -> np.ndarray:
-        return self.sharpe_ratios
-
     def sample(self, index: int) -> FrontierSample:
-        """Sample `index` as an object, built on first use and cached."""
+        """Sample `index` as a new object holding a copy of its weights."""
         # normalizes a negative index and raises IndexError out of range
         index = range(self.sample_count)[index]
-        if index not in self._built:
-            self._built[index] = FrontierSample(
-                WeightVector(list(self.tickers), self.weights[index].copy()),
-                float(self.annual_returns[index]),
-                float(self.annual_risks[index]),
-                float(self.sharpe_ratios[index]),
-            )
-        return self._built[index]
-
-    @property
-    def samples(self) -> list[FrontierSample]:
-        """Every sample as an object, built on first use through `sample`."""
-        if self._samples is None:
-            self._samples = [self.sample(i) for i in range(self.sample_count)]
-        return self._samples
+        return FrontierSample(
+            WeightVector(list(self.tickers), self.weights[index].copy()),
+            float(self.annual_returns[index]),
+            float(self.annual_risks[index]),
+            float(self.sharpe_ratios[index]),
+        )
 
 
 def _simplex_uniform(u: np.ndarray) -> np.ndarray:
@@ -219,7 +163,6 @@ def sample_frontier(
     n_samples: int = 10_000,
     seed: int = 0,
     rf: RiskFreeAssumption | float = RiskFreeAssumption(),
-    workers: int = 1,
     sampler: str = "uniform",
 ) -> FrontierCloud:
     """Draw a cloud of random portfolios over the covariance's tickers.
@@ -232,21 +175,17 @@ def sample_frontier(
     n_samples : cloud size, at least 1.
     seed : generator seed; same seed, same cloud.
     rf : risk-free assumption for per-sample Sharpe ratios.
-    workers : accepted for compatibility and validated (at least 1); it
-        changes nothing, since scoring is one array pass per block.
     sampler : name of a registered weight sampler (see the module docs
         for what each one draws).
 
     Raises
     ------
     EmptyCloudError : n_samples < 1.
-    ValueError : unknown sampler name or workers < 1.
+    ValueError : unknown sampler name.
     AlignmentError : expected returns do not align with the covariance.
     """
     if n_samples < 1:
         raise EmptyCloudError(f"n_samples must be at least 1, got {n_samples}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     try:
         to_simplex = WEIGHT_SAMPLERS[sampler]
     except KeyError:
@@ -273,7 +212,7 @@ def sample_frontier(
     risks = np.sqrt(np.maximum(variances, 0.0) * TRADING_DAYS_PER_YEAR)
     sharpes = np.full(n_samples, math.nan)
     np.divide(returns - rf.rate, risks, out=sharpes, where=risks > 0.0)
-    return FrontierCloud.from_arrays(weights, returns, risks, sharpes, tickers, seed, rf, sampler)
+    return FrontierCloud(tickers, weights, returns, risks, sharpes, seed, rf, sampler)
 
 
 def min_risk_portfolio(cloud: FrontierCloud) -> FrontierSample:

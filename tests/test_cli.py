@@ -132,6 +132,24 @@ def test_frontier_identical_across_worker_counts(tmp_path):
     assert filecmp.cmp(out1 / "frontier.csv", out8 / "frontier.csv", shallow=False)
 
 
+@pytest.mark.parametrize("flag", ["--workers", "--jobs"])
+def test_ignored_concurrency_flags_reject_zero(tmp_path, capsys, flag):
+    ini, _ = build_sector(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("pipeline", "--universe", ini, "--out", tmp_path / "out", flag, 0)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_window_flag_takes_only_yyyy_mm_dd(tmp_path, capsys):
+    ini, _ = build_sector(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("stats", "--universe", ini, "--out", tmp_path / "out",
+                "--train", "20170101:20211231")
+    assert exc.value.code == 2
+    assert "--train" in capsys.readouterr().err
+
+
 def test_pipeline_writes_all_reports(tmp_path, capsys):
     ini, _ = build_sector(tmp_path, sector="Demo Sector", seed=2)
     out = tmp_path / "out"
@@ -178,6 +196,20 @@ def test_pipeline_all_builds_summary(tmp_path):
     assert [r.sector for r in results] == ["Alpha Sector", "Beta Sector"]
     footer = (out / "summary.csv").read_text().splitlines()[-1]
     assert footer.startswith("# EWP wins: ")
+
+
+def test_pipeline_all_rejects_two_sectors_sharing_an_output_directory(tmp_path, capsys):
+    data = tmp_path / "configs"
+    data.mkdir()
+    build_sector(data, sector="Oil & Gas", seed=1, stem="a")
+    build_sector(data, sector="Oil-Gas", seed=2, stem="b")
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--universe", data, "--all", "--out", out,
+                   "--samples", 100) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert str(data / "a.ini") in err and str(data / "b.ini") in err
+    assert not out.exists()
 
 
 def test_pipeline_all_requires_configs(tmp_path, capsys):

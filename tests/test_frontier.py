@@ -46,27 +46,34 @@ def manual_sample(weights, tickers=TICKERS3, cov=COV3, mu=MU3, rf=0.01):
     return FrontierSample(wv, ret, risk, sharpe)
 
 
+def _cloud(tickers, rows):
+    """A cloud over hand-written (weights, return, risk, sharpe) rows."""
+    weights = np.array([row[0] for row in rows], float).reshape(len(rows), len(tickers))
+    returns, risks, sharpes = (np.array([row[k] for row in rows], float) for k in (1, 2, 3))
+    return FrontierCloud(list(tickers), weights, returns, risks, sharpes,
+                         seed=0, rf=RiskFreeAssumption(), sampler="uniform")
+
+
 def test_single_asset_cloud_is_degenerate_point():
     cov = CovarianceMatrix(["AAA"], np.array([[0.0004]]))
     cloud = sample_frontier({"AAA": 0.12}, cov, n_samples=5, seed=1)
     assert cloud.sample_count == 5
-    for s in cloud.samples:
-        assert s.weights.weights.tolist() == [1.0]
-        assert s.annual_return == 0.12
-        assert s.annual_risk == pytest.approx(0.02 * math.sqrt(250), rel=1e-12)
+    assert cloud.weights.tolist() == [[1.0]] * 5
+    assert cloud.annual_returns.tolist() == [0.12] * 5
+    assert cloud.annual_risks == pytest.approx([0.02 * math.sqrt(250)] * 5, rel=1e-12)
 
 
 def test_samples_live_on_the_simplex():
     for sampler in ("uniform", "dirichlet"):
         cloud = sample_frontier(MU3, COV3, n_samples=2_000, seed=7, sampler=sampler)
-        weights = np.array([s.weights.weights for s in cloud.samples])
-        assert np.all(weights >= 0.0)
-        assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(cloud.weights >= 0.0)
+        assert np.allclose(cloud.weights.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_sample_stats_match_portfolio_arithmetic():
     cloud = sample_frontier(MU3, COV3, n_samples=50, seed=3)
-    for s in cloud.samples:
+    for i in range(cloud.sample_count):
+        s = cloud.sample(i)
         expect = manual_sample(s.weights.weights)
         assert s.annual_return == pytest.approx(expect.annual_return, rel=1e-12)
         assert s.annual_risk == pytest.approx(expect.annual_risk, rel=1e-12)
@@ -76,36 +83,26 @@ def test_sample_stats_match_portfolio_arithmetic():
 def test_same_seed_reproduces_cloud_bitwise():
     a = sample_frontier(MU3, COV3, n_samples=500, seed=11)
     b = sample_frontier(MU3, COV3, n_samples=500, seed=11)
-    assert np.array_equal(a.risks(), b.risks())
-    for sa, sb in zip(a.samples, b.samples):
-        assert np.array_equal(sa.weights.weights, sb.weights.weights)
+    assert np.array_equal(a.annual_risks, b.annual_risks)
+    assert np.array_equal(a.weights, b.weights)
 
 
 def test_different_seeds_differ():
     a = sample_frontier(MU3, COV3, n_samples=100, seed=1)
     b = sample_frontier(MU3, COV3, n_samples=100, seed=2)
-    assert not np.array_equal(a.risks(), b.risks())
-
-
-def test_worker_count_does_not_change_the_cloud():
-    serial = sample_frontier(MU3, COV3, n_samples=331, seed=5)
-    threaded = sample_frontier(MU3, COV3, n_samples=331, seed=5, workers=3)
-    assert np.array_equal(serial.risks(), threaded.risks())
-    assert np.array_equal(serial.sharpes(), threaded.sharpes())
-    for sa, sb in zip(serial.samples, threaded.samples):
-        assert sa.weights.weights.tobytes() == sb.weights.weights.tobytes()
+    assert not np.array_equal(a.annual_risks, b.annual_risks)
 
 
 def test_dirichlet_sampler_is_deterministic_too():
     a = sample_frontier(MU3, COV3, n_samples=200, seed=9, sampler="dirichlet")
-    b = sample_frontier(MU3, COV3, n_samples=200, seed=9, sampler="dirichlet", workers=4)
-    assert np.array_equal(a.risks(), b.risks())
+    b = sample_frontier(MU3, COV3, n_samples=200, seed=9, sampler="dirichlet")
+    assert np.array_equal(a.annual_risks, b.annual_risks)
 
 
 def test_sampler_distributions_differ():
     a = sample_frontier(MU3, COV3, n_samples=100, seed=9)
     b = sample_frontier(MU3, COV3, n_samples=100, seed=9, sampler="dirichlet")
-    assert not np.array_equal(a.risks(), b.risks())
+    assert not np.array_equal(a.annual_risks, b.annual_risks)
 
 
 def test_sample_frontier_argument_validation():
@@ -113,27 +110,40 @@ def test_sample_frontier_argument_validation():
         sample_frontier(MU3, COV3, n_samples=0)
     with pytest.raises(ValueError, match="sampler"):
         sample_frontier(MU3, COV3, n_samples=10, sampler="sobol")
-    with pytest.raises(ValueError, match="workers"):
-        sample_frontier(MU3, COV3, n_samples=10, workers=0)
     with pytest.raises(AlignmentError):
         sample_frontier({"AAA": 0.1}, COV3, n_samples=10)
 
 
 def test_selection_tie_breaks_on_first_index():
-    rf = RiskFreeAssumption()
-    s1 = manual_sample([0.2, 0.3, 0.5])
-    s2 = manual_sample([0.5, 0.3, 0.2])
-    dup1 = manual_sample([0.2, 0.3, 0.5])
-    cloud = FrontierCloud([s1, s2, dup1], TICKERS3, seed=0, rf=rf)
-    assert min_risk_portfolio(cloud) is (s1 if s1.annual_risk <= s2.annual_risk else s2)
-    # ties return the earliest sample
-    tie_cloud = FrontierCloud([s1, dup1], TICKERS3, seed=0, rf=rf)
-    assert min_risk_portfolio(tie_cloud) is s1
-    assert optimum_risk_portfolio(tie_cloud) is s1
+    # rows 1 and 3 tie on risk and Sharpe but hold different weights
+    cloud = _cloud(TICKERS3, [
+        ([0.5, 0.3, 0.2], 0.10, 0.30, 0.30),
+        ([0.2, 0.3, 0.5], 0.12, 0.20, 0.55),
+        ([0.4, 0.4, 0.2], 0.11, 0.25, 0.40),
+        ([0.1, 0.6, 0.3], 0.12, 0.20, 0.55),
+    ])
+    for pick in (min_risk_portfolio(cloud), optimum_risk_portfolio(cloud)):
+        assert pick.weights.weights.tolist() == [0.2, 0.3, 0.5]
+        assert (pick.annual_return, pick.annual_risk, pick.sharpe) == (0.12, 0.20, 0.55)
+
+
+def test_sample_builds_a_fresh_copy_of_one_row():
+    cloud = sample_frontier(MU3, COV3, n_samples=20, seed=4)
+    first, again = cloud.sample(7), cloud.sample(-13)
+    assert first is not again
+    assert first.weights.weights.tobytes() == cloud.weights[7].tobytes()
+    assert again.weights.weights.tobytes() == cloud.weights[7].tobytes()
+    assert first.weights.tickers == TICKERS3
+    assert (first.annual_return, first.annual_risk, first.sharpe) == (
+        cloud.annual_returns[7], cloud.annual_risks[7], cloud.sharpe_ratios[7])
+    first.weights.weights[0] = 9.0
+    assert cloud.weights[7, 0] != 9.0
+    with pytest.raises(IndexError):
+        cloud.sample(20)
 
 
 def test_selection_on_empty_cloud():
-    empty = FrontierCloud([], TICKERS3, seed=0, rf=RiskFreeAssumption())
+    empty = _cloud(TICKERS3, [])
     with pytest.raises(EmptyCloudError):
         min_risk_portfolio(empty)
     with pytest.raises(EmptyCloudError):
@@ -145,7 +155,7 @@ def test_selection_on_empty_cloud():
 def test_zero_risk_sample_blocks_sharpe_selection():
     flat_cov = CovarianceMatrix(["AAA"], np.array([[0.0]]))
     cloud = sample_frontier({"AAA": 0.1}, flat_cov, n_samples=3, seed=1)
-    assert all(math.isnan(s.sharpe) for s in cloud.samples)
+    assert np.isnan(cloud.sharpe_ratios).all()
     assert min_risk_portfolio(cloud).annual_risk == 0.0
     with pytest.raises(DegenerateSampleError):
         optimum_risk_portfolio(cloud)
@@ -178,15 +188,12 @@ def test_export_flags_and_roundtrip(tmp_path):
 
 
 def test_export_merges_flags_when_one_row_wins_both():
-    rf = RiskFreeAssumption()
-    dominant = FrontierSample(
-        WeightVector(TICKERS3, np.array([0.9, 0.05, 0.05])), 0.20, 0.10, 1.9
-    )
-    dominated = FrontierSample(
-        WeightVector(TICKERS3, np.array([0.0, 0.0, 1.0])), 0.10, 0.50, 0.18
-    )
+    cloud = _cloud(TICKERS3, [
+        ([0.9, 0.05, 0.05], 0.20, 0.10, 1.9),  # dominant
+        ([0.0, 0.0, 1.0], 0.10, 0.50, 0.18),  # dominated
+    ])
     buf = io.StringIO()
-    export_frontier(FrontierCloud([dominant, dominated], TICKERS3, seed=0, rf=rf), buf)
+    export_frontier(cloud, buf)
     buf.seek(0)
     _, rows = read_frontier_csv(buf)
     assert rows[0][4] == "mrp+orp"
@@ -203,14 +210,6 @@ def test_read_frontier_rejects_malformed_input(tmp_path):
     )
     with pytest.raises(DataFormatError, match="line 2"):
         read_frontier_csv(path)
-
-
-def _cloud(tickers, rows):
-    samples = [
-        FrontierSample(WeightVector(list(tickers), np.array(w, float)), ret, risk, sharpe)
-        for w, ret, risk, sharpe in rows
-    ]
-    return FrontierCloud(samples, list(tickers), seed=0, rf=RiskFreeAssumption())
 
 
 def _exported(cloud):
@@ -249,15 +248,6 @@ def test_export_format_is_pinned_byte_for_byte():
         "0,0.12,nan,1,mrp\n"
         "0,0.12,nan,1,\n"
     )
-
-
-def test_block_edges_do_not_depend_on_workers():
-    n = 2 * _BLOCK + 3
-    one = sample_frontier(MU3, COV3, n_samples=n, seed=5)
-    three = sample_frontier(MU3, COV3, n_samples=n, seed=5, workers=3)
-    for name in ("weights", "annual_returns", "annual_risks", "sharpe_ratios"):
-        assert getattr(one, name).tobytes() == getattr(three, name).tobytes(), name
-
 
 _BLAS_PROBE = """
 import hashlib, sys

@@ -91,6 +91,18 @@ def test_malformed_close_names_the_line():
         load_price_panel(io.StringIO(bad), make_universe(["AAA"]))
 
 
+# date.fromisoformat takes both spellings from Python 3.11 on, not on 3.10
+@pytest.mark.parametrize("day", ["20220104", "2022-W01-2"])
+@pytest.mark.parametrize(
+    "header, row", [("date,ticker,close", "{},AAA,101"), ("date,AAA", "{},101")],
+    ids=["long", "wide"],
+)
+def test_dates_other_than_yyyy_mm_dd_name_the_line(day, header, row):
+    text = "\n".join([header, row.format("2022-01-03"), row.format(day)]) + "\n"
+    with pytest.raises(DataFormatError, match=f"line 3: bad date '{day}'"):
+        parse_price_file(io.StringIO(text))
+
+
 def test_nonpositive_close_rejected():
     bad = "date,ticker,close\n2022-01-03,AAA,-5\n"
     with pytest.raises(DataFormatError, match="line 2"):
@@ -287,7 +299,6 @@ def test_universe_config_roundtrip(tmp_path):
     assert cfg.train_window == (date(2017, 1, 1), date(2021, 12, 31))
     assert cfg.test_window == (date(2022, 1, 1), date(2022, 12, 31))
     assert cfg.prices == "psu.csv"
-    assert cfg.contributions == {"SBIN": 19.51}
 
 
 def test_universe_config_missing_key(tmp_path):
