@@ -17,14 +17,13 @@ fixed-amount-per-stock
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from ._files import text_stream
+from ._files import csv_writer
 from .errors import InsufficientDataError
 from .market_data import PricePanel
 from .portfolio import WeightVector, _aligned
@@ -164,12 +163,9 @@ def write_backtest_csv(report: BacktestReport, dest: str | Path | IO[str]) -> No
     share figures use two decimals, weights six; the percent return
     appears only on the TOTAL row.
     """
-    with text_stream(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["ticker", "weight", "buy_price", "amount_invested",
-             "shares", "sell_price", "terminal_value", "return_pct"]
-        )
+    header = ["ticker", "weight", "buy_price", "amount_invested",
+              "shares", "sell_price", "terminal_value", "return_pct"]
+    with csv_writer(dest, header) as (_, writer):
         for a in report.allocations:
             writer.writerow(
                 [a.ticker, f"{a.weight:.6f}", f"{a.buy_price:.2f}",

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
+from ._files import csv_writer
 from .backtest import MODES, backtest_from_panel, write_backtest_csv
 from .errors import (
     AnalyticsError,
@@ -77,7 +78,8 @@ __all__ = [
 
 @dataclass
 class RunConfig:
-    """Everything one sector run needs, resolved and validated."""
+    """Everything one sector run needs; samples, threshold and each
+    window's order are checked where they are used, before any write."""
 
     universe: UniverseConfig
     prices: Path
@@ -92,15 +94,10 @@ class RunConfig:
     capital: float = 100_000.0
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        # the backtests would catch this only after pipeline wrote three reports
         if self.capital <= 0.0:
             raise ValueError(f"capital must be positive, got {self.capital}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold must be within [0, 1], got {self.threshold}")
-        for name, (lo, hi) in (("train", self.train_window), ("test", self.test_window)):
-            if lo > hi:
-                raise ValueError(f"{name} window starts after it ends")
+        # --train/--test overrides reach no other check of this order
         if self.train_window[1] >= self.test_window[0]:
             raise ValueError("training window must end before the test window begins")
 
@@ -141,10 +138,9 @@ def _write_exclusions(excluded: list[tuple[str, float]], out_dir: Path) -> None:
     if not excluded:
         return
     path = out_dir / "exclusions.log"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("ticker,missing_fraction\n")
+    with csv_writer(path, ["ticker", "missing_fraction"]) as (_, writer):
         for ticker, fraction in excluded:
-            fh.write(f"{ticker},{fraction:.4f}\n")
+            writer.writerow([ticker, f"{fraction:.4f}"])
     _emit(path)
 
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from datetime import date
 from typing import Callable, Iterable
 from urllib import error, parse, request
 
 from .errors import FetchError
-from .market_data import PriceSeries
+from .market_data import PriceSeries, parse_iso_date
 
 __all__ = ["DEFAULT_URL_TEMPLATE", "fetch_history"]
 
@@ -37,6 +38,13 @@ def _http_get(url: str, timeout: float) -> str:
 def _parse_payload(ticker: str, text: str) -> PriceSeries:
     reader = csv.reader(io.StringIO(text))
     try:
+        return _parse_rows(ticker, reader)
+    except csv.Error as exc:
+        raise FetchError(f"{ticker}: line {reader.line_num}: {exc}") from None
+
+
+def _parse_rows(ticker: str, reader) -> PriceSeries:
+    try:
         header = [h.strip().lower() for h in next(reader)]
     except StopIteration:
         raise FetchError(f"{ticker}: empty response") from None
@@ -55,10 +63,12 @@ def _parse_payload(ticker: str, text: str) -> PriceSeries:
         if cell.lower() in _NO_DATA:
             continue
         try:
-            day = date.fromisoformat(row[date_col].strip())
+            day = parse_iso_date(row[date_col].strip())
             close = float(cell)
         except ValueError as exc:
             raise FetchError(f"{ticker}: line {reader.line_num}: {exc}") from None
+        if not math.isfinite(close):
+            raise FetchError(f"{ticker}: line {reader.line_num}: close {cell!r} is not finite")
         if close <= 0.0:
             continue
         if day in rows:

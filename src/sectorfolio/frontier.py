@@ -35,7 +35,6 @@ the BLAS thread count changes no bit of the cloud.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,7 +42,7 @@ from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._files import text_stream
+from ._files import csv_reader, csv_writer
 from .errors import DataFormatError, DegenerateSampleError, EmptyCloudError
 from .portfolio import _SUM_TOLERANCE, RiskFreeAssumption, WeightVector, _aligned
 from .return_stats import TRADING_DAYS_PER_YEAR, CovarianceMatrix
@@ -262,12 +261,9 @@ def export_frontier(cloud: FrontierCloud, dest: str | Path | IO[str]) -> None:
     # "%.12g" prints exactly what format(x, ".12g") does
     row = ",".join(["%.12g"] * (3 + len(cloud.tickers))) + ",%s\n"
 
-    with text_stream(dest, "w") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(
-            ["annual_risk", "annual_return", "sharpe"]
-            + [f"w_{t}" for t in cloud.tickers]
-            + ["flag"]
-        )
+    header = ["annual_risk", "annual_return", "sharpe"]
+    header += [f"w_{t}" for t in cloud.tickers] + ["flag"]
+    with csv_writer(dest, header) as (fh, _):
         for lo in range(0, cloud.sample_count, _BLOCK):
             hi = min(lo + _BLOCK, cloud.sample_count)
             table = np.column_stack((
@@ -288,13 +284,7 @@ def read_frontier_csv(
     Each row is (annual_risk, annual_return, sharpe, weights, flag).
     Raises DataFormatError on any malformed line.
     """
-    with text_stream(source) as fh:
-        path = str(getattr(fh, "name", "<stream>"))
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
+    with csv_reader(source) as (path, reader, header):
         if (
             len(header) < 5
             or header[:3] != ["annual_risk", "annual_return", "sharpe"]

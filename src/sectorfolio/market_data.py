@@ -61,7 +61,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from ._files import text_stream
+from ._files import csv_reader, csv_writer
 from .errors import (
     DataFormatError,
     EmptyPanelError,
@@ -426,25 +426,17 @@ def _parse_wide(reader: "csv.reader", header: list[str], path: str) -> _Parsed:
 
 def _read_price_file(source: str | Path | IO[str]) -> tuple[str, _Parsed]:
     """The source's name and its parsed contents, validated cell by cell."""
-    with text_stream(source) as fh:
-        path = str(getattr(fh, "name", "<stream>"))
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise DataFormatError(f"{path}: empty file")
-            names = [h.strip().lower() for h in header]
-            if names[:1] != ["date"]:
-                raise DataFormatError(
-                    f"{path}: line 1: first column must be 'date', got {header!r}"
-                )
-            if names == ["date", "ticker", "close"]:
-                return path, _parse_long(reader, path)
-            if len(names) < 2:
-                raise DataFormatError(f"{path}: line 1: unrecognized header {header!r}")
-            return path, _parse_wide(reader, header, path)
-        except csv.Error as exc:
-            raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    with csv_reader(source) as (path, reader, header):
+        names = [h.strip().lower() for h in header]
+        if names[:1] != ["date"]:
+            raise DataFormatError(
+                f"{path}: line 1: first column must be 'date', got {header!r}"
+            )
+        if names == ["date", "ticker", "close"]:
+            return path, _parse_long(reader, path)
+        if len(names) < 2:
+            raise DataFormatError(f"{path}: line 1: unrecognized header {header!r}")
+        return path, _parse_wide(reader, header, path)
 
 
 def parse_price_file(source: str | Path | IO[str]) -> PricePanel:
@@ -587,8 +579,6 @@ def write_long_csv(panel_or_series: PricePanel | Iterable[PriceSeries], dest: st
                 for d, c in zip(s.dates, s.closes):
                     yield d, s.ticker, float(c)
 
-    with text_stream(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "ticker", "close"])
+    with csv_writer(dest, ["date", "ticker", "close"]) as (_, writer):
         for d, t, c in rows():
             writer.writerow([d.isoformat(), t, format(c, ".12g")])

@@ -8,14 +8,13 @@ columns on disk.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from ._files import text_stream
+from ._files import csv_reader, csv_writer
 from .errors import AlignmentError, DataFormatError, EmptySummaryError
 from .portfolio import WeightVector
 from .return_stats import AssetStats
@@ -33,6 +32,7 @@ __all__ = [
 ]
 
 WINNERS = ("EWP", "ORP", "TIE")
+_RESULT_HEADER = ["sector", "ewp_test_return_pct", "orp_test_return_pct", "winner"]
 
 
 @dataclass
@@ -70,9 +70,7 @@ def winner_counts(results: Sequence[SectorResult]) -> dict[str, int]:
 
 def write_stats_csv(stats: Iterable[AssetStats], dest: str | Path | IO[str]) -> None:
     """Per-ticker annual return and risk, as percentages."""
-    with text_stream(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["ticker", "annual_return_pct", "annual_risk_pct"])
+    with csv_writer(dest, ["ticker", "annual_return_pct", "annual_risk_pct"]) as (_, writer):
         for s in stats:
             writer.writerow(
                 [s.ticker, f"{s.annual_return * 100.0:.2f}", f"{s.annual_volatility * 100.0:.2f}"]
@@ -94,9 +92,7 @@ def write_weights_csv(
     for name, m in maps.items():
         if set(m) != set(ewp.tickers):
             raise AlignmentError(f"{name} weights cover different tickers than ewp")
-    with text_stream(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["ticker", "ewp", "mrp", "orp"])
+    with csv_writer(dest, ["ticker", "ewp", "mrp", "orp"]) as (_, writer):
         for t, w in zip(ewp.tickers, ewp.weights):
             writer.writerow(
                 [t, f"{w:.6f}", f"{maps['mrp'][t]:.6f}", f"{maps['orp'][t]:.6f}"]
@@ -110,13 +106,7 @@ def read_weights_csv(source: str | Path | IO[str]) -> dict[str, WeightVector]:
     is renormalized by its sum. A column whose sum strays more than 1e-4
     from 1 is rejected as corrupt.
     """
-    with text_stream(source) as fh:
-        path = getattr(fh, "name", "<stream>")
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
+    with csv_reader(source) as (path, reader, header):
         if len(header) < 2 or header[0] != "ticker":
             raise DataFormatError(f"{path}: line 1: not a weights header")
         columns = header[1:]
@@ -167,9 +157,7 @@ def write_summary(results: Sequence[SectorResult], dest: str | Path | IO[str]) -
 def _write_result_rows(
     results: Sequence[SectorResult], dest: str | Path | IO[str], footer: bool
 ) -> None:
-    with text_stream(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sector", "ewp_test_return_pct", "orp_test_return_pct", "winner"])
+    with csv_writer(dest, _RESULT_HEADER) as (fh, writer):
         for r in results:
             writer.writerow(
                 [r.sector, f"{r.ewp_test_return * 100.0:.2f}", f"{r.orp_test_return * 100.0:.2f}", r.winner]
@@ -189,14 +177,8 @@ def read_sector_results(source: str | Path | IO[str]) -> list[SectorResult]:
     two-decimal tie is allowed to carry either label, since rounding can
     mask a hairline margin).
     """
-    with text_stream(source) as fh:
-        path = getattr(fh, "name", "<stream>")
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if header != ["sector", "ewp_test_return_pct", "orp_test_return_pct", "winner"]:
+    with csv_reader(source) as (path, reader, header):
+        if header != _RESULT_HEADER:
             raise DataFormatError(f"{path}: line 1: not a sector-result header")
         results = []
         for row in reader:

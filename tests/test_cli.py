@@ -1,6 +1,10 @@
 """The sectorfolio command-line interface, run in-process."""
 
+import csv
 import filecmp
+import os
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
@@ -21,6 +25,7 @@ from sectorfolio import (
     write_sector_result,
     SectorResult,
 )
+import sectorfolio
 from sectorfolio import cli
 from sectorfolio.cli import main
 
@@ -232,6 +237,40 @@ def test_summary_from_result_files(tmp_path, capsys):
     )
 
 
+def test_summary_reports_an_over_long_field_in_one_line(tmp_path):
+    bad = tmp_path / "bad.csv"
+    field = "x" * (csv.field_size_limit() + 1)
+    bad.write_text(
+        f"sector,ewp_test_return_pct,orp_test_return_pct,winner\n{field},1,2,ORP\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    src = str(Path(sectorfolio.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "sectorfolio.cli", "summary", str(bad), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith(f"sectorfolio summary: {bad}: line 2: ")
+    assert run.stderr.count("\n") == 1
+    assert run.stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [("--samples", "0"), ("--threshold", "2")])
+def test_pipeline_rejects_bad_samples_or_threshold_before_writing(tmp_path, capsys, flag):
+    ini, _ = build_sector(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--universe", ini, "--out", out, *flag) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("sectorfolio pipeline: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_missing_price_file_fails_cleanly(tmp_path, capsys):
     ini = write_universe(
         tmp_path / "u.ini", "X", ["AAA"],
@@ -288,9 +327,7 @@ def test_exclusions_log_written_for_sparse_ticker(tmp_path):
     assert run_cli(
         "pipeline", "--universe", ini, "--out", out, "--samples", 300
     ) == 0
-    log = (out / "exclusions.log").read_text().splitlines()
-    assert log[0] == "ticker,missing_fraction"
-    assert log[1].startswith("DDD,0.8")
+    assert (out / "exclusions.log").read_bytes() == b"ticker,missing_fraction\nDDD,0.8000\n"
     books = read_weights_csv(out / "weights.csv")
     assert books["ewp"].tickers == ["AAA", "BBB", "CCC"]
 

@@ -1,5 +1,6 @@
 """Remote close-price download, exercised through a canned transport."""
 
+import csv
 import io
 from datetime import date
 
@@ -85,8 +86,12 @@ def test_fetch_skips_no_data_and_nonpositive_rows():
         "Date,Close\n2022-01-03,n/d\n",
         "Date,Close\n2022-01-03,zounds\n",
         "Date,Close\n2022-01-03,10\n2022-01-03,11\n",
+        "Date,Close\n20220107,100\n2022-01-10,101\n",
+        "Date,Close\n2022-01-03," + "1" * (csv.field_size_limit() + 1) + "\n",
+        "Date,Close\n2022-01-03,10\n2022-01-04,inf\n",
     ],
-    ids=["empty", "no-close-column", "all-placeholder", "bad-number", "duplicate-date"],
+    ids=["empty", "no-close-column", "all-placeholder", "bad-number", "duplicate-date",
+         "basic-iso-date", "over-long-field", "infinite-close"],
 )
 def test_fetch_rejects_unusable_payloads(payload):
     transport, _ = canned([payload])

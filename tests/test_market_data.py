@@ -1,5 +1,6 @@
 """Loading, alignment, gap filling, and the missing-data policy."""
 
+import csv
 import io
 from datetime import date
 
@@ -19,7 +20,10 @@ from sectorfolio import (
     fill_gaps,
     load_price_panel,
     parse_price_file,
+    read_frontier_csv,
+    read_sector_results,
     read_universe_config,
+    read_weights_csv,
     write_long_csv,
 )
 
@@ -419,10 +423,21 @@ def test_first_faulty_line_is_reported(text, line):
         parse_price_file(io.StringIO("date,ticker,close\n" + text))
 
 
-def test_csv_module_errors_become_data_format_errors():
-    text = "date,ticker,close\n2022-01-03,AAA," + "1" * 200_000 + "\n"
-    with pytest.raises(DataFormatError, match="line 2"):
-        parse_price_file(io.StringIO(text))
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (parse_price_file, "date,ticker,close\n2022-01-03,AAA,{}\n"),
+        (read_weights_csv, "ticker,ewp\nAAA,{}\n"),
+        (read_sector_results, "sector,ewp_test_return_pct,orp_test_return_pct,winner\n{},1,2,ORP\n"),
+        (read_frontier_csv, "annual_risk,annual_return,sharpe,w_AAA,flag\n{},1,1,1,\n"),
+    ],
+    ids=["prices", "weights", "sector-results", "frontier"],
+)
+def test_csv_module_errors_become_data_format_errors(reader, text):
+    # line 2 holds one field over the csv module's size limit
+    field = "1" * (csv.field_size_limit() + 1)
+    with pytest.raises(DataFormatError, match="^<stream>: line 2: "):
+        reader(io.StringIO(text.format(field)))
 
 
 def test_parse_reports_a_path_source_by_name(tmp_path):
