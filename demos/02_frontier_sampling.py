@@ -2,7 +2,8 @@
 
 Samples 10,000 random long-only portfolios over a hand-written market,
 selects the minimum-risk and maximum-Sharpe books, and shows that the
-cloud is a pure function of the seed.
+cloud is a pure function of the seed: it stores only its scores and
+redraws any weight row from (seed, i).
 """
 
 import tempfile
@@ -63,8 +64,16 @@ def main():
     # same seed: bitwise the same cloud
     rerun = sample_frontier(MU, COV, n_samples=N_SAMPLES, seed=SEED)
     assert rerun.annual_risks.tobytes() == risks.tobytes()
-    assert rerun.weights.tobytes() == cloud.weights.tobytes()
     print("\na rerun with the same seed reproduces the cloud bit for bit")
+
+    # the cloud stores only its scores; weights are redrawn from (seed, i)
+    held = risks.nbytes + cloud.annual_returns.nbytes + cloud.sharpe_ratios.nbytes
+    redrawn = cloud.weight_rows(0, N_SAMPLES)
+    assert redrawn.tobytes() == rerun.weight_rows(0, N_SAMPLES).tobytes()
+    i = int(np.argmin(risks))
+    assert redrawn[i].tobytes() == mrp.weights.weights.tobytes()
+    print(f"the cloud holds {held:,} bytes of scores; its {redrawn.nbytes:,} bytes of "
+          f"weights are redrawn on demand, and row {i} is the MRP bit for bit")
 
     out = Path(tempfile.mkdtemp()) / "frontier.csv"
     export_frontier(cloud, out)

@@ -13,8 +13,8 @@ Target = str | os.PathLike | IO[str]
 
 
 @contextmanager
-def text_stream(target: Target, mode: str = "r") -> Iterator[IO[str]]:
-    """Yield `target` itself when it is a stream, else open it as UTF-8 text.
+def text_stream(target: Target) -> Iterator[IO[str]]:
+    """Yield `target` itself when it is a stream, else open it to read UTF-8 text.
 
     A path is opened with ``newline=""``, as the csv module expects, and
     closed on exit; a stream passed in is left open for its owner.
@@ -22,7 +22,7 @@ def text_stream(target: Target, mode: str = "r") -> Iterator[IO[str]]:
     if not isinstance(target, (str, os.PathLike)):
         yield target
         return
-    with open(target, mode, encoding="utf-8", newline="") as fh:
+    with open(target, encoding="utf-8", newline="") as fh:
         yield fh
 
 
@@ -30,8 +30,9 @@ def text_stream(target: Target, mode: str = "r") -> Iterator[IO[str]]:
 def csv_reader(source: Target) -> Iterator[tuple[str, Any, list[str]]]:
     """Yield the source's name, a csv reader past the header, and the header.
 
-    An empty source, or a csv module error inside the block (say, an
-    over-long field), raises DataFormatError naming the source.
+    An empty source, a csv module error inside the block (say, an
+    over-long field) or bytes that are not UTF-8 raise DataFormatError
+    naming the source.
     """
     with text_stream(source) as fh:
         path = str(getattr(fh, "name", "<stream>"))
@@ -43,12 +44,55 @@ def csv_reader(source: Target) -> Iterator[tuple[str, Any, list[str]]]:
             yield path, reader, header
         except csv.Error as exc:
             raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(_not_utf8(source, path, exc)) from None
+
+
+def _not_utf8(source: Target, path: str, exc: UnicodeDecodeError) -> str:
+    """Name the first byte that is not UTF-8, and its line when `source` is a path.
+
+    The decoder works in chunks, so the reader's line count lags the
+    fault; a path is read again as bytes to place it.
+    """
+    where, bad = "", exc.object[exc.start]
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as fh:
+            raw = fh.read()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            line = raw.count(b"\n", 0, whole.start) + 1
+            where, bad = f" line {line}:", raw[whole.start]
+    return f"{path}:{where} not valid UTF-8 (byte 0x{bad:02x})"
 
 
 @contextmanager
 def csv_writer(dest: Target, header: Sequence[str]) -> Iterator[tuple[IO[str], Any]]:
-    """Write `header` with ``\\n`` line ends; yield the open stream and a csv writer."""
-    with text_stream(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        yield fh, writer
+    """Write `header` with ``\\n`` line ends; yield the open stream and a csv writer.
+
+    A path is written whole or not at all: rows go to a temporary file
+    beside it, which replaces `dest` only when the block exits cleanly
+    and is deleted otherwise, leaving any earlier file as it was.
+    """
+    if not isinstance(dest, (str, os.PathLike)):
+        yield _with_header(dest, header)
+        return
+    dest = os.fspath(dest)
+    head, name = os.path.split(dest)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    # "x" rather than tempfile, whose files are private (0600): the
+    # output keeps the permissions the umask gives a new file
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield _with_header(fh, header)
+        os.replace(tmp, dest)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _with_header(fh: IO[str], header: Sequence[str]) -> tuple[IO[str], Any]:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    return fh, writer

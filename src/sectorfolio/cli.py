@@ -8,7 +8,8 @@ Subcommands:
 * ``backtest``  buy-and-hold one book over the test window -> backtest_<column>.csv
 * ``pipeline``  all of the above plus both backtests and the sector
   result; ``--all`` iterates a directory of universe configs and adds a
-  cross-sector summary.csv
+  cross-sector summary.csv of the sectors that finished (a failed sector
+  gets one stderr line, the others still run, and the exit code is 1)
 * ``summary``   combine sector_result.csv files -> summary.csv
 * ``fetch``     download close histories -> canonical long CSV
 
@@ -74,6 +75,9 @@ __all__ = [
     "cmd_summary",
     "main",
 ]
+
+# errors that end a command (or one sector of `pipeline --all`) in one stderr line
+_USER_ERRORS = (AnalyticsError, OSError, ValueError, ZeroDivisionError)
 
 
 @dataclass
@@ -447,12 +451,23 @@ def _handle_pipeline(args: argparse.Namespace) -> int:
         first = claimed.setdefault(config.out_dir, path)
         if first != path:
             raise ValueError(f"{first} and {path} both write to {config.out_dir}")
-    panels = {path: parse_price_file(path) for path in dict.fromkeys(c.prices for c in configs)}
-    results = [cmd_pipeline(config, panels[config.prices]) for config in configs]
-    out.mkdir(parents=True, exist_ok=True)
-    write_summary(results, out / "summary.csv")
-    _emit(out / "summary.csv")
-    return 0
+    panels: dict[Path, PricePanel] = {}
+    results: list[SectorResult] = []
+    for config in configs:
+        sector = config.universe.sector
+        try:
+            if config.prices not in panels:
+                panels[config.prices] = parse_price_file(config.prices)
+            results.append(cmd_pipeline(config, panels[config.prices]))
+        except _USER_ERRORS as exc:
+            # one failed sector is reported and skipped; the rest still run
+            reason = str(exc).removeprefix(f"{sector}: ")
+            print(f"sectorfolio pipeline: {sector}: {reason}", file=sys.stderr)
+    if results:
+        out.mkdir(parents=True, exist_ok=True)
+        write_summary(results, out / "summary.csv")
+        _emit(out / "summary.csv")
+    return 0 if len(results) == len(configs) else 1
 
 
 def _handle_summary(args: argparse.Namespace) -> int:
@@ -490,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (AnalyticsError, OSError, ValueError, ZeroDivisionError) as exc:
+    except _USER_ERRORS as exc:
         print(f"sectorfolio {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -1,15 +1,15 @@
 """Monte Carlo frontier clouds of random long-only portfolios.
 
-A cloud holds `n_samples` random weight vectors on the long-only simplex
-as arrays: the weights (one row per sample) and each sample's annual
-return, annual risk and Sharpe ratio. Two selections matter downstream:
-the minimum-risk portfolio (MRP, leftmost point) and the optimum-risk
-portfolio (ORP, maximum Sharpe ratio).
+A cloud of `n_samples` random long-only portfolios holds three arrays,
+24 bytes per sample: annual return, annual risk and Sharpe ratio. Its
+weights are redrawn from the seed on demand, never stored. Two
+selections matter downstream: the minimum-risk portfolio (MRP, leftmost
+point) and the optimum-risk portfolio (ORP, maximum Sharpe ratio).
 
 Samplers
 --------
 Weight samplers are pluggable by name via `WEIGHT_SAMPLERS`. Each maps a
-block of iid U[0, 1) draws to simplex rows:
+block of iid U[0, 1) draws to simplex rows, each row on its own:
 
 * ``uniform`` (the default, as in the paper) divides iid uniforms by
   their sum. Despite the name this is *not* uniform on the simplex: it
@@ -24,18 +24,20 @@ Determinism contract
 --------------------
 Sampling uses a counter-based generator (Philox) with a fixed draw
 budget per sample, padded to the generator's four-draw block size, so
-the weights of sample ``i`` are a pure function of ``(seed, i)``. Scores
-come from fixed global blocks of `_BLOCK` samples, each scored with
-numpy's own array loops (``einsum`` and row sums), never BLAS: OpenBLAS
-rounds matrix products differently under different thread counts
-(measured with OpenBLAS 0.3.31 on x86-64 for ``W @ mu`` at 200 assets
-and for ``W @ C`` at 300). For a given seed, sampler and sample count,
-the BLAS thread count changes no bit of the cloud.
+the weights of sample ``i`` are a pure function of ``(seed, i)``, the
+same bits whichever range of rows redraws them. Scores come from fixed
+global blocks of `_BLOCK` samples, each scored with numpy's own array
+loops (``einsum`` and row sums), never BLAS: OpenBLAS rounds matrix
+products differently under different thread counts (measured with
+OpenBLAS 0.3.31 on x86-64 for ``W @ mu`` at 200 assets and for ``W @ C``
+at 300). For a given seed, sampler and sample count, the BLAS thread
+count changes no bit of the cloud.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable, Mapping, Sequence
@@ -79,16 +81,14 @@ class FrontierSample:
 
 @dataclass(eq=False)
 class FrontierCloud:
-    """All samples of one frontier run as arrays, plus the inputs that made it.
+    """The scores of one frontier run as arrays, plus the inputs that made it.
 
-    `weights` has one row per sample in `tickers` order;
     `annual_returns`, `annual_risks` and `sharpe_ratios` have one entry
     per sample, and a Sharpe ratio is NaN where the risk is exactly zero.
-    `sample(i)` builds one row as a `FrontierSample`.
+    `weight_rows(lo, hi)` redraws weights; `sample(i)` builds a `FrontierSample`.
     """
 
     tickers: list[str]
-    weights: np.ndarray
     annual_returns: np.ndarray
     annual_risks: np.ndarray
     sharpe_ratios: np.ndarray
@@ -100,12 +100,20 @@ class FrontierCloud:
     def sample_count(self) -> int:
         return len(self.annual_risks)
 
+    def weight_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Redrawn weights of samples [lo, hi), one new row each in `tickers` order."""
+        # Philox.advance rejects numpy integers; operator.index also rejects floats
+        lo, hi = operator.index(lo), operator.index(hi)
+        if not 0 <= lo <= hi <= self.sample_count:
+            raise IndexError(f"samples {lo}..{hi} outside 0..{self.sample_count}")
+        return _weight_rows(self.seed, self.sampler, lo, hi, len(self.tickers))
+
     def sample(self, index: int) -> FrontierSample:
-        """Sample `index` as a new object holding a copy of its weights."""
+        """Sample `index` as a new object holding its redrawn weights."""
         # normalizes a negative index and raises IndexError out of range
         index = range(self.sample_count)[index]
         return FrontierSample(
-            WeightVector(list(self.tickers), self.weights[index].copy()),
+            WeightVector(list(self.tickers), self.weight_rows(index, index + 1)[0]),
             float(self.annual_returns[index]),
             float(self.annual_risks[index]),
             float(self.sharpe_ratios[index]),
@@ -129,31 +137,27 @@ WEIGHT_SAMPLERS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-def _block_draws(seed: int, lo: int, hi: int, n_assets: int) -> np.ndarray:
-    """Uniform draws for samples [lo, hi), independent of chunk boundaries.
+def _weight_rows(seed: int, sampler: str, lo: int, hi: int, n_assets: int) -> np.ndarray:
+    """Weight rows of samples [lo, hi): the only place a row comes from.
 
-    Each sample owns `per` consecutive draws, where `per` is n_assets
-    rounded up to Philox's four-draw block, so `advance` can jump to any
-    sample boundary exactly.
+    Each sample owns `per` consecutive Philox draws, n_assets rounded up
+    to Philox's four-draw block, so `advance` jumps to any sample
+    exactly. The rows then get the checks `WeightVector` makes.
     """
     per = 4 * ((n_assets + 3) // 4)
     bits = np.random.Philox(key=seed)
     bits.advance(lo * (per // 4))
     draws = np.random.Generator(bits).random((hi - lo, per))
-    return draws[:, :n_assets]
-
-
-def _check_simplex(rows: np.ndarray, sampler: str, lo: int) -> None:
-    """The checks `WeightVector` makes, applied to a whole block at once."""
+    rows = WEIGHT_SAMPLERS[sampler](draws[:, :n_assets])
     if (
         not np.all(np.isfinite(rows))
         or np.any(rows < 0.0)
         or np.any(np.abs(rows.sum(axis=1) - 1.0) > _SUM_TOLERANCE)
     ):
         raise ValueError(
-            f"sampler {sampler!r} drew weights off the simplex in samples "
-            f"{lo}..{lo + len(rows) - 1}"
+            f"sampler {sampler!r} drew weights off the simplex in samples {lo}..{hi - 1}"
         )
+    return rows
 
 
 def sample_frontier(
@@ -185,33 +189,28 @@ def sample_frontier(
     """
     if n_samples < 1:
         raise EmptyCloudError(f"n_samples must be at least 1, got {n_samples}")
-    try:
-        to_simplex = WEIGHT_SAMPLERS[sampler]
-    except KeyError:
+    if sampler not in WEIGHT_SAMPLERS:
         raise ValueError(
             f"unknown sampler {sampler!r}, known: {', '.join(sorted(WEIGHT_SAMPLERS))}"
-        ) from None
+        )
     tickers = list(cov.tickers)
     mu = _aligned(expected_returns, tickers, "expected returns")
     rf = rf if isinstance(rf, RiskFreeAssumption) else RiskFreeAssumption(float(rf))
 
-    weights = np.empty((n_samples, len(tickers)))
     returns = np.empty(n_samples)
-    variances = np.empty(n_samples)
+    risks = np.empty(n_samples)
+    sharpes = np.full(n_samples, math.nan)
     for lo in range(0, n_samples, _BLOCK):
         hi = min(lo + _BLOCK, n_samples)
-        w = to_simplex(_block_draws(seed, lo, hi, len(tickers)))
-        _check_simplex(w, sampler, lo)
-        weights[lo:hi] = w
+        w = _weight_rows(seed, sampler, lo, hi, len(tickers))
         # no BLAS here (not W @ mu, not W @ C): see the determinism contract
-        returns[lo:hi] = (w * mu).sum(axis=1)
-        variances[lo:hi] = (np.einsum("ij,jk->ik", w, cov.entries) * w).sum(axis=1)
-    # a PSD-validated covariance can still round the quadratic form a
-    # hair below zero; clamp before the square root
-    risks = np.sqrt(np.maximum(variances, 0.0) * TRADING_DAYS_PER_YEAR)
-    sharpes = np.full(n_samples, math.nan)
-    np.divide(returns - rf.rate, risks, out=sharpes, where=risks > 0.0)
-    return FrontierCloud(tickers, weights, returns, risks, sharpes, seed, rf, sampler)
+        ret = returns[lo:hi] = (w * mu).sum(axis=1)
+        var = (np.einsum("ij,jk->ik", w, cov.entries) * w).sum(axis=1)
+        # a PSD-validated covariance can still round the quadratic form a
+        # hair below zero; clamp before the square root
+        risk = risks[lo:hi] = np.sqrt(np.maximum(var, 0.0) * TRADING_DAYS_PER_YEAR)
+        np.divide(ret - rf.rate, risk, out=sharpes[lo:hi], where=risk > 0.0)
+    return FrontierCloud(tickers, returns, risks, sharpes, seed, rf, sampler)
 
 
 def min_risk_portfolio(cloud: FrontierCloud) -> FrontierSample:
@@ -268,7 +267,7 @@ def export_frontier(cloud: FrontierCloud, dest: str | Path | IO[str]) -> None:
             hi = min(lo + _BLOCK, cloud.sample_count)
             table = np.column_stack((
                 cloud.annual_risks[lo:hi], cloud.annual_returns[lo:hi],
-                cloud.sharpe_ratios[lo:hi], cloud.weights[lo:hi],
+                cloud.sharpe_ratios[lo:hi], cloud.weight_rows(lo, hi),
             ))
             fh.write("".join(
                 row % (*values, flags.get(i, ""))

@@ -259,6 +259,18 @@ def test_summary_reports_an_over_long_field_in_one_line(tmp_path):
     assert not out.exists()
 
 
+def test_summary_names_the_file_and_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "r.csv"
+    bad.write_bytes(b"sector,ewp_test_return_pct,orp_test_return_pct,winner\n"
+                    b"M\xe9tal,1,2,ORP\n")
+    out = tmp_path / "out"
+    assert run_cli("summary", bad, "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"sectorfolio summary: {bad}: line 2: not valid UTF-8 (byte 0xe9)\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", [("--samples", "0"), ("--threshold", "2")])
 def test_pipeline_rejects_bad_samples_or_threshold_before_writing(tmp_path, capsys, flag):
     ini, _ = build_sector(tmp_path)
@@ -443,3 +455,29 @@ def test_pipeline_all_jobs_do_not_change_a_byte(tmp_path):
     assert sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file()) == files
     for name in files:
         assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
+
+
+def test_pipeline_all_reports_a_broken_sector_and_runs_the_rest(tmp_path, capsys):
+    prices = _three_sectors_sharing_one_file(tmp_path / "configs")
+    universe = read_universe_config(tmp_path / "configs" / "alpha.ini")
+    write_universe(tmp_path / "configs" / "alpha.ini", "Alpha", ["AAA", "ZZZ"],
+                   universe.train_window, universe.test_window, prices=prices.name)
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--universe", tmp_path / "configs", "--all",
+                   "--out", out, "--samples", 200) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "sectorfolio pipeline: Alpha: tickers absent from price source: ZZZ\n")
+    assert f"wrote {out / 'summary.csv'}" in captured.out
+    assert [r.sector for r in read_sector_results(out / "summary.csv")] == ["Beta", "Gamma"]
+    assert not (out / "alpha").exists()
+
+    # with no sector finished, no summary is written
+    for name in ("beta", "gamma"):
+        write_universe(tmp_path / "configs" / f"{name}.ini", name.title(), ["ZZZ"],
+                       universe.train_window, universe.test_window, prices=prices.name)
+    out = tmp_path / "none"
+    assert run_cli("pipeline", "--universe", tmp_path / "configs", "--all",
+                   "--out", out, "--samples", 200) == 1
+    assert capsys.readouterr().err.count("\n") == 3
+    assert not (out / "summary.csv").exists()

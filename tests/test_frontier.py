@@ -1,10 +1,13 @@
 """Monte Carlo frontier sampling, selection, and export."""
 
+import hashlib
 import io
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,19 +49,29 @@ def manual_sample(weights, tickers=TICKERS3, cov=COV3, mu=MU3, rf=0.01):
     return FrontierSample(wv, ret, risk, sharpe)
 
 
+@dataclass(eq=False)
+class _WrittenCloud(FrontierCloud):
+    """A cloud whose weight rows are written out rather than drawn from its seed."""
+
+    rows: np.ndarray = None
+
+    def weight_rows(self, lo, hi):
+        return self.rows[lo:hi].copy()
+
+
 def _cloud(tickers, rows):
     """A cloud over hand-written (weights, return, risk, sharpe) rows."""
     weights = np.array([row[0] for row in rows], float).reshape(len(rows), len(tickers))
     returns, risks, sharpes = (np.array([row[k] for row in rows], float) for k in (1, 2, 3))
-    return FrontierCloud(list(tickers), weights, returns, risks, sharpes,
-                         seed=0, rf=RiskFreeAssumption(), sampler="uniform")
+    return _WrittenCloud(list(tickers), returns, risks, sharpes,
+                         seed=0, rf=RiskFreeAssumption(), sampler="uniform", rows=weights)
 
 
 def test_single_asset_cloud_is_degenerate_point():
     cov = CovarianceMatrix(["AAA"], np.array([[0.0004]]))
     cloud = sample_frontier({"AAA": 0.12}, cov, n_samples=5, seed=1)
     assert cloud.sample_count == 5
-    assert cloud.weights.tolist() == [[1.0]] * 5
+    assert cloud.weight_rows(0, 5).tolist() == [[1.0]] * 5
     assert cloud.annual_returns.tolist() == [0.12] * 5
     assert cloud.annual_risks == pytest.approx([0.02 * math.sqrt(250)] * 5, rel=1e-12)
 
@@ -66,8 +79,9 @@ def test_single_asset_cloud_is_degenerate_point():
 def test_samples_live_on_the_simplex():
     for sampler in ("uniform", "dirichlet"):
         cloud = sample_frontier(MU3, COV3, n_samples=2_000, seed=7, sampler=sampler)
-        assert np.all(cloud.weights >= 0.0)
-        assert np.allclose(cloud.weights.sum(axis=1), 1.0, atol=1e-9)
+        weights = cloud.weight_rows(0, cloud.sample_count)
+        assert np.all(weights >= 0.0)
+        assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_sample_stats_match_portfolio_arithmetic():
@@ -84,7 +98,7 @@ def test_same_seed_reproduces_cloud_bitwise():
     a = sample_frontier(MU3, COV3, n_samples=500, seed=11)
     b = sample_frontier(MU3, COV3, n_samples=500, seed=11)
     assert np.array_equal(a.annual_risks, b.annual_risks)
-    assert np.array_equal(a.weights, b.weights)
+    assert np.array_equal(a.weight_rows(0, 500), b.weight_rows(0, 500))
 
 
 def test_different_seeds_differ():
@@ -131,13 +145,15 @@ def test_sample_builds_a_fresh_copy_of_one_row():
     cloud = sample_frontier(MU3, COV3, n_samples=20, seed=4)
     first, again = cloud.sample(7), cloud.sample(-13)
     assert first is not again
-    assert first.weights.weights.tobytes() == cloud.weights[7].tobytes()
-    assert again.weights.weights.tobytes() == cloud.weights[7].tobytes()
+    row = cloud.weight_rows(7, 8)[0]
+    assert first.weights.weights.tobytes() == row.tobytes()
+    assert again.weights.weights.tobytes() == row.tobytes()
     assert first.weights.tickers == TICKERS3
     assert (first.annual_return, first.annual_risk, first.sharpe) == (
         cloud.annual_returns[7], cloud.annual_risks[7], cloud.sharpe_ratios[7])
     first.weights.weights[0] = 9.0
-    assert cloud.weights[7, 0] != 9.0
+    assert again.weights.weights[0] != 9.0
+    assert cloud.sample(7).weights.weights.tobytes() == row.tobytes()
     with pytest.raises(IndexError):
         cloud.sample(20)
 
@@ -291,7 +307,7 @@ def _marginal(sampler, n_assets=10, n_samples=40_000):
     cloud = sample_frontier(np.zeros(n_assets), cov, n_samples=n_samples, seed=23,
                             sampler=sampler)
     # one column: rows are independent, so the iid standard errors hold
-    w = cloud.weights[:, 0]
+    w = cloud.weight_rows(0, n_samples)[:, 0]
     dev2 = (w - 1.0 / n_assets) ** 2
     below = (w < 1.0 / 20).mean()
     z = 5.0  # a correct sampler misses by 5 standard errors ~1 run in 1.7M
@@ -319,3 +335,85 @@ def test_sampler_marginals_match_what_the_docs_say():
     assert abs(below - 0.2368) <= below_tol
     assert var + var_tol < beta_var
     assert below + below_tol < beta_below
+
+
+def test_scores_are_pinned_over_three_blocks():
+    # digests of the three score arrays taken while the cloud still stored
+    # its weights; the last of the three blocks holds 301 samples
+    expect = {
+        "uniform": "30deee4f8dba8d259114fb9968a0ff0ee181c20685f72b7eaa34707289c74617",
+        "dirichlet": "f0c56215d6b14a24404f8426828b3c15714ee2aaac0595c4f07c83363d6e708e",
+    }
+    for sampler, digest in expect.items():
+        cloud = sample_frontier(MU3, COV3, n_samples=2 * _BLOCK + 301, seed=29, rf=0.01,
+                                sampler=sampler)
+        h = hashlib.sha256()
+        for values in (cloud.annual_returns, cloud.annual_risks, cloud.sharpe_ratios):
+            h.update(values.tobytes())
+        assert h.hexdigest() == digest, sampler
+
+
+def _reference_row(seed, i, n_assets, sampler):
+    """Sample i drawn on its own: its first n_assets of 4 * ceil(n_assets / 4) draws."""
+    per = 4 * math.ceil(n_assets / 4)
+    bits = np.random.Philox(key=seed)
+    bits.advance(i * per // 4)
+    u = np.random.Generator(bits).random(per)[:n_assets]
+    x = u if sampler == "uniform" else -np.log1p(-u)
+    return x / x.sum()
+
+
+@pytest.mark.parametrize("sampler", ["uniform", "dirichlet"])
+@pytest.mark.parametrize("n_assets", [1, 3, 5, 50, 200])
+def test_redrawn_rows_match_the_philox_draw_of_their_index(sampler, n_assets):
+    tickers = [f"T{i}" for i in range(n_assets)]
+    cov = CovarianceMatrix(tickers, np.diag(np.linspace(1e-4, 4e-4, n_assets)))
+    mu = np.linspace(0.02, 0.3, n_assets)
+    n_samples = 2 * _BLOCK + 301
+    cloud = sample_frontier(mu, cov, n_samples=n_samples, seed=31, rf=0.01, sampler=sampler)
+    for i in (0, _BLOCK - 1, _BLOCK, n_samples - 1):
+        expect = _reference_row(31, i, n_assets, sampler)
+        sample = cloud.sample(i)
+        assert sample.weights.weights.tobytes() == expect.tobytes(), i
+        # the stored scores belong to the redrawn row
+        assert sample.annual_return == pytest.approx(float(expect @ mu), rel=1e-12)
+        risk = math.sqrt(float(expect @ cov.entries @ expect) * 250)
+        assert sample.annual_risk == pytest.approx(risk, rel=1e-12)
+    # a range across a block edge holds the same bits as its single rows
+    pair = cloud.weight_rows(_BLOCK - 1, _BLOCK + 1)
+    assert pair.tobytes() == np.stack([cloud.sample(i).weights.weights
+                                       for i in (_BLOCK - 1, _BLOCK)]).tobytes()
+
+
+def test_weight_rows_range_is_checked():
+    cloud = sample_frontier(MU3, COV3, n_samples=10, seed=2)
+    assert cloud.weight_rows(0, 10).shape == (10, 3)
+    assert cloud.weight_rows(4, 4).shape == (0, 3)
+    assert cloud.weight_rows(np.int64(2), np.int64(5)).tobytes() == cloud.weight_rows(2, 5).tobytes()
+    with pytest.raises(TypeError):
+        cloud.weight_rows(2.0, 5)
+    for lo, hi in ((-1, 2), (3, 2), (0, 11), (11, 11)):
+        with pytest.raises(IndexError):
+            cloud.weight_rows(lo, hi)
+
+
+@pytest.mark.parametrize("sampler", ["uniform", "dirichlet"])
+def test_cloud_memory_does_not_grow_with_samples_times_assets(sampler):
+    # a stored 100,000 x 64 weight matrix alone would be 48.8 MiB
+    n_assets, n_samples = 64, 100_000
+    tickers = [f"T{i}" for i in range(n_assets)]
+    cov = CovarianceMatrix(tickers, np.diag(np.linspace(1e-4, 4e-4, n_assets)))
+    mu = np.linspace(0.02, 0.3, n_assets)
+    # a first call imports numpy.random (lazy in numpy 2), about 0.7 MiB
+    sample_frontier(mu, cov, n_samples=1, sampler=sampler)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cloud = sample_frontier(mu, cov, n_samples=n_samples, seed=5, sampler=sampler)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cloud.sample_count == n_samples
+    mib = 1024 * 1024
+    assert held - before <= 3 * mib
+    assert peak - before <= 12 * mib

@@ -424,20 +424,38 @@ def test_first_faulty_line_is_reported(text, line):
 
 
 @pytest.mark.parametrize(
-    "reader, text",
+    "reader, text, message",
     [
-        (parse_price_file, "date,ticker,close\n2022-01-03,AAA,{}\n"),
-        (read_weights_csv, "ticker,ewp\nAAA,{}\n"),
-        (read_sector_results, "sector,ewp_test_return_pct,orp_test_return_pct,winner\n{},1,2,ORP\n"),
-        (read_frontier_csv, "annual_risk,annual_return,sharpe,w_AAA,flag\n{},1,1,1,\n"),
+        (parse_price_file, "date,ticker,close\n2022-01-03,AAA,{}\n", "line 2: "),
+        (read_weights_csv, "ticker,ewp\nAAA,{}\n", "line 2: "),
+        (read_sector_results, "sector,ewp_test_return_pct,orp_test_return_pct,winner\n{},1,2,ORP\n",
+         "line 2: "),
+        (read_frontier_csv, "annual_risk,annual_return,sharpe,w_AAA,flag\n{},1,1,1,\n", "line 2: "),
+        (parse_price_file, b"date,ticker,close\n2022-01-03,M\xe9tal,1\n",
+         r"not valid UTF-8 \(byte 0xe9\)$"),
     ],
-    ids=["prices", "weights", "sector-results", "frontier"],
+    ids=["prices", "weights", "sector-results", "frontier", "prices-not-utf8"],
 )
-def test_csv_module_errors_become_data_format_errors(reader, text):
-    # line 2 holds one field over the csv module's size limit
-    field = "1" * (csv.field_size_limit() + 1)
-    with pytest.raises(DataFormatError, match="^<stream>: line 2: "):
-        reader(io.StringIO(text.format(field)))
+def test_csv_module_errors_become_data_format_errors(reader, text, message):
+    # line 2 holds one field over the csv module's size limit, or a byte
+    # that is not UTF-8; a stream is named without a line
+    if isinstance(text, bytes):
+        stream = io.TextIOWrapper(io.BytesIO(text), encoding="utf-8", newline="")
+    else:
+        stream = io.StringIO(text.format("1" * (csv.field_size_limit() + 1)))
+    with pytest.raises(DataFormatError, match="^<stream>: " + message):
+        reader(stream)
+
+
+def test_a_byte_that_is_not_utf8_is_placed_on_its_line(tmp_path):
+    # far past the decoder's first chunk, where the reader's count lags
+    lines = [f"2022-01-03,T{i},1" for i in range(5000)]
+    lines[4998] = "2022-01-03,M\xe9tal,1"
+    path = tmp_path / "prices.csv"
+    path.write_bytes(("date,ticker,close\n" + "\n".join(lines) + "\n").encode("latin-1"))
+    with pytest.raises(DataFormatError) as caught:
+        parse_price_file(path)
+    assert str(caught.value) == f"{path}: line 5000: not valid UTF-8 (byte 0xe9)"
 
 
 def test_parse_reports_a_path_source_by_name(tmp_path):

@@ -1,6 +1,7 @@
 """Report CSV writers and readers."""
 
 import io
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from sectorfolio import (
     write_summary,
     write_weights_csv,
 )
+from sectorfolio._files import csv_writer
 from sectorfolio.reports import WINNERS
 
 
@@ -199,3 +201,26 @@ def test_read_sector_results_rejects_wrong_header(tmp_path):
     path.write_text("sector,ewp,orp,winner\nX,1,2,ORP\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match="header"):
         read_sector_results(path)
+
+
+def test_a_failed_write_leaves_the_earlier_file_untouched(tmp_path):
+    path = tmp_path / "summary.csv"
+    path.write_bytes(b"earlier,bytes\n")
+    with pytest.raises(RuntimeError, match="midway"):
+        with csv_writer(path, ["a", "b"]) as (_, writer):
+            writer.writerow([1, 2])
+            raise RuntimeError("midway")
+    assert path.read_bytes() == b"earlier,bytes\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_finished_write_replaces_the_file_with_the_usual_permissions(tmp_path):
+    path = tmp_path / "summary.csv"
+    path.write_bytes(b"earlier,bytes\n")
+    with csv_writer(path, ["a", "b"]) as (_, writer):
+        writer.writerow([1, 2])
+    assert path.read_bytes() == b"a,b\n1,2\n"
+    assert list(tmp_path.iterdir()) == [path]
+    plain = tmp_path / "plain.csv"
+    plain.write_text("", encoding="utf-8")
+    assert os.stat(path).st_mode == os.stat(plain).st_mode
