@@ -60,8 +60,6 @@ def run_sector(ini, out_dir):
         universe=universe,
         prices=ini.parent / universe.prices,
         out_dir=out_dir,
-        train_window=universe.train_window,
-        test_window=universe.test_window,
         samples=10_000,
         seed=SEED,
     )

@@ -22,7 +22,8 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
 
@@ -50,10 +51,11 @@ from .market_data import (
     load_price_panel,
     parse_iso_date,
     parse_price_file,
+    parse_window,
     read_universe_config,
     write_long_csv,
 )
-from .portfolio import RiskFreeAssumption, equal_weights
+from .portfolio import RiskFreeAssumption, WeightVector, equal_weights
 from .reports import (
     SectorResult,
     read_sector_results,
@@ -63,7 +65,7 @@ from .reports import (
     write_summary,
     write_weights_csv,
 )
-from .return_stats import AssetStats, CovarianceMatrix, asset_stats, covariance_matrix
+from .return_stats import AssetStats, asset_stats, covariance_matrix
 
 __all__ = [
     "RunConfig",
@@ -82,14 +84,13 @@ _USER_ERRORS = (AnalyticsError, OSError, ValueError, ZeroDivisionError)
 
 @dataclass
 class RunConfig:
-    """Everything one sector run needs; samples, threshold and each
-    window's order are checked where they are used, before any write."""
+    """Everything one sector run needs. Its windows are the universe's own
+    (`--train`/`--test` replace them there, and `UniverseConfig` checks their
+    order); samples and threshold are checked where used, before any write."""
 
     universe: UniverseConfig
     prices: Path
     out_dir: Path
-    train_window: tuple[date, date]
-    test_window: tuple[date, date]
     samples: int = 10_000
     seed: int = 0
     rf: RiskFreeAssumption = RiskFreeAssumption()
@@ -100,10 +101,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         # the backtests would catch this only after pipeline wrote three reports
         if self.capital <= 0.0:
-            raise ValueError(f"capital must be positive, got {self.capital}")
-        # --train/--test overrides reach no other check of this order
-        if self.train_window[1] >= self.test_window[0]:
-            raise ValueError("training window must end before the test window begins")
+            raise ValueError(f"{self.universe.sector}: capital must be positive, got {self.capital}")
 
 
 @dataclass
@@ -111,14 +109,11 @@ class _TrainArtifacts:
     panel: PricePanel
     excluded: list[tuple[str, float]]
     stats: list[AssetStats]
-    cov: CovarianceMatrix
     cloud: FrontierCloud
 
 
-def _train_panel(
-    config: RunConfig, prices: PricePanel
-) -> tuple[PricePanel, list[tuple[str, float]]]:
-    raw = load_price_panel(prices, config.universe, config.train_window)
+def _train_panel(config: RunConfig, prices: PricePanel) -> tuple[PricePanel, list[tuple[str, float]]]:
+    raw = load_price_panel(prices, config.universe, config.universe.train_window)
     return apply_missing_data_policy(raw, config.threshold)
 
 
@@ -130,57 +125,61 @@ def _train(config: RunConfig, prices: PricePanel) -> _TrainArtifacts:
     cloud = sample_frontier(
         mu, cov, config.samples, config.seed, config.rf, sampler=config.sampler
     )
-    return _TrainArtifacts(panel, excluded, stats, cov, cloud)
+    return _TrainArtifacts(panel, excluded, stats, cloud)
 
 
-def _emit(path: Path) -> Path:
+def _books(art: _TrainArtifacts) -> tuple[WeightVector, WeightVector, WeightVector]:
+    """The EWP, MRP and ORP books of one training run."""
+    return (
+        equal_weights(art.panel.tickers),
+        min_risk_portfolio(art.cloud).weights,
+        optimum_risk_portfolio(art.cloud).weights,
+    )
+
+
+def _write(path: Path, write: Callable[..., None], *args) -> Path:
+    """Write one output file with ``write(*args, path)`` and announce it."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write(*args, path)
     print(f"wrote {path}")
     return path
 
 
-def _write_exclusions(excluded: list[tuple[str, float]], out_dir: Path) -> None:
-    if not excluded:
-        return
-    path = out_dir / "exclusions.log"
+def _exclusions_csv(excluded: list[tuple[str, float]], path: Path) -> None:
     with csv_writer(path, ["ticker", "missing_fraction"]) as (_, writer):
-        for ticker, fraction in excluded:
-            writer.writerow([ticker, f"{fraction:.4f}"])
-    _emit(path)
+        writer.writerows([ticker, f"{fraction:.4f}"] for ticker, fraction in excluded)
+
+
+def _write_exclusions(excluded: list[tuple[str, float]], out_dir: Path) -> None:
+    """exclusions.log when a ticker was excluded; otherwise none, not even an old one."""
+    if excluded:
+        _write(out_dir / "exclusions.log", _exclusions_csv, excluded)
+    else:
+        (out_dir / "exclusions.log").unlink(missing_ok=True)
 
 
 def cmd_stats(config: RunConfig) -> Path:
     """Write training-window per-ticker stats; returns the file path."""
     panel, excluded = _train_panel(config, parse_price_file(config.prices))
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    path = config.out_dir / "stats.csv"
-    write_stats_csv(asset_stats(panel), path)
+    path = _write(config.out_dir / "stats.csv", write_stats_csv, asset_stats(panel))
     _write_exclusions(excluded, config.out_dir)
-    return _emit(path)
+    return path
 
 
 def cmd_weights(config: RunConfig) -> Path:
     """Write the EWP, MRP, and ORP books for one sector."""
     art = _train(config, parse_price_file(config.prices))
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    path = config.out_dir / "weights.csv"
-    write_weights_csv(
-        equal_weights(art.panel.tickers),
-        min_risk_portfolio(art.cloud).weights,
-        optimum_risk_portfolio(art.cloud).weights,
-        path,
-    )
+    path = _write(config.out_dir / "weights.csv", write_weights_csv, *_books(art))
     _write_exclusions(art.excluded, config.out_dir)
-    return _emit(path)
+    return path
 
 
 def cmd_frontier(config: RunConfig) -> Path:
     """Write the sampled frontier cloud with MRP/ORP flags."""
     art = _train(config, parse_price_file(config.prices))
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    path = config.out_dir / "frontier.csv"
-    export_frontier(art.cloud, path)
+    path = _write(config.out_dir / "frontier.csv", export_frontier, art.cloud)
     _write_exclusions(art.excluded, config.out_dir)
-    return _emit(path)
+    return path
 
 
 def _test_panel(config: RunConfig, prices: PricePanel, tickers: list[str]) -> PricePanel:
@@ -191,9 +190,10 @@ def _test_panel(config: RunConfig, prices: PricePanel, tickers: list[str]) -> Pr
     ticker without such a close, or without any test quote, fails the
     sector.
     """
-    panel = load_price_panel(prices, config.universe, config.test_window).restrict(tickers)
+    window = config.universe.test_window
+    panel = load_price_panel(prices, config.universe, window).restrict(tickers)
     try:
-        return fill_gaps(panel, prices.last_closes(tickers, config.test_window[0]))
+        return fill_gaps(panel, prices.last_closes(tickers, window[0]))
     except InsufficientDataError as exc:
         raise InsufficientDataError(f"{config.universe.sector}: {exc}") from None
 
@@ -214,10 +214,7 @@ def cmd_backtest(
     book = books[column]
     test_panel = _test_panel(config, parse_price_file(config.prices), book.tickers)
     report = backtest_from_panel(book, test_panel, config.capital, mode, nominal)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    path = config.out_dir / f"backtest_{column}.csv"
-    write_backtest_csv(report, path)
-    return _emit(path)
+    return _write(config.out_dir / f"backtest_{column}.csv", write_backtest_csv, report)
 
 
 def cmd_pipeline(config: RunConfig, prices: PricePanel | None = None) -> SectorResult:
@@ -234,34 +231,24 @@ def cmd_pipeline(config: RunConfig, prices: PricePanel | None = None) -> SectorR
         prices = parse_price_file(config.prices)
     art = _train(config, prices)
     out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    write_stats_csv(art.stats, out / "stats.csv")
-    _emit(out / "stats.csv")
-    ewp = equal_weights(art.panel.tickers)
-    orp = optimum_risk_portfolio(art.cloud)
-    write_weights_csv(
-        ewp, min_risk_portfolio(art.cloud).weights, orp.weights, out / "weights.csv"
-    )
-    _emit(out / "weights.csv")
-    export_frontier(art.cloud, out / "frontier.csv")
-    _emit(out / "frontier.csv")
+    ewp, mrp, orp = _books(art)
+    _write(out / "stats.csv", write_stats_csv, art.stats)
+    _write(out / "weights.csv", write_weights_csv, ewp, mrp, orp)
+    _write(out / "frontier.csv", export_frontier, art.cloud)
 
     test_panel = _test_panel(config, prices, art.panel.tickers)
     ewp_report = backtest_from_panel(
         ewp, test_panel, config.capital,
         mode="fixed-amount-per-stock", nominal_universe_size=len(config.universe.tickers),
     )
-    orp_report = backtest_from_panel(orp.weights, test_panel, config.capital)
-    write_backtest_csv(ewp_report, out / "backtest_ewp.csv")
-    _emit(out / "backtest_ewp.csv")
-    write_backtest_csv(orp_report, out / "backtest_orp.csv")
-    _emit(out / "backtest_orp.csv")
+    orp_report = backtest_from_panel(orp, test_panel, config.capital)
+    _write(out / "backtest_ewp.csv", write_backtest_csv, ewp_report)
+    _write(out / "backtest_orp.csv", write_backtest_csv, orp_report)
 
     result = SectorResult(
         config.universe.sector, ewp_report.holding_return, orp_report.holding_return
     )
-    write_sector_result(result, out / "sector_result.csv")
-    _emit(out / "sector_result.csv")
+    _write(out / "sector_result.csv", write_sector_result, result)
     _write_exclusions(art.excluded, out)
     print(
         f"{result.sector}: EWP {result.ewp_test_return * 100.0:.2f}% vs "
@@ -277,10 +264,7 @@ def cmd_summary(result_files: list[str | Path], out_dir: Path) -> Path:
         results.extend(read_sector_results(path))
     if not results:
         raise EmptySummaryError("no sector results in the given files")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "summary.csv"
-    write_summary(results, path)
-    return _emit(path)
+    return _write(out_dir / "summary.csv", write_summary, results)
 
 
 def _slug(sector: str) -> str:
@@ -301,12 +285,12 @@ def _resolve_prices(prices_arg: str | None, universe: UniverseConfig, config_pat
 
 def _config_from_args(args: argparse.Namespace, config_path: Path) -> RunConfig:
     universe = read_universe_config(config_path)
+    universe = replace(universe, train_window=args.train or universe.train_window,
+                       test_window=args.test or universe.test_window)
     return RunConfig(
         universe=universe,
         prices=_resolve_prices(args.prices, universe, config_path),
         out_dir=Path(args.out),
-        train_window=args.train or universe.train_window,
-        test_window=args.test or universe.test_window,
         samples=getattr(args, "samples", 10_000),
         seed=getattr(args, "seed", 0),
         rf=RiskFreeAssumption(getattr(args, "rf", 0.01)),
@@ -318,15 +302,9 @@ def _config_from_args(args: argparse.Namespace, config_path: Path) -> RunConfig:
 
 def _window_arg(text: str) -> tuple[date, date]:
     try:
-        a, b = text.split(":")
-        window = parse_iso_date(a), parse_iso_date(b)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected START:END ISO dates, got {text!r}"
-        ) from None
-    if window[0] > window[1]:
-        raise argparse.ArgumentTypeError(f"window starts after it ends: {text!r}")
-    return window
+        return parse_window(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _date_arg(text: str) -> date:
@@ -372,13 +350,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("stats", parents=[run], help="per-ticker training stats")
-    p.set_defaults(handler=_handle_stats)
+    p.set_defaults(handler=_handle_training, cmd=cmd_stats)
 
     p = sub.add_parser("weights", parents=[run, mc], help="EWP/MRP/ORP books")
-    p.set_defaults(handler=_handle_weights)
+    p.set_defaults(handler=_handle_training, cmd=cmd_weights)
 
     p = sub.add_parser("frontier", parents=[run, mc], help="sampled frontier cloud")
-    p.set_defaults(handler=_handle_frontier)
+    p.set_defaults(handler=_handle_training, cmd=cmd_frontier)
 
     p = sub.add_parser("backtest", parents=[run], help="backtest one book over the test window")
     p.add_argument("--weights", required=True, help="weights.csv from the weights subcommand")
@@ -413,18 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _handle_stats(args: argparse.Namespace) -> int:
-    cmd_stats(_config_from_args(args, Path(args.universe)))
-    return 0
-
-
-def _handle_weights(args: argparse.Namespace) -> int:
-    cmd_weights(_config_from_args(args, Path(args.universe)))
-    return 0
-
-
-def _handle_frontier(args: argparse.Namespace) -> int:
-    cmd_frontier(_config_from_args(args, Path(args.universe)))
+def _handle_training(args: argparse.Namespace) -> int:
+    args.cmd(_config_from_args(args, Path(args.universe)))
     return 0
 
 
@@ -444,13 +412,20 @@ def _handle_pipeline(args: argparse.Namespace) -> int:
     if not config_paths:
         raise EmptyUniverseError(f"no universe configs (*.ini) in {args.universe}")
     out = Path(args.out)
-    configs = [_config_from_args(args, path) for path in config_paths]
+    configs: list[RunConfig] = []
     claimed: dict[Path, Path] = {}  # output directory -> the INI that claimed it
-    for path, config in zip(config_paths, configs):
+    for path in config_paths:
+        try:
+            config = _config_from_args(args, path)
+        except _USER_ERRORS as exc:
+            # an unreadable INI is reported and skipped, like a failed sector
+            print(f"sectorfolio pipeline: {exc}", file=sys.stderr)
+            continue
         config.out_dir = out / _slug(config.universe.sector)
         first = claimed.setdefault(config.out_dir, path)
         if first != path:
             raise ValueError(f"{first} and {path} both write to {config.out_dir}")
+        configs.append(config)
     panels: dict[Path, PricePanel] = {}
     results: list[SectorResult] = []
     for config in configs:
@@ -464,10 +439,8 @@ def _handle_pipeline(args: argparse.Namespace) -> int:
             reason = str(exc).removeprefix(f"{sector}: ")
             print(f"sectorfolio pipeline: {sector}: {reason}", file=sys.stderr)
     if results:
-        out.mkdir(parents=True, exist_ok=True)
-        write_summary(results, out / "summary.csv")
-        _emit(out / "summary.csv")
-    return 0 if len(results) == len(configs) else 1
+        _write(out / "summary.csv", write_summary, results)
+    return 0 if len(results) == len(config_paths) else 1
 
 
 def _handle_summary(args: argparse.Namespace) -> int:
@@ -493,11 +466,7 @@ def _handle_fetch(args: argparse.Namespace) -> int:
         url_template=args.url_template or DEFAULT_URL_TEMPLATE,
         suffix=args.suffix, timeout=args.timeout,
     )
-    out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
-    write_long_csv(series, out)
-    _emit(out)
+    _write(Path(args.out), write_long_csv, series)
     return 0
 
 

@@ -77,6 +77,7 @@ __all__ = [
     "read_universe_config",
     "parse_price_file",
     "parse_iso_date",
+    "parse_window",
     "load_price_panel",
     "fill_gaps",
     "apply_missing_data_policy",
@@ -225,7 +226,8 @@ class PricePanel:
         block = self.closes[[index[t] for t in wanted], lo:hi]
         quoted = np.flatnonzero(~np.isnan(block).all(axis=0))
         if quoted.size == 0:
-            raise EmptyPanelError(_no_quotes_message(sector, start, end))
+            where = "" if start is None and end is None else f" in {start}:{end}"
+            raise EmptyPanelError(f"{sector}: no observations for any configured ticker{where}")
         return PricePanel(wanted, [self.dates[lo + j] for j in quoted], block[:, quoted])
 
     def last_closes(self, tickers: Iterable[str], on_or_before: date) -> np.ndarray:
@@ -243,11 +245,6 @@ class PricePanel:
             return self.tickers.index(ticker)
         except ValueError:
             raise MissingTickerError([ticker]) from None
-
-
-def _no_quotes_message(sector: str, start: date | None, end: date | None) -> str:
-    where = "" if start is None and end is None else f" in {start}:{end}"
-    return f"{sector}: no observations for any configured ticker{where}"
 
 
 @dataclass
@@ -276,14 +273,15 @@ class UniverseConfig:
             )
 
 
-def _parse_window(text: str, *, where: str) -> tuple[date, date]:
+def parse_window(text: str) -> tuple[date, date]:
+    """A ``START:END`` pair of ``YYYY-MM-DD`` dates; anything else raises ValueError.
+
+    The pair's order is checked by `UniverseConfig`, not here.
+    """
     start, colon, end = text.strip().partition(":")
     if not colon:
-        raise DataFormatError(f"{where}: expected start:end dates, got {text!r}")
-    try:
-        return parse_iso_date(start), parse_iso_date(end)
-    except ValueError as exc:
-        raise DataFormatError(f"{where}: {exc}") from None
+        raise ValueError(f"expected START:END dates, got {text!r}")
+    return parse_iso_date(start), parse_iso_date(end)
 
 
 def read_universe_config(path: str | Path) -> UniverseConfig:
@@ -306,13 +304,15 @@ def read_universe_config(path: str | Path) -> UniverseConfig:
         if key not in sec:
             raise DataFormatError(f"{path}: missing '{key}' in [universe]")
     tickers = [t for t in re.split(r"[,\s]+", sec["tickers"].strip()) if t]
+    windows = []
+    for key in ("train", "test"):
+        try:
+            windows.append(parse_window(sec[key]))
+        except ValueError as exc:
+            raise DataFormatError(f"{path} [universe] {key}: {exc}") from None
     try:
         return UniverseConfig(
-            sector=sec["sector"].strip(),
-            tickers=tickers,
-            train_window=_parse_window(sec["train"], where=f"{path} [universe] train"),
-            test_window=_parse_window(sec["test"], where=f"{path} [universe] test"),
-            prices=sec.get("prices", "").strip() or None,
+            sec["sector"].strip(), tickers, *windows, prices=sec.get("prices", "").strip() or None
         )
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
@@ -424,21 +424,6 @@ def _parse_wide(reader: "csv.reader", header: list[str], path: str) -> _Parsed:
     return tickers, dates, by_date[[days[d] for d in dates]].T.copy()
 
 
-def _read_price_file(source: str | Path | IO[str]) -> tuple[str, _Parsed]:
-    """The source's name and its parsed contents, validated cell by cell."""
-    with csv_reader(source) as (path, reader, header):
-        names = [h.strip().lower() for h in header]
-        if names[:1] != ["date"]:
-            raise DataFormatError(
-                f"{path}: line 1: first column must be 'date', got {header!r}"
-            )
-        if names == ["date", "ticker", "close"]:
-            return path, _parse_long(reader, path)
-        if len(names) < 2:
-            raise DataFormatError(f"{path}: line 1: unrecognized header {header!r}")
-        return path, _parse_wide(reader, header, path)
-
-
 def parse_price_file(source: str | Path | IO[str]) -> PricePanel:
     """Parse a long or wide price CSV into one full-span panel.
 
@@ -453,7 +438,18 @@ def parse_price_file(source: str | Path | IO[str]) -> PricePanel:
     DataFormatError : a row fails to parse (message names the line).
     EmptyPanelError : the file holds a header but no quote.
     """
-    path, (tickers, dates, closes) = _read_price_file(source)
+    with csv_reader(source) as (path, reader, header):
+        names = [h.strip().lower() for h in header]
+        if names[:1] != ["date"]:
+            raise DataFormatError(
+                f"{path}: line 1: first column must be 'date', got {header!r}"
+            )
+        if names == ["date", "ticker", "close"]:
+            tickers, dates, closes = _parse_long(reader, path)
+        elif len(names) < 2:
+            raise DataFormatError(f"{path}: line 1: unrecognized header {header!r}")
+        else:
+            tickers, dates, closes = _parse_wide(reader, header, path)
     if not dates:
         raise EmptyPanelError(f"{path}: no quotes")
     return PricePanel(tickers, dates, closes)
@@ -466,9 +462,9 @@ def load_price_panel(
 ) -> PricePanel:
     """Load, restrict, and align closing prices for a universe.
 
-    Parses a file source whole and cuts one window from it
-    (`PricePanel.window`). A caller that needs several windows of one
-    file parses it once (`parse_price_file`) and passes that panel as
+    Parses a file source whole with `parse_price_file` and cuts one
+    window from it (`PricePanel.window`). A caller that needs several
+    windows of one file parses it once and passes that panel as
     `source` for each window; nothing is parsed then.
 
     Parameters
@@ -487,17 +483,12 @@ def load_price_panel(
     ------
     DataFormatError : a row fails to parse (message names the line).
     MissingTickerError : a configured ticker never appears in the source.
-    EmptyPanelError : no configured ticker has any in-window observation.
+    EmptyPanelError : the file holds no quote, or no configured ticker
+        has any in-window observation.
     """
-    start, end = window or (None, None)
     if not isinstance(source, PricePanel):
-        _, (tickers, dates, closes) = _read_price_file(source)
-        if not dates:  # a file without quotes: no window holds any
-            absent = [t for t in universe.tickers if t not in tickers]
-            if absent:
-                raise MissingTickerError(absent)
-            raise EmptyPanelError(_no_quotes_message(universe.sector, start, end))
-        source = PricePanel(tickers, dates, closes)
+        source = parse_price_file(source)
+    start, end = window or (None, None)
     return source.window(universe.tickers, start, end, sector=universe.sector)
 
 

@@ -481,3 +481,81 @@ def test_pipeline_all_reports_a_broken_sector_and_runs_the_rest(tmp_path, capsys
                    "--out", out, "--samples", 200) == 1
     assert capsys.readouterr().err.count("\n") == 3
     assert not (out / "summary.csv").exists()
+
+
+def test_overlapping_window_overrides_fail_before_writing(tmp_path, capsys):
+    ini, prices = build_sector(tmp_path, train_days=60, test_days=15)
+    dates = load_price_panel(prices, read_universe_config(ini)).dates
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 100,
+                   "--train", f"{dates[0]}:{dates[50]}",
+                   "--test", f"{dates[40]}:{dates[-1]}") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("sectorfolio pipeline: ")
+    assert "training window must end before the test window begins" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_a_rerun_that_excludes_nothing_removes_the_old_exclusions_log(tmp_path, capsys):
+    # CCC misses 40 of 60 training dates: excluded at 0.30, kept at 0.9
+    ini, _ = build_sector(tmp_path, seed=8, sparse_head=("CCC", 40))
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 200) == 0
+    assert (out / "exclusions.log").read_text().splitlines()[1:] == ["CCC,0.6667"]
+    capsys.readouterr()
+    assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 200,
+                   "--threshold", 0.9) == 0
+    assert not (out / "exclusions.log").exists()
+    assert "exclusions.log" not in capsys.readouterr().out
+    assert read_weights_csv(out / "weights.csv")["ewp"].tickers == TICKERS
+
+
+def test_pipeline_all_reports_an_unreadable_ini_and_runs_the_rest(tmp_path, capsys):
+    configs = tmp_path / "configs"
+    _three_sectors_sharing_one_file(configs)
+    bad = configs / "delta.ini"
+    bad.write_text("[universe]\nsector = Delta\ntickers = AAA\ntrain = 2021-01-04:2021-03-26\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--universe", configs, "--all", "--out", out,
+                   "--samples", 200) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"sectorfolio pipeline: {bad}: missing 'test' in [universe]\n"
+    assert f"wrote {out / 'summary.csv'}" in captured.out
+    assert [r.sector for r in read_sector_results(out / "summary.csv")] == [
+        "Alpha", "Beta", "Gamma"]
+
+
+COMMANDS = ["stats", "weights", "frontier", "backtest", "pipeline", "pipeline --all", "summary"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_announces_exactly_the_files_it_writes(tmp_path, capsys, command):
+    data = tmp_path / "data"
+    data.mkdir()
+    # CCC is excluded, so the sector commands also write exclusions.log
+    ini, _ = build_sector(data, seed=8, sparse_head=("CCC", 40))
+    prep = tmp_path / "prep"
+    assert run_cli("pipeline", "--universe", ini, "--out", prep, "--samples", 200) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    sector = ["--universe", ini, "--out", out]
+    argv = {
+        "stats": ["stats", *sector],
+        "weights": ["weights", *sector, "--samples", 200],
+        "frontier": ["frontier", *sector, "--samples", 200],
+        "backtest": ["backtest", *sector, "--weights", prep / "weights.csv"],
+        "pipeline": ["pipeline", *sector, "--samples", 200],
+        "pipeline --all": ["pipeline", "--universe", data, "--all", "--out", out,
+                           "--samples", 200],
+        "summary": ["summary", prep / "sector_result.csv", "--out", out],
+    }[command]
+    assert run_cli(*argv) == 0
+    wrote = [Path(line.removeprefix("wrote "))
+             for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+    assert sorted(wrote) == sorted(p for p in out.rglob("*") if p.is_file())
+    if command in ("stats", "weights", "frontier", "pipeline"):
+        # each command's own files come first, the exclusions log last
+        assert wrote[-1] == out / "exclusions.log"

@@ -491,13 +491,7 @@ def test_a_file_without_quotes():
     for text in (long_text, wide_text):
         with pytest.raises(EmptyPanelError, match="<stream>: no quotes"):
             parse_price_file(io.StringIO(text))
-    # load_price_panel reports it as the window it was asked for
-    with pytest.raises(MissingTickerError) as exc:
-        load_price_panel(io.StringIO(long_text), make_universe(["AAA"]))
-    assert exc.value.tickers == ["AAA"]
-    with pytest.raises(MissingTickerError) as exc:
-        load_price_panel(io.StringIO(wide_text), make_universe(["AAA", "CCC"]))
-    assert exc.value.tickers == ["CCC"]
-    with pytest.raises(EmptyPanelError, match="in 2022-01-03:2022-01-04"):
-        load_price_panel(io.StringIO(wide_text), make_universe(["AAA"]), (D1, D2))
+        # load_price_panel parses through parse_price_file, so it says the same
+        with pytest.raises(EmptyPanelError, match="<stream>: no quotes"):
+            load_price_panel(io.StringIO(text), make_universe(["AAA", "CCC"]), (D1, D2))
 
