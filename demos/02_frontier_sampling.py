@@ -75,10 +75,11 @@ def main():
     print(f"the cloud holds {held:,} bytes of scores; its {redrawn.nbytes:,} bytes of "
           f"weights are redrawn on demand, and row {i} is the MRP bit for bit")
 
-    out = Path(tempfile.mkdtemp()) / "frontier.csv"
-    export_frontier(cloud, out)
-    flagged = [line for line in out.read_text().splitlines() if line.endswith(("mrp", "orp"))]
-    print(f"exported {out} ({len(flagged)} flagged rows)")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "frontier.csv"
+        export_frontier(cloud, out)
+        flagged = [line for line in out.read_text().splitlines() if line.endswith(("mrp", "orp"))]
+        print(f"exported {out} ({len(flagged)} flagged rows), removed on exit")
 
 
 if __name__ == "__main__":

@@ -67,8 +67,12 @@ def run_sector(ini, out_dir):
 
 
 def main():
-    root = Path(tempfile.mkdtemp())
-    print(f"working under {root}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        run_demo(Path(tmp))
+
+
+def run_demo(root):
+    print(f"working under {root}, removed on exit\n")
 
     steady = build_sector(
         root, "steady", "Steady Sector",

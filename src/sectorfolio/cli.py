@@ -203,9 +203,11 @@ def cmd_backtest(
     weights_file: str | Path,
     column: str = "orp",
     mode: str = "simplex",
-    nominal: int | None = None,
 ) -> Path:
-    """Backtest one book from a weights file over the test window."""
+    """Backtest one book from a weights file over the test window.
+
+    Fixed-amount mode books capital / (configured universe size) per ticker.
+    """
     books = read_weights_csv(weights_file)
     if column not in books:
         raise ValueError(
@@ -213,7 +215,7 @@ def cmd_backtest(
         )
     book = books[column]
     test_panel = _test_panel(config, parse_price_file(config.prices), book.tickers)
-    report = backtest_from_panel(book, test_panel, config.capital, mode, nominal)
+    report = backtest_from_panel(book, test_panel, config.capital, mode, len(config.universe.tickers))
     return _write(config.out_dir / f"backtest_{column}.csv", write_backtest_csv, report)
 
 
@@ -287,16 +289,16 @@ def _config_from_args(args: argparse.Namespace, config_path: Path) -> RunConfig:
     universe = read_universe_config(config_path)
     universe = replace(universe, train_window=args.train or universe.train_window,
                        test_window=args.test or universe.test_window)
+    # options that set a RunConfig field; a subcommand that lacks one keeps RunConfig's default
+    tunables = ("samples", "seed", "rf", "sampler", "threshold", "capital")
+    given = {k: v for k, v in vars(args).items() if k in tunables}
+    if "rf" in given:
+        given["rf"] = RiskFreeAssumption(given["rf"])
     return RunConfig(
         universe=universe,
         prices=_resolve_prices(args.prices, universe, config_path),
         out_dir=Path(args.out),
-        samples=getattr(args, "samples", 10_000),
-        seed=getattr(args, "seed", 0),
-        rf=RiskFreeAssumption(getattr(args, "rf", 0.01)),
-        sampler=getattr(args, "sampler", "uniform"),
-        threshold=args.threshold,
-        capital=getattr(args, "capital", 100_000.0),
+        **given,
     )
 
 
@@ -335,19 +337,24 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--prices", help="price CSV, or a directory of <config-stem>.csv files")
     run.add_argument("--train", type=_window_arg, help="training window START:END, default from the universe file")
     run.add_argument("--test", type=_window_arg, help="test window START:END, default from the universe file")
-    run.add_argument("--threshold", type=float, default=0.30, help="missing-data exclusion threshold (default 0.30)")
+    run.add_argument("--threshold", type=float, default=RunConfig.threshold,
+                     help="missing-data exclusion threshold (default %(default).2f)")
     run.add_argument("--out", default=".", help="output directory (default .)")
 
     mc = argparse.ArgumentParser(add_help=False)
-    mc.add_argument("--samples", type=int, default=10_000, help="cloud size (default 10000)")
-    mc.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    mc.add_argument("--rf", type=float, default=0.01, help="annual risk-free rate (default 0.01)")
+    mc.add_argument("--samples", type=int, default=RunConfig.samples, help="cloud size (default %(default)s)")
+    mc.add_argument("--seed", type=int, default=RunConfig.seed, help="sampling seed (default %(default)s)")
+    mc.add_argument("--rf", type=float, default=RunConfig.rf.rate, help="annual risk-free rate (default %(default)s)")
     mc.add_argument("--workers", type=_ignored_count_arg, help="ignored (must be >= 1); kept so older command lines run")
     mc.add_argument(
-        "--sampler", choices=sorted(WEIGHT_SAMPLERS), default="uniform",
-        help="uniform (default): iid uniforms over their sum, pulled toward 1/n; "
-        "dirichlet: flat Dirichlet, uniform on the simplex",
+        "--sampler", choices=sorted(WEIGHT_SAMPLERS), default=RunConfig.sampler,
+        help="uniform: iid uniforms over their sum, pulled toward 1/n; "
+        "dirichlet: flat Dirichlet, uniform on the simplex (default %(default)s)",
     )
+
+    money = argparse.ArgumentParser(add_help=False)
+    money.add_argument("--capital", type=float, default=RunConfig.capital,
+                       help="capital to invest (default %(default)s)")
 
     p = sub.add_parser("stats", parents=[run], help="per-ticker training stats")
     p.set_defaults(handler=_handle_training, cmd=cmd_stats)
@@ -358,16 +365,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("frontier", parents=[run, mc], help="sampled frontier cloud")
     p.set_defaults(handler=_handle_training, cmd=cmd_frontier)
 
-    p = sub.add_parser("backtest", parents=[run], help="backtest one book over the test window")
+    p = sub.add_parser("backtest", parents=[run, money], help="backtest one book over the test window")
     p.add_argument("--weights", required=True, help="weights.csv from the weights subcommand")
     p.add_argument("--column", choices=("ewp", "mrp", "orp"), default="orp")
-    p.add_argument("--mode", choices=MODES, default="simplex")
-    p.add_argument("--nominal", type=int, help="fixed-amount-per-stock nominal universe size")
-    p.add_argument("--capital", type=float, default=100_000.0)
+    p.add_argument("--mode", choices=MODES, default="simplex",
+                   help="fixed-amount-per-stock books capital / (configured universe size) "
+                   "per ticker (default %(default)s)")
     p.set_defaults(handler=_handle_backtest)
 
-    p = sub.add_parser("pipeline", parents=[run, mc], help="full sector run")
-    p.add_argument("--capital", type=float, default=100_000.0)
+    p = sub.add_parser("pipeline", parents=[run, mc, money], help="full sector run")
     p.add_argument("--all", action="store_true", help="--universe is a directory of universe INI files")
     p.add_argument("--jobs", type=_ignored_count_arg, help="ignored (must be >= 1); kept so older command lines run")
     p.set_defaults(handler=_handle_pipeline)
@@ -397,10 +403,7 @@ def _handle_training(args: argparse.Namespace) -> int:
 
 
 def _handle_backtest(args: argparse.Namespace) -> int:
-    cmd_backtest(
-        _config_from_args(args, Path(args.universe)),
-        args.weights, args.column, args.mode, args.nominal,
-    )
+    cmd_backtest(_config_from_args(args, Path(args.universe)), args.weights, args.column, args.mode)
     return 0
 
 

@@ -213,14 +213,22 @@ def sample_frontier(
     return FrontierCloud(tickers, returns, risks, sharpes, seed, rf, sampler)
 
 
+def _selection(cloud: FrontierCloud, action: str = "select from") -> tuple[int, int | None]:
+    """MRP and ORP sample indices, first index winning ties; no ORP if some risk is 0."""
+    if cloud.sample_count == 0:
+        raise EmptyCloudError(f"cannot {action} an empty cloud")
+    mrp = int(np.argmin(cloud.annual_risks))
+    if np.any(cloud.annual_risks == 0.0):
+        return mrp, None
+    return mrp, int(np.argmax(cloud.sharpe_ratios))
+
+
 def min_risk_portfolio(cloud: FrontierCloud) -> FrontierSample:
     """The sample with the lowest annual risk, first index winning ties.
 
     Raises EmptyCloudError on an empty cloud.
     """
-    if cloud.sample_count == 0:
-        raise EmptyCloudError("cannot select from an empty cloud")
-    return cloud.sample(int(np.argmin(cloud.annual_risks)))
+    return cloud.sample(_selection(cloud)[0])
 
 
 def optimum_risk_portfolio(cloud: FrontierCloud) -> FrontierSample:
@@ -232,13 +240,10 @@ def optimum_risk_portfolio(cloud: FrontierCloud) -> FrontierSample:
     DegenerateSampleError : some sample has exactly zero risk, so the
         Sharpe ordering is undefined.
     """
-    if cloud.sample_count == 0:
-        raise EmptyCloudError("cannot select from an empty cloud")
-    if np.any(cloud.annual_risks == 0.0):
-        raise DegenerateSampleError(
-            "cloud contains a zero-risk sample; Sharpe selection is undefined"
-        )
-    return cloud.sample(int(np.argmax(cloud.sharpe_ratios)))
+    orp = _selection(cloud)[1]
+    if orp is None:
+        raise DegenerateSampleError("cloud contains a zero-risk sample; Sharpe selection is undefined")
+    return cloud.sample(orp)
 
 
 def export_frontier(cloud: FrontierCloud, dest: str | Path | IO[str]) -> None:
@@ -250,13 +255,10 @@ def export_frontier(cloud: FrontierCloud, dest: str | Path | IO[str]) -> None:
     reproduces selection and stats to numerical noise. Rows are
     formatted and written one block of samples at a time.
     """
-    if cloud.sample_count == 0:
-        raise EmptyCloudError("cannot export an empty cloud")
-    mrp_index = int(np.argmin(cloud.annual_risks))
-    flags = {mrp_index: "mrp"}
-    if not np.any(cloud.annual_risks == 0.0):
-        orp_index = int(np.argmax(cloud.sharpe_ratios))
-        flags[orp_index] = "mrp+orp" if orp_index == mrp_index else "orp"
+    mrp, orp = _selection(cloud, "export")
+    flags = {mrp: "mrp"}
+    if orp is not None:
+        flags[orp] = "mrp+orp" if orp == mrp else "orp"
     # "%.12g" prints exactly what format(x, ".12g") does
     row = ",".join(["%.12g"] * (3 + len(cloud.tickers))) + ",%s\n"
 

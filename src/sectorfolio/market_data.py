@@ -174,12 +174,12 @@ class PricePanel:
 
     def missing_fraction(self, ticker: str) -> float:
         """Fraction of this panel's dates on which `ticker` has no observation."""
-        row = self.closes[self._index(ticker)]
+        row = self.closes[self._rows([ticker])[0]]
         return float(np.isnan(row).sum()) / self.n_dates
 
     def series(self, ticker: str) -> PriceSeries:
         """Observed prices for one ticker, gaps dropped."""
-        row = self.closes[self._index(ticker)]
+        row = self.closes[self._rows([ticker])[0]]
         mask = ~np.isnan(row)
         if not mask.any():
             raise InsufficientDataError(f"{ticker}: no observations in panel")
@@ -191,11 +191,7 @@ class PricePanel:
         wanted = list(tickers)
         if not wanted:
             raise EmptyUniverseError("cannot restrict panel to zero tickers")
-        missing = [t for t in wanted if t not in self.tickers]
-        if missing:
-            raise MissingTickerError(missing)
-        rows = [self._index(t) for t in wanted]
-        return PricePanel(wanted, list(self.dates), self.closes[rows].copy())
+        return PricePanel(wanted, list(self.dates), self.closes[self._rows(wanted)])
 
     def window(
         self,
@@ -217,13 +213,10 @@ class PricePanel:
             message names `sector`.
         """
         wanted = list(tickers)
-        index = {t: i for i, t in enumerate(self.tickers)}
-        missing = [t for t in wanted if t not in index]
-        if missing:
-            raise MissingTickerError(missing)
+        rows = self._rows(wanted)
         lo = 0 if start is None else bisect_left(self.dates, start)
         hi = len(self.dates) if end is None else bisect_right(self.dates, end)
-        block = self.closes[[index[t] for t in wanted], lo:hi]
+        block = self.closes[rows, lo:hi]
         quoted = np.flatnonzero(~np.isnan(block).all(axis=0))
         if quoted.size == 0:
             where = "" if start is None and end is None else f" in {start}:{end}"
@@ -233,18 +226,21 @@ class PricePanel:
     def last_closes(self, tickers: Iterable[str], on_or_before: date) -> np.ndarray:
         """Each ticker's last close on or before a date; NaN where it has none."""
         hi = bisect_right(self.dates, on_or_before)
-        block = self.closes[[self._index(t) for t in tickers], :hi]
+        block = self.closes[self._rows(tickers), :hi]
         last = np.where(np.isnan(block), -1, np.arange(block.shape[1])).max(axis=1, initial=-1)
         out = np.full(len(block), np.nan)
         quoted = last >= 0
         out[quoted] = block[quoted, last[quoted]]
         return out
 
-    def _index(self, ticker: str) -> int:
-        try:
-            return self.tickers.index(ticker)
-        except ValueError:
-            raise MissingTickerError([ticker]) from None
+    def _rows(self, tickers: Iterable[str]) -> list[int]:
+        """The row of each ticker, in order; MissingTickerError names every absent one."""
+        index = {t: i for i, t in enumerate(self.tickers)}
+        wanted = list(tickers)
+        rows = [index.get(t) for t in wanted]
+        if None in rows:
+            raise MissingTickerError([t for t, i in zip(wanted, rows) if i is None])
+        return rows
 
 
 @dataclass
@@ -544,7 +540,7 @@ def apply_missing_data_policy(
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be within [0, 1], got {threshold}")
-    fractions = [(t, panel.missing_fraction(t)) for t in panel.tickers]
+    fractions = list(zip(panel.tickers, np.isnan(panel.closes).mean(axis=1).tolist()))
     excluded = [(t, f) for t, f in fractions if f > threshold]
     retained = [t for t, f in fractions if f <= threshold]
     if not retained:

@@ -9,7 +9,8 @@ Conventions used throughout:
 
 All statistics expect a complete panel, so run
 `market_data.apply_missing_data_policy` (or `fill_gaps`) before calling
-the panel-level functions here.
+the panel-level functions here. `asset_stats` and `covariance_matrix`
+share one returns matrix, the whole close matrix divided at once.
 """
 
 from __future__ import annotations
@@ -205,13 +206,10 @@ def asset_stats(panel: PricePanel) -> list[AssetStats]:
     The panel must be complete (no gaps) and hold at least three dates,
     so that each ticker has two or more returns.
     """
-    _require_complete(panel, minimum_dates=3)
-    out = []
-    for ticker in panel.tickers:
-        rs = daily_returns(panel.series(ticker))
-        dv = daily_volatility(rs)
-        out.append(AssetStats(ticker, annualize_return(rs), dv, annual_volatility(dv)))
-    return out
+    returns = _daily_returns(panel)
+    means = (returns.mean(axis=1) * TRADING_DAYS_PER_YEAR).tolist()
+    vols = returns.std(axis=1, ddof=1).tolist()
+    return [AssetStats(t, m, dv, annual_volatility(dv)) for t, m, dv in zip(panel.tickers, means, vols)]
 
 
 def covariance_matrix(panel: PricePanel) -> CovarianceMatrix:
@@ -234,8 +232,7 @@ def covariance_matrix(panel: PricePanel) -> CovarianceMatrix:
     InsufficientDataError
         Fewer than three dates (fewer than two returns per asset).
     """
-    _require_complete(panel, minimum_dates=3)
-    returns = panel.closes[:, 1:] / panel.closes[:, :-1] - 1.0
+    returns = _daily_returns(panel)
     centred = returns - returns.mean(axis=1, keepdims=True)
     # numpy's own loops, not BLAS: np.cov's bits change with the BLAS
     # thread count (OpenBLAS 0.3.31, 100 tickers), and each (i, j) and
@@ -267,10 +264,10 @@ def correlation_matrix(cov: CovarianceMatrix) -> np.ndarray:
     return corr
 
 
-def _require_complete(panel: PricePanel, *, minimum_dates: int) -> None:
+def _daily_returns(panel: PricePanel) -> np.ndarray:
+    """Daily simple returns of a complete panel of three or more dates, one row per ticker."""
     if not panel.is_complete:
         raise ValueError("panel has gaps; apply the missing-data policy first")
-    if panel.n_dates < minimum_dates:
-        raise InsufficientDataError(
-            f"need at least {minimum_dates} dates, panel has {panel.n_dates}"
-        )
+    if panel.n_dates < 3:
+        raise InsufficientDataError(f"need at least 3 dates, panel has {panel.n_dates}")
+    return panel.closes[:, 1:] / panel.closes[:, :-1] - 1.0

@@ -344,6 +344,23 @@ def test_exclusions_log_written_for_sparse_ticker(tmp_path):
     assert books["ewp"].tickers == ["AAA", "BBB", "CCC"]
 
 
+def test_fixed_amount_backtest_reproduces_the_pipeline_ewp_backtest(tmp_path):
+    # DDD is excluded: both runs book capital / 4 per retained ticker
+    ini, _ = build_sector(
+        tmp_path, tickers=["AAA", "BBB", "CCC", "DDD"], seed=8,
+        train_days=50, test_days=10, sparse_head=("DDD", 40),
+    )
+    out, rerun = tmp_path / "out", tmp_path / "rerun"
+    assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 300) == 0
+    assert run_cli(
+        "backtest", "--universe", ini, "--out", rerun, "--weights", out / "weights.csv",
+        "--column", "ewp", "--mode", "fixed-amount-per-stock",
+    ) == 0
+    expected = (out / "backtest_ewp.csv").read_bytes()
+    assert b"\nTOTAL,0.750000,,75000.00," in expected
+    assert (rerun / "backtest_ewp.csv").read_bytes() == expected
+
+
 def test_backtest_buys_a_suspended_ticker_at_its_last_pre_test_close(tmp_path):
     tickers, train_days, test_days = ["AAA", "BBB", "CCC"], 60, 30
     panel = random_panel(tickers, train_days + test_days, seed=12, start=date(2021, 1, 4))

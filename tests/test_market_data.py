@@ -265,6 +265,19 @@ def test_restrict_preserves_requested_order():
         panel.restrict([])
 
 
+@pytest.mark.parametrize("cut", [
+    lambda panel, tickers: panel.window(tickers),
+    lambda panel, tickers: panel.restrict(tickers),
+    lambda panel, tickers: panel.last_closes(tickers, D3),
+], ids=["window", "restrict", "last_closes"])
+def test_every_absent_ticker_is_named(cut):
+    panel = PricePanel(["AAA", "BBB"], [D1, D2, D3], np.ones((2, 3)))
+    with pytest.raises(MissingTickerError) as info:
+        cut(panel, iter(["ZZZ", "AAA", "YYY", "BBB"]))
+    assert info.value.tickers == ["ZZZ", "YYY"]
+    assert str(info.value) == "tickers absent from price source: ZZZ, YYY"
+
+
 def test_price_series_validation():
     with pytest.raises(ValueError):
         PriceSeries("AAA", [D2, D1], np.array([1.0, 2.0]))

@@ -1,5 +1,6 @@
 """Return, volatility, and covariance statistics."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -114,15 +115,33 @@ def test_return_series_validation():
 
 
 def test_asset_stats_matches_per_series_pipeline():
-    panel = random_panel(["AAA", "BBB", "CCC"], 60, seed=5)
-    stats = asset_stats(panel)
-    assert [s.ticker for s in stats] == panel.tickers
-    for s in stats:
-        rs = daily_returns(panel.series(s.ticker))
-        dv = daily_volatility(rs)
-        assert s.annual_return == pytest.approx(annualize_return(rs), rel=1e-15)
-        assert s.daily_volatility == pytest.approx(dv, rel=1e-15)
-        assert s.annual_volatility == pytest.approx(dv * math.sqrt(250), rel=1e-15)
+    for n_tickers, n_days, seed in [(3, 60, 5), (1, 3, 1), (29, 2000, 7)]:
+        panel = random_panel([f"T{i:02d}" for i in range(n_tickers)], n_days, seed=seed)
+        stats = asset_stats(panel)
+        assert [s.ticker for s in stats] == panel.tickers
+        for s in stats:
+            rs = daily_returns(panel.series(s.ticker))
+            dv = daily_volatility(rs)
+            assert s.annual_return == annualize_return(rs)
+            assert s.daily_volatility == dv
+            assert s.annual_volatility == annual_volatility(dv)
+
+
+def test_stats_and_covariance_bits_are_pinned():
+    # digests taken from the per-ticker implementation, before asset_stats
+    # read the returns matrix; a change in how returns are divided or
+    # reduced moves them
+    panel = random_panel([f"T{i:02d}" for i in range(49)], 1250, seed=49)
+    stats = np.array(
+        [(s.annual_return, s.daily_volatility, s.annual_volatility) for s in asset_stats(panel)]
+    )
+    entries = covariance_matrix(panel).entries
+    assert hashlib.sha256(stats.tobytes()).hexdigest() == (
+        "19878a4a2056c489cc47144a627dcb20f539fb9c129b4273b1a69df9f565d37a"
+    )
+    assert hashlib.sha256(entries.tobytes()).hexdigest() == (
+        "5d75738d29d4c5c78a1557acc66441fdb33d7d00cc1b91b5b3619a36d3842bfd"
+    )
 
 
 def test_asset_stats_requires_complete_panel():
