@@ -10,7 +10,10 @@ Two CSV layouts are accepted, sniffed from the header row:
 
 Dates are ``YYYY-MM-DD``, no other spelling. Closes must parse as
 finite positive numbers. Any malformed row raises DataFormatError
-naming the line.
+naming the line. A repeat is malformed too: the long layout rejects a
+second row for one (date, ticker), the wide layout a second row for
+one date or a second column for one ticker, and the error names the
+line of the repeat.
 
 Universe definitions live in small INI files::
 
@@ -49,7 +52,6 @@ InsufficientDataError.
 from __future__ import annotations
 
 import configparser
-import csv
 import math
 import re
 from array import array
@@ -57,11 +59,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Any, Iterable, Iterator
 
 import numpy as np
 
-from ._files import csv_reader, csv_writer
+from ._files import _not_utf8, csv_reader, csv_writer
 from .errors import (
     DataFormatError,
     EmptyPanelError,
@@ -226,12 +228,8 @@ class PricePanel:
     def last_closes(self, tickers: Iterable[str], on_or_before: date) -> np.ndarray:
         """Each ticker's last close on or before a date; NaN where it has none."""
         hi = bisect_right(self.dates, on_or_before)
-        block = self.closes[self._rows(tickers), :hi]
-        last = np.where(np.isnan(block), -1, np.arange(block.shape[1])).max(axis=1, initial=-1)
-        out = np.full(len(block), np.nan)
-        quoted = last >= 0
-        out[quoted] = block[quoted, last[quoted]]
-        return out
+        rows = self._rows(tickers)
+        return _carried(self.closes[rows, :hi])[:, -1] if hi else np.full(len(rows), np.nan)
 
     def _rows(self, tickers: Iterable[str]) -> list[int]:
         """The row of each ticker, in order; MissingTickerError names every absent one."""
@@ -283,8 +281,8 @@ def parse_window(text: str) -> tuple[date, date]:
 def read_universe_config(path: str | Path) -> UniverseConfig:
     """Parse a universe INI file into a UniverseConfig.
 
-    Raises DataFormatError on a missing section or key, or an
-    unparseable window.
+    Raises DataFormatError on a missing section or key, an unparseable
+    window, or a byte that is not UTF-8.
     """
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -293,6 +291,8 @@ def read_universe_config(path: str | Path) -> UniverseConfig:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise DataFormatError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(_not_utf8(path, str(path), exc)) from None
     if not parser.has_section("universe"):
         raise DataFormatError(f"{path}: missing [universe] section")
     sec = parser["universe"]
@@ -339,60 +339,38 @@ def _parse_close(text: str, path: str, line: int, ticker: str) -> float:
 _Parsed = tuple[list[str], list[date], np.ndarray]
 
 
-def _parse_long(reader: "csv.reader", path: str) -> _Parsed:
-    tickers: dict[str, int] = {}  # ticker -> panel row
-    days: dict[date, int] = {}  # date -> code, in order of first appearance
-    day_codes: dict[str, int] = {}  # date cell text -> code
-    rows, codes, lines = array("q"), array("q"), array("q")
-    values = array("d")
-    try:
-        for row in reader:
-            code = day_codes.get(row[0]) if len(row) == 3 else None
-            if code is None:
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != 3:
-                    raise DataFormatError(
-                        f"{path}: line {reader.line_num}: expected 3 fields, got {len(row)}"
-                    )
-                day = _parse_date(row[0], path=path, line=reader.line_num)
-                code = day_codes[row[0]] = days.setdefault(day, len(days))
-            ticker = row[1].strip()
-            if not ticker:
-                raise DataFormatError(f"{path}: line {reader.line_num}: empty ticker")
-            values.append(_parse_close(row[2], path, reader.line_num, ticker))
-            rows.append(tickers.setdefault(ticker, len(tickers)))
-            codes.append(code)
-            lines.append(reader.line_num)
-    except (DataFormatError, csv.Error):
-        # a duplicate among the rows before this line is the earlier fault
-        _scatter_long(path, tickers, days, rows, codes, lines, values)
-        raise
-    return _scatter_long(path, tickers, days, rows, codes, lines, values)
+def _parse_long(reader: Any, path: str) -> _Parsed:
+    quotes: dict[str, dict[date, float]] = {}  # ticker -> {date: close}, in file order
+    day_cells: dict[str, date] = {}  # date cell text -> date
+    for row in reader:
+        day = day_cells.get(row[0]) if len(row) == 3 else None
+        if day is None:
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != 3:
+                raise DataFormatError(
+                    f"{path}: line {reader.line_num}: expected 3 fields, got {len(row)}"
+                )
+            day = day_cells[row[0]] = _parse_date(row[0], path=path, line=reader.line_num)
+        ticker = row[1].strip()
+        if not ticker:
+            raise DataFormatError(f"{path}: line {reader.line_num}: empty ticker")
+        close = _parse_close(row[2], path, reader.line_num, ticker)
+        series = quotes.setdefault(ticker, {})
+        if day in series:
+            raise DataFormatError(
+                f"{path}: line {reader.line_num}: duplicate observation for {ticker} on {day}"
+            )
+        series[day] = close
+    dates = sorted(set(day_cells.values()))
+    column = {d: j for j, d in enumerate(dates)}
+    closes = np.full((len(quotes), len(dates)), np.nan)
+    for i, series in enumerate(quotes.values()):
+        closes[i, [column[d] for d in series]] = list(series.values())
+    return list(quotes), dates, closes
 
 
-def _scatter_long(path, tickers, days, rows, codes, lines, values) -> _Parsed:
-    """Place long-layout rows into a full-span panel; reject a repeated (ticker, date)."""
-    dates = sorted(days)
-    rank = np.empty(len(dates), dtype=np.int64)
-    rank[[days[d] for d in dates]] = np.arange(len(dates))
-    r = np.frombuffer(rows, dtype=np.int64)
-    c = rank[np.frombuffer(codes, dtype=np.int64)]
-    keys = r * len(dates) + c
-    order = np.argsort(keys, kind="stable")
-    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
-    if repeats.size:
-        k = int(repeats.min())
-        raise DataFormatError(
-            f"{path}: line {lines[k]}: duplicate observation for "
-            f"{list(tickers)[r[k]]} on {dates[c[k]]}"
-        )
-    closes = np.full((len(tickers), len(dates)), np.nan)
-    closes[r, c] = np.frombuffer(values)
-    return list(tickers), dates, closes
-
-
-def _parse_wide(reader: "csv.reader", header: list[str], path: str) -> _Parsed:
+def _parse_wide(reader: Any, header: list[str], path: str) -> _Parsed:
     tickers = [h.strip() for h in header[1:]]
     if not tickers or any(not t for t in tickers):
         raise DataFormatError(f"{path}: line 1: blank ticker column in header")
@@ -499,23 +477,30 @@ def fill_gaps(panel: PricePanel, opening: np.ndarray | None = None) -> PricePane
     panel, or with a leading gap and no opening price for it, raises
     InsufficientDataError.
     """
-    closes = panel.closes.copy()
-    n = panel.n_dates
-    for i, ticker in enumerate(panel.tickers):
-        row = closes[i]
-        observed = np.flatnonzero(~np.isnan(row))
-        if observed.size == 0:
-            raise InsufficientDataError(f"{ticker}: no observations to fill from")
-        head = row[observed[0]] if opening is None else opening[i]
-        if np.isnan(head) and np.isnan(row[0]):
-            raise InsufficientDataError(
-                f"{ticker}: no close before {panel.dates[0]} to fill its leading gap from"
-            )
-        # index of the most recent observation at or before each column,
-        # -1 where none exists yet (the leading gap)
-        carry = np.maximum.accumulate(np.where(np.isnan(row), -1, np.arange(n)))
-        closes[i] = np.where(carry < 0, head, row[carry])
+    carried = _carried(panel.closes)
+    quoted = ~np.isnan(panel.closes)
+    if opening is None:
+        head = panel.closes[np.arange(panel.n_assets), quoted.argmax(axis=1)]
+    else:
+        head = np.asarray(opening, dtype=float)
+    bare = ~quoted.any(axis=1)
+    failing = np.flatnonzero(bare | (~quoted[:, 0] & np.isnan(head)))
+    if failing.size:
+        i = failing[0]
+        if bare[i]:
+            raise InsufficientDataError(f"{panel.tickers[i]}: no observations to fill from")
+        raise InsufficientDataError(
+            f"{panel.tickers[i]}: no close before {panel.dates[0]} to fill its leading gap from"
+        )
+    closes = np.where(np.isnan(carried), head[:, None], carried)
     return PricePanel(list(panel.tickers), list(panel.dates), closes)
+
+
+def _carried(closes: np.ndarray) -> np.ndarray:
+    """Each row's gaps hold its last quote before them; a leading gap stays NaN."""
+    # the column of each row's last quote at or before each column, -1 before the first
+    last = np.maximum.accumulate(np.where(np.isnan(closes), -1, np.arange(closes.shape[1])), axis=1)
+    return np.where(last < 0, np.nan, np.take_along_axis(closes, last, axis=1))
 
 
 def apply_missing_data_policy(

@@ -52,6 +52,8 @@ class SectorResult:
     def __post_init__(self) -> None:
         if not self.sector:
             raise ValueError("sector name must be non-empty")
+        if not np.isfinite([self.ewp_test_return, self.orp_test_return]).all():
+            raise ValueError("test returns must be finite")
         if self.ewp_test_return > self.orp_test_return:
             self.winner = "EWP"
         elif self.orp_test_return > self.ewp_test_return:
@@ -104,7 +106,8 @@ def read_weights_csv(source: str | Path | IO[str]) -> dict[str, WeightVector]:
 
     Six-decimal rounding leaves column sums a hair off 1, so each column
     is renormalized by its sum. A column whose sum strays more than 1e-4
-    from 1 is rejected as corrupt.
+    from 1, or that holds a negative or non-finite weight, is rejected
+    as corrupt, and so is a repeated ticker row.
     """
     with csv_reader(source) as (path, reader, header):
         if len(header) < 2 or header[0] != "ticker":
@@ -119,6 +122,10 @@ def read_weights_csv(source: str | Path | IO[str]) -> dict[str, WeightVector]:
                 raise DataFormatError(
                     f"{path}: line {reader.line_num}: expected {len(header)} fields"
                 )
+            if row[0] in tickers:
+                raise DataFormatError(
+                    f"{path}: line {reader.line_num}: duplicate ticker {row[0]!r}"
+                )
             tickers.append(row[0])
             try:
                 values.append([float(x) for x in row[1:]])
@@ -131,11 +138,14 @@ def read_weights_csv(source: str | Path | IO[str]) -> dict[str, WeightVector]:
         for j, name in enumerate(columns):
             col = matrix[:, j]
             total = float(col.sum())
-            if abs(total - 1.0) > 1e-4:
+            if not abs(total - 1.0) <= 1e-4:  # NaN fails too
                 raise DataFormatError(
                     f"{path}: column {name!r} sums to {total:.6f}, not a weight column"
                 )
-            out[name] = WeightVector(list(tickers), col / total)
+            try:
+                out[name] = WeightVector(list(tickers), col / total)
+            except ValueError as exc:
+                raise DataFormatError(f"{path}: column {name!r}: {exc}") from None
         return out
 
 
@@ -175,7 +185,8 @@ def read_sector_results(source: str | Path | IO[str]) -> list[SectorResult]:
 
     The stored winner must not contradict the printed returns (a
     two-decimal tie is allowed to carry either label, since rounding can
-    mask a hairline margin).
+    mask a hairline margin). An empty sector name or a return that is
+    not finite is rejected with the line.
     """
     with csv_reader(source) as (path, reader, header):
         if header != _RESULT_HEADER:
@@ -194,15 +205,14 @@ def read_sector_results(source: str | Path | IO[str]) -> list[SectorResult]:
                     f"{path}: line {reader.line_num}: unknown winner {winner!r}"
                 )
             try:
-                ewp = float(ewp_text) / 100.0
-                orp = float(orp_text) / 100.0
+                result = SectorResult(sector, float(ewp_text) / 100.0, float(orp_text) / 100.0)
             except ValueError as exc:
                 raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-            result = SectorResult(sector, ewp, orp)
-            if result.winner != winner and ewp != orp:
+            tie = result.ewp_test_return == result.orp_test_return
+            if result.winner != winner and not tie:
                 raise DataFormatError(
                     f"{path}: line {reader.line_num}: winner {winner!r} contradicts returns"
                 )
-            result.winner = winner if ewp == orp else result.winner
+            result.winner = winner if tie else result.winner
             results.append(result)
         return results

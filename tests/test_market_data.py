@@ -427,9 +427,11 @@ def test_wide_column_without_quotes_is_an_all_nan_row():
         # ... and before a later row the csv module rejects (a field over its size limit)
         ("2022-01-03,AAA,1\n2022-01-03,AAA,2\n2022-01-04,AAA,1\n2022-01-05,AAA," + "1" * 200_000
          + "\n", 3),
+        # one date spelt two ways is still one date
+        ("2022-01-03,AAA,1\n 2022-01-04,AAA,1\n2022-01-04,BBB,1\n2022-01-04,AAA,2\n", 5),
     ],
     ids=["duplicate-then-bad-close", "bad-close-then-duplicate", "blank-line-counted",
-         "first-of-two-duplicates", "duplicate-then-csv-error"],
+         "first-of-two-duplicates", "duplicate-then-csv-error", "padded-date-repeat"],
 )
 def test_first_faulty_line_is_reported(text, line):
     with pytest.raises(DataFormatError, match=f"line {line}:"):
@@ -462,13 +464,17 @@ def test_csv_module_errors_become_data_format_errors(reader, text, message):
 
 def test_a_byte_that_is_not_utf8_is_placed_on_its_line(tmp_path):
     # far past the decoder's first chunk, where the reader's count lags
-    lines = [f"2022-01-03,T{i},1" for i in range(5000)]
-    lines[4998] = "2022-01-03,M\xe9tal,1"
-    path = tmp_path / "prices.csv"
-    path.write_bytes(("date,ticker,close\n" + "\n".join(lines) + "\n").encode("latin-1"))
-    with pytest.raises(DataFormatError) as caught:
-        parse_price_file(path)
-    assert str(caught.value) == f"{path}: line 5000: not valid UTF-8 (byte 0xe9)"
+    for reader, head, row, bad in [
+        (parse_price_file, "date,ticker,close", "2022-01-03,T{},1", "2022-01-03,M\xe9tal,1"),
+        (read_universe_config, "[universe]", "; note {}", "sector = M\xe9tal"),
+    ]:
+        lines = [row.format(i) for i in range(5000)]
+        lines[4998] = bad
+        path = tmp_path / f"{reader.__name__}.txt"
+        path.write_bytes((head + "\n" + "\n".join(lines) + "\n").encode("latin-1"))
+        with pytest.raises(DataFormatError) as caught:
+            reader(path)
+        assert str(caught.value) == f"{path}: line 5000: not valid UTF-8 (byte 0xe9)"
 
 
 def test_parse_reports_a_path_source_by_name(tmp_path):
@@ -497,6 +503,23 @@ def test_fill_gaps_with_opening_never_fills_from_later_quotes():
     closes[0] = np.nan
     with pytest.raises(InsufficientDataError, match="AAA: no observations to fill from"):
         fill_gaps(PricePanel(["AAA", "BBB"], panel.dates, closes), np.array([9.0, 4.0]))
+
+
+@pytest.mark.parametrize(
+    "bbb, opening, message",
+    [
+        ([np.nan] * 3, None, "BBB: no observations to fill from"),
+        ([np.nan] * 3, [1.0, 1.0, np.nan, 1.0], "BBB: no observations to fill from"),
+        ([np.nan, 2.0, 3.0], [1.0, np.nan, np.nan, 1.0], "BBB: no close before 2022-01-03"),
+    ],
+    ids=["no-observations", "no-observations-first", "no-close-before-first"],
+)
+def test_fill_gaps_names_the_first_failing_ticker(bbb, opening, message):
+    # CCC has a leading gap and DDD no quote, so both fail too where BBB does
+    closes = np.array([[1.0, 2.0, 3.0], bbb, [np.nan, 2.0, 3.0], [np.nan] * 3])
+    panel = PricePanel(["AAA", "BBB", "CCC", "DDD"], [D1, D2, D3], closes)
+    with pytest.raises(InsufficientDataError, match=message):
+        fill_gaps(panel, None if opening is None else np.array(opening))
 
 
 def test_a_file_without_quotes():

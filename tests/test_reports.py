@@ -115,6 +115,23 @@ def test_weights_csv_rejects_malformed_files(tmp_path):
         read_weights_csv(path)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("AAA,0.5\nBBB,0.25\nAAA,0.25\n", "line 4: duplicate ticker 'AAA'"),
+        ("AAA,1.5\nBBB,-0.5\n", "column 'ewp': weights must be finite and non-negative"),
+        ("AAA,1\nBBB,nan\n", "column 'ewp' sums to nan, not a weight column"),
+    ],
+    ids=["repeated-ticker", "negative", "nan"],
+)
+def test_weights_csv_names_the_file_of_a_bad_weight(tmp_path, rows, message):
+    path = tmp_path / "weights.csv"
+    path.write_text("ticker,ewp\n" + rows, encoding="utf-8")
+    with pytest.raises(DataFormatError) as caught:
+        read_weights_csv(path)
+    assert str(caught.value) == f"{path}: {message}"
+
+
 def test_sector_result_roundtrip(tmp_path):
     path = tmp_path / "result.csv"
     write_sector_result(SectorResult("Metal", 0.1438, 0.4197), path)
@@ -194,6 +211,26 @@ def test_read_sector_results_rejects_unknown_winner(tmp_path):
     )
     with pytest.raises(DataFormatError, match="BOTH"):
         read_sector_results(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (",1.00,2.00,ORP", "sector name must be non-empty"),
+        ("X,nan,2.00,TIE", "test returns must be finite"),
+        ("X,1.00,inf,ORP", "test returns must be finite"),
+    ],
+    ids=["empty-sector", "nan", "inf"],
+)
+def test_read_sector_results_names_the_line_of_a_bad_row(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "sector,ewp_test_return_pct,orp_test_return_pct,winner\nA,1.00,2.00,ORP\n" + row + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DataFormatError) as caught:
+        read_sector_results(path)
+    assert str(caught.value) == f"{path}: line 3: {message}"
 
 
 def test_read_sector_results_rejects_wrong_header(tmp_path):
