@@ -261,9 +261,7 @@ def cmd_pipeline(config: RunConfig, prices: PricePanel | None = None) -> SectorR
 
 def cmd_summary(result_files: list[str | Path], out_dir: Path) -> Path:
     """Combine sector result files into summary.csv with win counts."""
-    results: list[SectorResult] = []
-    for path in result_files:
-        results.extend(read_sector_results(path))
+    results = read_sector_results(*result_files)
     if not results:
         raise EmptySummaryError("no sector results in the given files")
     return _write(out_dir / "summary.csv", write_summary, results)

@@ -107,7 +107,8 @@ def read_weights_csv(source: str | Path | IO[str]) -> dict[str, WeightVector]:
     Six-decimal rounding leaves column sums a hair off 1, so each column
     is renormalized by its sum. A column whose sum strays more than 1e-4
     from 1, or that holds a negative or non-finite weight, is rejected
-    as corrupt, and so is a repeated ticker row.
+    as corrupt. Ticker cells are stripped, and an empty or repeated
+    ticker is rejected with its line.
     """
     with csv_reader(source) as (path, reader, header):
         if len(header) < 2 or header[0] != "ticker":
@@ -122,11 +123,14 @@ def read_weights_csv(source: str | Path | IO[str]) -> dict[str, WeightVector]:
                 raise DataFormatError(
                     f"{path}: line {reader.line_num}: expected {len(header)} fields"
                 )
-            if row[0] in tickers:
+            ticker = row[0].strip()
+            if not ticker:
+                raise DataFormatError(f"{path}: line {reader.line_num}: empty ticker")
+            if ticker in tickers:
                 raise DataFormatError(
-                    f"{path}: line {reader.line_num}: duplicate ticker {row[0]!r}"
+                    f"{path}: line {reader.line_num}: duplicate ticker {ticker!r}"
                 )
-            tickers.append(row[0])
+            tickers.append(ticker)
             try:
                 values.append([float(x) for x in row[1:]])
             except ValueError as exc:
@@ -180,39 +184,52 @@ def _write_result_rows(
             fh.write(note + "\n")
 
 
-def read_sector_results(source: str | Path | IO[str]) -> list[SectorResult]:
-    """Read sector results from a result or summary CSV.
+def read_sector_results(*sources: str | Path | IO[str]) -> list[SectorResult]:
+    """Read sector results from result or summary CSVs, in order.
 
     The stored winner must not contradict the printed returns (a
     two-decimal tie is allowed to carry either label, since rounding can
-    mask a hairline margin). An empty sector name or a return that is
-    not finite is rejected with the line.
+    mask a hairline margin). Sector names are stripped. An empty sector
+    name, a return that is not finite, and a sector read before, in the
+    same source or an earlier one, are rejected with the line.
     """
-    with csv_reader(source) as (path, reader, header):
-        if header != _RESULT_HEADER:
-            raise DataFormatError(f"{path}: line 1: not a sector-result header")
-        results = []
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) != 4:
-                raise DataFormatError(
-                    f"{path}: line {reader.line_num}: expected 4 fields, got {len(row)}"
-                )
-            sector, ewp_text, orp_text, winner = row
-            if winner not in WINNERS:
-                raise DataFormatError(
-                    f"{path}: line {reader.line_num}: unknown winner {winner!r}"
-                )
-            try:
-                result = SectorResult(sector, float(ewp_text) / 100.0, float(orp_text) / 100.0)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-            tie = result.ewp_test_return == result.orp_test_return
-            if result.winner != winner and not tie:
-                raise DataFormatError(
-                    f"{path}: line {reader.line_num}: winner {winner!r} contradicts returns"
-                )
-            result.winner = winner if tie else result.winner
-            results.append(result)
-        return results
+    results = []
+    # where each sector was first read: source position, name and line
+    first: dict[str, tuple[int, str, int]] = {}
+    for k, source in enumerate(sources):
+        with csv_reader(source) as (path, reader, header):
+            if header != _RESULT_HEADER:
+                raise DataFormatError(f"{path}: line 1: not a sector-result header")
+            for row in reader:
+                if not row or row[0].startswith("#"):
+                    continue
+                if len(row) != 4:
+                    raise DataFormatError(
+                        f"{path}: line {reader.line_num}: expected 4 fields, got {len(row)}"
+                    )
+                sector, ewp_text, orp_text, winner = row
+                if winner not in WINNERS:
+                    raise DataFormatError(
+                        f"{path}: line {reader.line_num}: unknown winner {winner!r}"
+                    )
+                try:
+                    result = SectorResult(
+                        sector.strip(), float(ewp_text) / 100.0, float(orp_text) / 100.0
+                    )
+                except ValueError as exc:
+                    raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+                tie = result.ewp_test_return == result.orp_test_return
+                if result.winner != winner and not tie:
+                    raise DataFormatError(
+                        f"{path}: line {reader.line_num}: winner {winner!r} contradicts returns"
+                    )
+                if result.sector in first:
+                    held, name, line = first[result.sector]
+                    where = f"line {line}" if held == k else f"{name} line {line}"
+                    raise DataFormatError(
+                        f"{path}: line {reader.line_num}: sector {result.sector!r} repeats {where}"
+                    )
+                first[result.sector] = (k, path, reader.line_num)
+                result.winner = winner if tie else result.winner
+                results.append(result)
+    return results

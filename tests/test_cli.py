@@ -237,6 +237,29 @@ def test_summary_from_result_files(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (["r3"], "{r3}: line 4: sector 'Auto' repeats line 2"),
+        (["r1", "r2"], "{r2}: line 3: sector 'Auto' repeats {r1} line 2"),
+        (["r1", "r1"], "{r1}: line 2: sector 'Auto' repeats {r1} line 2"),
+    ],
+    ids=["in-one-file", "across-files", "one-file-twice"],
+)
+def test_summary_rejects_a_sector_read_twice(tmp_path, capsys, names, message):
+    head = "sector,ewp_test_return_pct,orp_test_return_pct,winner\n"
+    auto, it = "Auto,1.00,2.00,ORP\n", "IT,3.00,1.00,EWP\n"
+    paths = {name: tmp_path / f"{name}.csv" for name in ("r1", "r2", "r3")}
+    for name, rows in zip(paths, [auto, it + auto, auto + it + auto]):
+        paths[name].write_text(head + rows, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("summary", *(paths[name] for name in names), "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"sectorfolio summary: {message.format(**paths)}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_summary_reports_an_over_long_field_in_one_line(tmp_path):
     bad = tmp_path / "bad.csv"
     field = "x" * (csv.field_size_limit() + 1)

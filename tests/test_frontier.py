@@ -31,7 +31,7 @@ from sectorfolio import (
     read_frontier_csv,
     sample_frontier,
 )
-from sectorfolio.frontier import _BLOCK
+from sectorfolio.frontier import _BLOCK, _selection
 
 TICKERS3 = ["AAA", "BBB", "CCC"]
 MU3 = {"AAA": 0.08, "BBB": 0.15, "CCC": 0.30}
@@ -264,6 +264,86 @@ def test_export_format_is_pinned_byte_for_byte():
         "0,0.12,nan,1,mrp\n"
         "0,0.12,nan,1,\n"
     )
+
+
+def _printf_export(cloud):
+    """The export as the one-row-at-a-time "%.12g" template writes it."""
+    mrp, orp = _selection(cloud)
+    flags = {mrp: "mrp"}
+    if orp is not None:
+        flags[orp] = "mrp+orp" if orp == mrp else "orp"
+    header = ["annual_risk", "annual_return", "sharpe"] + [f"w_{t}" for t in cloud.tickers]
+    lines = [",".join(header) + ",flag\n"]
+    weights = cloud.weight_rows(0, cloud.sample_count)
+    for i in range(cloud.sample_count):
+        values = [cloud.annual_risks[i], cloud.annual_returns[i], cloud.sharpe_ratios[i], *weights[i]]
+        lines.append(",".join("%.12g" % x for x in values) + "," + flags.get(i, "") + "\n")
+    return "".join(lines)
+
+
+def _cloud_of(table):
+    """A cloud whose rows are (risk, return, sharpe, weights...) rows of `table`."""
+    table = np.asarray(table, float)
+    tickers = [f"T{j}" for j in range(table.shape[1] - 3)]
+    return _cloud(tickers, [(row[3:], row[1], row[0], row[2]) for row in table])
+
+
+def test_export_spells_values_near_rounding_ties_as_printf_does():
+    rng = np.random.default_rng(2024)
+    # a 12-digit tie m.5e(x - 11) in every decade from 1e-5 to 10, a few
+    # ulps either side, and log-uniform draws over the same range
+    n = 600 * 10
+    x = rng.integers(-5, 2, n)
+    ties = np.array([float(f"{m}5e{e - 12}") for m, e in zip(rng.integers(10**11, 10**12, n), x)])
+    near = (ties.view(np.int64) + rng.integers(-3, 4, n)).view(np.float64)
+    spread = 10.0 ** rng.uniform(-5, 1, n)
+    values = np.where(rng.random(n) < 0.75, near, spread)
+    values = np.where(rng.random(n) < 0.5, -values, values)
+    cloud = _cloud_of(values.reshape(600, 10))
+    with np.errstate(all="raise"):
+        assert _exported(cloud) == _printf_export(cloud)
+
+
+def test_export_spells_any_float_as_printf_does():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # arbitrary floats (NaN, infinities, zeros of both signs, subnormals),
+    # and many in the array-spelled range [1e-4, 1) of either sign
+    value = st.one_of(
+        st.floats(),
+        st.floats(1e-4, 1.0, exclude_max=True),
+        st.floats(-1.0, -1e-4, exclude_min=True),
+    )
+    tables = st.integers(1, 4).flatmap(lambda width: st.lists(
+        st.lists(value, min_size=width + 3, max_size=width + 3), min_size=1, max_size=6
+    ))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(tables)
+    def spelled_as_printf(table):
+        cloud = _cloud_of(table)
+        with np.errstate(all="raise"):
+            assert _exported(cloud) == _printf_export(cloud)
+
+    spelled_as_printf()
+
+
+@pytest.mark.parametrize("mrp, orp", [(255, 512), (256, 256)], ids=["apart", "on-an-edge"])
+def test_export_flags_rows_across_chunks(mrp, orp):
+    # six-decimal values lie far from every rounding tie, so no cell is
+    # left to the % operator
+    rng = np.random.default_rng(600)
+    table = np.round(rng.uniform(0.01, 0.9, (600, 8)), 6)
+    table[mrp, 0] = 0.001
+    table[orp, 2] = 0.95
+    cloud = _cloud_of(table)
+    text = _exported(cloud)
+    assert text == _printf_export(cloud)
+    rows = text.splitlines()[1:]
+    flagged = {i: row.rsplit(",", 1)[1] for i, row in enumerate(rows) if not row.endswith(",")}
+    assert flagged == ({mrp: "mrp", orp: "orp"} if mrp != orp else {mrp: "mrp+orp"})
+    assert "e" not in text.partition("\n")[2] and "%" not in text
+
 
 _BLAS_PROBE = """
 import hashlib, sys

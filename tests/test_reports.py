@@ -119,10 +119,13 @@ def test_weights_csv_rejects_malformed_files(tmp_path):
     "rows, message",
     [
         ("AAA,0.5\nBBB,0.25\nAAA,0.25\n", "line 4: duplicate ticker 'AAA'"),
+        ("AAA,0.5\n,0.5\n", "line 3: empty ticker"),
+        ("AAA,0.5\n  ,0.5\n", "line 3: empty ticker"),
+        (" AAA,0.5\nAAA ,0.5\n", "line 3: duplicate ticker 'AAA'"),
         ("AAA,1.5\nBBB,-0.5\n", "column 'ewp': weights must be finite and non-negative"),
         ("AAA,1\nBBB,nan\n", "column 'ewp' sums to nan, not a weight column"),
     ],
-    ids=["repeated-ticker", "negative", "nan"],
+    ids=["repeated-ticker", "empty-ticker", "blank-ticker", "padded-repeat", "negative", "nan"],
 )
 def test_weights_csv_names_the_file_of_a_bad_weight(tmp_path, rows, message):
     path = tmp_path / "weights.csv"
@@ -219,8 +222,11 @@ def test_read_sector_results_rejects_unknown_winner(tmp_path):
         (",1.00,2.00,ORP", "sector name must be non-empty"),
         ("X,nan,2.00,TIE", "test returns must be finite"),
         ("X,1.00,inf,ORP", "test returns must be finite"),
+        ("A,3.00,1.00,EWP", "sector 'A' repeats line 2"),
+        (" A ,3.00,1.00,EWP", "sector 'A' repeats line 2"),
+        (" ,1.00,2.00,ORP", "sector name must be non-empty"),
     ],
-    ids=["empty-sector", "nan", "inf"],
+    ids=["empty-sector", "nan", "inf", "repeated-sector", "padded-repeat", "blank-sector"],
 )
 def test_read_sector_results_names_the_line_of_a_bad_row(tmp_path, row, message):
     path = tmp_path / "bad.csv"
