@@ -1,7 +1,8 @@
 """Monte Carlo frontier cloud, MRP/ORP selection, and determinism.
 
 Samples 10,000 random long-only portfolios over a hand-written market,
-selects the minimum-risk and maximum-Sharpe books, and shows that the
+selects the minimum-risk and maximum-Sharpe books, rescores the MRP with
+`portfolio_stats` to the cloud's own bits, and shows that the
 cloud is a pure function of the seed: it stores only its scores and
 redraws any weight row from (seed, i).
 """
@@ -53,6 +54,12 @@ def main():
     orp = optimum_risk_portfolio(cloud)
     describe("MRP", mrp)
     describe("ORP", orp)
+
+    # the library scores a book with the cloud's own formula, bit for bit
+    again = portfolio_stats(mrp.weights, MU, COV)
+    assert (again.annual_return, again.annual_risk, again.sharpe) == (
+        mrp.annual_return, mrp.annual_risk, mrp.sharpe)
+    print("portfolio_stats on the MRP's weights gives its cloud scores exactly")
 
     # the 1/n book sits well inside the cloud
     ewp = equal_weights(TICKERS)

@@ -17,6 +17,7 @@ fixed-amount-per-stock
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Mapping, Sequence
@@ -91,17 +92,18 @@ def run_backtest(
     Raises
     ------
     AlignmentError : a price is missing for some ticker.
-    ValueError : non-positive capital or price, or an unknown mode.
+    ValueError : capital or a price that is not positive and finite, an
+        unknown mode, or a nominal universe size below the book's count.
     """
-    if capital <= 0.0:
-        raise ValueError(f"capital must be positive, got {capital}")
+    if not 0.0 < capital < math.inf:
+        raise ValueError(f"capital must be positive and finite, got {capital}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, known: {', '.join(MODES)}")
     buy = _aligned(buy_prices, weights.tickers, "buy prices")
     sell = _aligned(sell_prices, weights.tickers, "sell prices")
     for name, arr in (("buy", buy), ("sell", sell)):
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            bad = weights.tickers[int(np.flatnonzero(~np.isfinite(arr) | (arr <= 0.0))[0])]
+        if np.any(arr <= 0.0):
+            bad = weights.tickers[int(np.flatnonzero(arr <= 0.0)[0])]
             raise ValueError(f"{name} price for {bad} must be finite and positive")
 
     if mode == "simplex":
@@ -109,8 +111,10 @@ def run_backtest(
         amounts = booked * capital
     else:
         nominal = nominal_universe_size if nominal_universe_size is not None else len(weights)
-        if nominal < 1:
-            raise ValueError(f"nominal universe size must be at least 1, got {nominal}")
+        if nominal < len(weights):
+            raise ValueError(
+                f"nominal universe size {nominal} is below the book's {len(weights)} tickers"
+            )
         booked = np.full(len(weights), 1.0 / nominal)
         amounts = np.full(len(weights), capital / nominal)
 
@@ -142,7 +146,8 @@ def backtest_from_panel(
     """Run a backtest buying at a panel's first date and selling at its last.
 
     The panel must be complete and span at least two dates; tickers in
-    `weights` must all be present in it.
+    `weights` must all be present in it (MissingTickerError names any
+    that is not), in any order.
     """
     if not panel.is_complete:
         raise ValueError("panel has gaps; fill them before backtesting")
@@ -150,9 +155,8 @@ def backtest_from_panel(
         raise InsufficientDataError(
             f"backtest needs at least 2 dates, panel has {panel.n_dates}"
         )
-    buy = {t: float(panel.closes[i, 0]) for i, t in enumerate(panel.tickers)}
-    sell = {t: float(panel.closes[i, -1]) for i, t in enumerate(panel.tickers)}
-    return run_backtest(weights, buy, sell, capital, mode, nominal_universe_size)
+    closes = panel.restrict(weights.tickers).closes
+    return run_backtest(weights, closes[:, 0], closes[:, -1], capital, mode, nominal_universe_size)
 
 
 def write_backtest_csv(report: BacktestReport, dest: str | Path | IO[str]) -> None:

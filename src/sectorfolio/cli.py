@@ -20,6 +20,7 @@ only when every requested output was written.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from collections.abc import Callable
@@ -100,8 +101,10 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         # the backtests would catch this only after pipeline wrote three reports
-        if self.capital <= 0.0:
-            raise ValueError(f"{self.universe.sector}: capital must be positive, got {self.capital}")
+        if not 0.0 < self.capital < math.inf:
+            raise ValueError(
+                f"{self.universe.sector}: capital must be positive and finite, got {self.capital}"
+            )
 
 
 @dataclass
@@ -121,7 +124,7 @@ def _train(config: RunConfig, prices: PricePanel) -> _TrainArtifacts:
     panel, excluded = _train_panel(config, prices)
     stats = asset_stats(panel)
     cov = covariance_matrix(panel)
-    mu = {s.ticker: s.annual_return for s in stats}
+    mu = [s.annual_return for s in stats]  # panel order, the covariance's order
     cloud = sample_frontier(
         mu, cov, config.samples, config.seed, config.rf, sampler=config.sampler
     )
@@ -214,6 +217,12 @@ def cmd_backtest(
             f"{weights_file}: no {column!r} column, has: {', '.join(books)}"
         )
     book = books[column]
+    outside = [t for t in book.tickers if t not in config.universe.tickers]
+    if outside:
+        raise ValueError(
+            f"{weights_file}: {column} book holds tickers outside the "
+            f"{config.universe.sector} universe: {', '.join(outside)}"
+        )
     test_panel = _test_panel(config, parse_price_file(config.prices), book.tickers)
     report = backtest_from_panel(book, test_panel, config.capital, mode, len(config.universe.tickers))
     return _write(config.out_dir / f"backtest_{column}.csv", write_backtest_csv, report)

@@ -26,12 +26,9 @@ Sampling uses a counter-based generator (Philox) with a fixed draw
 budget per sample, padded to the generator's four-draw block size, so
 the weights of sample ``i`` are a pure function of ``(seed, i)``, the
 same bits whichever range of rows redraws them. Scores come from fixed
-global blocks of `_BLOCK` samples, each scored with numpy's own array
-loops (``einsum`` and row sums), never BLAS: OpenBLAS rounds matrix
-products differently under different thread counts (measured with
-OpenBLAS 0.3.31 on x86-64 for ``W @ mu`` at 200 assets and for ``W @ C``
-at 300). For a given seed, sampler and sample count, the BLAS thread
-count changes no bit of the cloud.
+global blocks of `_BLOCK` samples, each scored by the BLAS-free kernels
+that `portfolio_stats` runs on one row, so the BLAS thread count changes
+no bit of the cloud, and `portfolio_stats` gives a sample its own bits.
 
 Export
 ------
@@ -61,7 +58,8 @@ import numpy as np
 from ._files import csv_reader, csv_writer
 from .errors import DataFormatError, DegenerateSampleError, EmptyCloudError
 from .portfolio import _SUM_TOLERANCE, RiskFreeAssumption, WeightVector, _aligned
-from .return_stats import TRADING_DAYS_PER_YEAR, CovarianceMatrix
+from .portfolio import _annual_risks, _book_returns
+from .return_stats import CovarianceMatrix
 
 __all__ = [
     "FrontierSample",
@@ -201,7 +199,8 @@ def sample_frontier(
     Raises
     ------
     EmptyCloudError : n_samples < 1.
-    ValueError : unknown sampler name.
+    ValueError : unknown sampler name, or an expected return that is not
+        finite (naming its ticker).
     AlignmentError : expected returns do not align with the covariance.
     """
     if n_samples < 1:
@@ -220,12 +219,8 @@ def sample_frontier(
     for lo in range(0, n_samples, _BLOCK):
         hi = min(lo + _BLOCK, n_samples)
         w = _weight_rows(seed, sampler, lo, hi, len(tickers))
-        # no BLAS here (not W @ mu, not W @ C): see the determinism contract
-        ret = returns[lo:hi] = (w * mu).sum(axis=1)
-        var = (np.einsum("ij,jk->ik", w, cov.entries) * w).sum(axis=1)
-        # a PSD-validated covariance can still round the quadratic form a
-        # hair below zero; clamp before the square root
-        risk = risks[lo:hi] = np.sqrt(np.maximum(var, 0.0) * TRADING_DAYS_PER_YEAR)
+        ret = returns[lo:hi] = _book_returns(w, mu)
+        risk = risks[lo:hi] = _annual_risks(w, cov.entries)
         np.divide(ret - rf.rate, risk, out=sharpes[lo:hi], where=risk > 0.0)
     return FrontierCloud(tickers, returns, risks, sharpes, seed, rf, sampler)
 

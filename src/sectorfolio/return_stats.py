@@ -10,7 +10,8 @@ Conventions used throughout:
 All statistics expect a complete panel, so run
 `market_data.apply_missing_data_policy` (or `fill_gaps`) before calling
 the panel-level functions here. `asset_stats` and `covariance_matrix`
-share one returns matrix, the whole close matrix divided at once.
+share one returns matrix, the whole close matrix divided at once, and
+the per-series functions run the same row kernels on one row.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def daily_returns(series: PriceSeries) -> ReturnSeries:
         raise InsufficientDataError(
             f"{series.ticker}: need at least 2 prices for returns, have {len(series)}"
         )
-    returns = series.closes[1:] / series.closes[:-1] - 1.0
+    returns = _simple_returns(series.closes[None])[0]
     return ReturnSeries(series.ticker, list(series.dates[1:]), returns)
 
 
@@ -169,7 +170,7 @@ def annualize_return(returns: ReturnSeries) -> float:
     """
     if len(returns) == 0:
         raise InsufficientDataError(f"{returns.ticker}: no returns to annualize")
-    return float(np.mean(returns.returns)) * TRADING_DAYS_PER_YEAR
+    return float(_annual_means(returns.returns[None])[0])
 
 
 def daily_volatility(returns: ReturnSeries) -> float:
@@ -184,7 +185,7 @@ def daily_volatility(returns: ReturnSeries) -> float:
         raise InsufficientDataError(
             f"{returns.ticker}: need at least 2 returns for volatility, have {len(returns)}"
         )
-    return float(np.std(returns.returns, ddof=1))
+    return float(_sample_deviations(returns.returns[None])[0])
 
 
 def annual_volatility(daily_vol: float) -> float:
@@ -207,8 +208,8 @@ def asset_stats(panel: PricePanel) -> list[AssetStats]:
     so that each ticker has two or more returns.
     """
     returns = _daily_returns(panel)
-    means = (returns.mean(axis=1) * TRADING_DAYS_PER_YEAR).tolist()
-    vols = returns.std(axis=1, ddof=1).tolist()
+    means = _annual_means(returns).tolist()
+    vols = _sample_deviations(returns).tolist()
     return [AssetStats(t, m, dv, annual_volatility(dv)) for t, m, dv in zip(panel.tickers, means, vols)]
 
 
@@ -270,4 +271,16 @@ def _daily_returns(panel: PricePanel) -> np.ndarray:
         raise ValueError("panel has gaps; apply the missing-data policy first")
     if panel.n_dates < 3:
         raise InsufficientDataError(f"need at least 3 dates, panel has {panel.n_dates}")
-    return panel.closes[:, 1:] / panel.closes[:, :-1] - 1.0
+    return _simple_returns(panel.closes)
+
+
+def _simple_returns(closes: np.ndarray) -> np.ndarray:
+    return closes[:, 1:] / closes[:, :-1] - 1.0
+
+
+def _annual_means(returns: np.ndarray) -> np.ndarray:
+    return returns.mean(axis=1) * TRADING_DAYS_PER_YEAR
+
+
+def _sample_deviations(returns: np.ndarray) -> np.ndarray:
+    return returns.std(axis=1, ddof=1)

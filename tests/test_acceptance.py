@@ -33,6 +33,7 @@ from sectorfolio import (
     optimum_risk_portfolio,
     portfolio_annual_risk,
     portfolio_return,
+    portfolio_stats,
     portfolio_variance,
     read_sector_results,
     read_weights_csv,
@@ -182,6 +183,28 @@ def test_cloud_selection_matches_brute_force_and_threads(fixture):
     for name in ("annual_returns", "annual_risks", "sharpe_ratios"):
         assert getattr(rerun, name).tobytes() == getattr(cloud, name).tobytes(), name
     assert time.perf_counter() - started < 5.0
+
+
+def toy_fixture_49():
+    rng = np.random.default_rng(49)
+    tickers = [f"S{i:02d}" for i in range(49)]
+    factors = rng.normal(scale=0.01, size=(49, 60))
+    cov = CovarianceMatrix(tickers, factors @ factors.T / 59)
+    return dict(zip(tickers, rng.normal(0.10, 0.08, 49))), cov
+
+
+@pytest.mark.criterion(4)
+@pytest.mark.parametrize("fixture", [toy_fixture_10, toy_fixture_49], ids=["10-asset", "49-asset"])
+def test_library_scores_equal_the_cloud_scores_bit_for_bit(fixture):
+    # 5,000 samples span three scoring blocks; each row is scored alone here
+    mu, cov = fixture()
+    cloud = sample_frontier(mu, cov, n_samples=5_000, seed=3)
+    stats = [portfolio_stats(cloud.sample(i).weights, mu, cov) for i in range(cloud.sample_count)]
+    for name, field in (("annual_returns", "annual_return"), ("annual_risks", "annual_risk"),
+                        ("sharpe_ratios", "sharpe")):
+        library = np.array([getattr(s, field) for s in stats])
+        differ = int(np.count_nonzero(library.view(np.int64) != getattr(cloud, name).view(np.int64)))
+        assert differ == 0, f"{name}: {differ} of {cloud.sample_count} differ"
 
 
 @pytest.mark.criterion(4)

@@ -1,5 +1,6 @@
 """Buy-and-hold backtests with fractional shares."""
 
+import math
 from datetime import date
 
 import numpy as np
@@ -153,6 +154,44 @@ def test_backtest_argument_validation():
         run_backtest(w, {"A": 10.0}, prices, 100.0)
     with pytest.raises(ValueError, match="B"):
         run_backtest(w, {"A": 10.0, "B": -1.0}, prices, 100.0)
+
+
+@pytest.mark.parametrize("capital", [math.nan, math.inf, -math.inf])
+def test_backtest_rejects_capital_that_is_not_finite(capital):
+    w = equal_weights(["A", "B"])
+    prices = {"A": 10.0, "B": 20.0}
+    with pytest.raises(ValueError, match="capital must be positive and finite"):
+        run_backtest(w, prices, prices, capital)
+
+
+def test_fixed_amount_mode_rejects_a_nominal_size_below_the_book():
+    # two tickets of 100/2 on three tickers would deploy 150 of 100
+    w = equal_weights(["A", "B", "C"])
+    prices = {"A": 10.0, "B": 20.0, "C": 30.0}
+    with pytest.raises(ValueError, match="nominal universe size 2 is below the book's 3 tickers"):
+        run_backtest(w, prices, prices, 100.0, mode="fixed-amount-per-stock",
+                     nominal_universe_size=2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_backtest_names_the_ticker_of_a_price_that_is_not_finite(bad):
+    w = equal_weights(["A", "B"])
+    with pytest.raises(ValueError, match="buy prices: B is not finite"):
+        run_backtest(w, {"A": 10.0, "B": bad}, {"A": 10.0, "B": 20.0}, 100.0)
+    with pytest.raises(ValueError, match="sell prices: B is not finite"):
+        run_backtest(w, [10.0, 20.0], [10.0, bad], 100.0)
+
+
+def test_backtest_from_panel_reads_the_book_out_of_a_wider_panel():
+    # the panel holds two tickers outside the book, and the book's two in another order
+    dates = weekdays(date(2022, 1, 3), 3)
+    closes = np.array([[5.0, 6.0, 7.0], [20.0, 21.0, 25.0], [1.0, 2.0, 3.0], [10.0, 9.0, 12.5]])
+    panel = PricePanel(["Z", "B", "Y", "A"], dates, closes)
+    book = WeightVector(["A", "B"], np.array([0.3, 0.7]))
+    for mode, nominal in (("simplex", None), ("fixed-amount-per-stock", 4)):
+        expected = run_backtest(book, {"B": 20.0, "A": 10.0}, {"A": 12.5, "B": 25.0},
+                                1000.0, mode, nominal)
+        assert backtest_from_panel(book, panel, 1000.0, mode, nominal) == expected
 
 
 def test_backtest_from_panel_uses_first_and_last_dates():

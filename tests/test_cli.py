@@ -306,6 +306,40 @@ def test_pipeline_rejects_bad_samples_or_threshold_before_writing(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("capital", ["nan", "inf", "-inf"])
+def test_pipeline_rejects_capital_that_is_not_finite_before_writing(tmp_path, capsys, capital):
+    ini, _ = build_sector(tmp_path, sector="Capital Sector")
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--universe", ini, "--out", out, f"--capital={capital}") == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"sectorfolio pipeline: Capital Sector: capital must be positive and finite, "
+        f"got {float(capital)}\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_backtest_names_a_book_ticker_outside_the_universe(tmp_path, capsys):
+    # CCC is in the price file but not in the universe
+    ini, prices = build_sector(tmp_path, sector="Two Names")
+    universe = read_universe_config(ini)
+    write_universe(ini, "Two Names", ["AAA", "BBB"], universe.train_window,
+                   universe.test_window, prices=prices.name)
+    weights = tmp_path / "weights.csv"
+    weights.write_text("ticker,ewp,mrp,orp\nAAA,0.5,0.5,0.4\nBBB,0.5,0.5,0.4\nCCC,0,0,0.2\n",
+                       encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("backtest", "--universe", ini, "--out", out, "--weights", weights) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"sectorfolio backtest: {weights}: orp book holds tickers outside the "
+        "Two Names universe: CCC\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_missing_price_file_fails_cleanly(tmp_path, capsys):
     ini = write_universe(
         tmp_path / "u.ini", "X", ["AAA"],

@@ -128,6 +128,15 @@ def test_sample_frontier_argument_validation():
         sample_frontier({"AAA": 0.1}, COV3, n_samples=10)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sample_frontier_rejects_an_expected_return_that_is_not_finite(bad):
+    # unchecked, a NaN return makes every Sharpe ratio NaN, and argmax takes sample 0 as the ORP
+    with pytest.raises(ValueError, match="expected returns: BBB is not finite"):
+        sample_frontier([0.08, bad, 0.30], COV3, n_samples=10)
+    with pytest.raises(ValueError, match="expected returns: BBB is not finite"):
+        sample_frontier({**MU3, "BBB": bad}, COV3, n_samples=10)
+
+
 def test_selection_tie_breaks_on_first_index():
     # rows 1 and 3 tie on risk and Sharpe but hold different weights
     cloud = _cloud(TICKERS3, [

@@ -163,3 +163,12 @@ def test_portfolio_stats_consistent_with_components():
     assert stats.sharpe == pytest.approx(
         (stats.annual_return - 0.01) / stats.annual_risk, rel=1e-15
     )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_portfolio_return_rejects_an_expected_return_that_is_not_finite(bad):
+    w = equal_weights(["AAA", "BBB", "CCC"])
+    with pytest.raises(ValueError, match="expected returns: BBB is not finite"):
+        portfolio_return(w, {"AAA": 0.1, "BBB": bad, "CCC": 0.2})
+    with pytest.raises(ValueError, match="expected returns: BBB is not finite"):
+        portfolio_stats(w, [0.1, bad, 0.2], np.eye(3) * 1e-4)
