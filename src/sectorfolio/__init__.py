@@ -6,153 +6,23 @@ minimum-risk and maximum-Sharpe books, and backtests them buy-and-hold
 against the equal-weight portfolio. A small CLI (``sectorfolio``)
 drives the same steps per sector and rolls results into a cross-sector
 summary.
+
+The package's public names are those its modules list in ``__all__``.
 """
 
-from . import errors
-from .errors import (
-    AlignmentError,
-    AnalyticsError,
-    DataFormatError,
-    DegenerateAssetError,
-    DegenerateSampleError,
-    EmptyCloudError,
-    EmptyPanelError,
-    EmptySummaryError,
-    EmptyUniverseError,
-    FetchError,
-    InsufficientDataError,
-    MissingTickerError,
-)
-from .backtest import (
-    MODES,
-    Allocation,
-    BacktestReport,
-    backtest_from_panel,
-    run_backtest,
-    write_backtest_csv,
-)
-from .frontier import (
-    WEIGHT_SAMPLERS,
-    FrontierCloud,
-    FrontierSample,
-    export_frontier,
-    min_risk_portfolio,
-    optimum_risk_portfolio,
-    read_frontier_csv,
-    sample_frontier,
-)
-from .market_data import (
-    PricePanel,
-    PriceSeries,
-    UniverseConfig,
-    apply_missing_data_policy,
-    fill_gaps,
-    load_price_panel,
-    parse_price_file,
-    read_universe_config,
-    write_long_csv,
-)
-from .portfolio import (
-    PortfolioStats,
-    RiskFreeAssumption,
-    WeightVector,
-    equal_weights,
-    portfolio_annual_risk,
-    portfolio_return,
-    portfolio_stats,
-    portfolio_variance,
-    sharpe_ratio,
-)
-from .reports import (
-    SectorResult,
-    read_sector_results,
-    read_weights_csv,
-    winner_counts,
-    write_sector_result,
-    write_stats_csv,
-    write_summary,
-    write_weights_csv,
-)
-from .return_stats import (
-    TRADING_DAYS_PER_YEAR,
-    AssetStats,
-    CovarianceMatrix,
-    ReturnSeries,
-    annual_volatility,
-    annualize_return,
-    asset_stats,
-    correlation_matrix,
-    covariance_matrix,
-    daily_returns,
-    daily_volatility,
-)
+from . import backtest, errors, frontier, market_data, portfolio, reports, return_stats
+from .backtest import *
+from .errors import *
+from .frontier import *
+from .market_data import *
+from .portfolio import *
+from .reports import *
+from .return_stats import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "errors",
-    "AnalyticsError",
-    "AlignmentError",
-    "DataFormatError",
-    "DegenerateAssetError",
-    "DegenerateSampleError",
-    "EmptyCloudError",
-    "EmptyPanelError",
-    "EmptySummaryError",
-    "EmptyUniverseError",
-    "FetchError",
-    "InsufficientDataError",
-    "MissingTickerError",
-    "TRADING_DAYS_PER_YEAR",
-    "MODES",
-    "WEIGHT_SAMPLERS",
-    "PriceSeries",
-    "PricePanel",
-    "UniverseConfig",
-    "read_universe_config",
-    "parse_price_file",
-    "load_price_panel",
-    "fill_gaps",
-    "apply_missing_data_policy",
-    "write_long_csv",
-    "ReturnSeries",
-    "AssetStats",
-    "CovarianceMatrix",
-    "daily_returns",
-    "annualize_return",
-    "daily_volatility",
-    "annual_volatility",
-    "asset_stats",
-    "covariance_matrix",
-    "correlation_matrix",
-    "RiskFreeAssumption",
-    "WeightVector",
-    "PortfolioStats",
-    "equal_weights",
-    "portfolio_return",
-    "portfolio_variance",
-    "portfolio_annual_risk",
-    "portfolio_stats",
-    "sharpe_ratio",
-    "FrontierSample",
-    "FrontierCloud",
-    "sample_frontier",
-    "min_risk_portfolio",
-    "optimum_risk_portfolio",
-    "export_frontier",
-    "read_frontier_csv",
-    "Allocation",
-    "BacktestReport",
-    "run_backtest",
-    "backtest_from_panel",
-    "write_backtest_csv",
-    "SectorResult",
-    "winner_counts",
-    "write_stats_csv",
-    "write_weights_csv",
-    "read_weights_csv",
-    "write_sector_result",
-    "read_sector_results",
-    "write_summary",
+__all__ = ["__version__", "errors"] + [
+    name
+    for module in (errors, market_data, return_stats, portfolio, frontier, backtest, reports)
+    for name in module.__all__
 ]

@@ -48,6 +48,32 @@ def csv_reader(source: Target) -> Iterator[tuple[str, Any, list[str]]]:
             raise DataFormatError(_not_utf8(source, path, exc)) from None
 
 
+def header_names(names: Sequence[str], path: str) -> list[str]:
+    """`names` stripped; a blank or repeated name raises DataFormatError at line 1."""
+    stripped = [name.strip() for name in names]
+    seen: set[str] = set()
+    for name in stripped:
+        if not name:
+            raise DataFormatError(f"{path}: line 1: blank column name in header")
+        if name in seen:
+            raise DataFormatError(f"{path}: line 1: repeated column {name!r} in header")
+        seen.add(name)
+    return stripped
+
+
+def skip_row(row: list[str], width: int, path: str, line: int) -> bool:
+    """True for a row the dialect skips: all cells blank, or a comment (first
+    cell starting with ``#``, such as the summary's win-count footer).
+
+    Any other row without `width` fields raises DataFormatError naming `line`.
+    """
+    if not any(cell.strip() for cell in row) or row[0].startswith("#"):
+        return True
+    if len(row) != width:
+        raise DataFormatError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
+    return False
+
+
 def _not_utf8(source: Target, path: str, exc: UnicodeDecodeError) -> str:
     """Name the first byte that is not UTF-8, and its line when `source` is a path.
 

@@ -8,6 +8,21 @@ precondition rather than a portfolio-domain condition.
 
 from __future__ import annotations
 
+__all__ = [
+    "AnalyticsError",
+    "DataFormatError",
+    "MissingTickerError",
+    "EmptyPanelError",
+    "EmptyUniverseError",
+    "InsufficientDataError",
+    "DegenerateAssetError",
+    "AlignmentError",
+    "EmptyCloudError",
+    "DegenerateSampleError",
+    "EmptySummaryError",
+    "FetchError",
+]
+
 
 class AnalyticsError(Exception):
     """Base class for all domain errors raised by this package."""

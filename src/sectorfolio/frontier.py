@@ -55,7 +55,7 @@ from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._files import csv_reader, csv_writer
+from ._files import csv_reader, csv_writer, header_names, skip_row
 from .errors import DataFormatError, DegenerateSampleError, EmptyCloudError
 from .portfolio import _SUM_TOLERANCE, RiskFreeAssumption, WeightVector, _aligned
 from .portfolio import _annual_risks, _book_returns
@@ -363,8 +363,9 @@ def read_frontier_csv(
 ) -> tuple[list[str], list[tuple[float, float, float, np.ndarray, str]]]:
     """Reload an exported cloud as (tickers, rows).
 
-    Each row is (annual_risk, annual_return, sharpe, weights, flag).
-    Raises DataFormatError on any malformed line.
+    Each row is (annual_risk, annual_return, sharpe, weights, flag), the
+    flag one of ``mrp``, ``orp``, ``mrp+orp`` or empty. Raises
+    DataFormatError on any malformed line.
     """
     with csv_reader(source) as (path, reader, header):
         if (
@@ -374,13 +375,13 @@ def read_frontier_csv(
             or any(not h.startswith("w_") for h in header[3:-1])
         ):
             raise DataFormatError(f"{path}: line 1: not a frontier export header")
-        tickers = [h[2:] for h in header[3:-1]]
+        tickers = header_names([h[2:] for h in header[3:-1]], path)
         rows = []
         for row in reader:
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}: line {reader.line_num}: expected {len(header)} fields"
-                )
+            if skip_row(row, len(header), path, reader.line_num):
+                continue
+            if row[-1] not in _ROW_ENDS:
+                raise DataFormatError(f"{path}: line {reader.line_num}: unknown flag {row[-1]!r}")
             try:
                 values = [float(x) for x in row[:-1]]
             except ValueError as exc:

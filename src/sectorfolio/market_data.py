@@ -63,7 +63,7 @@ from typing import IO, Any, Iterable, Iterator
 
 import numpy as np
 
-from ._files import _not_utf8, csv_reader, csv_writer
+from ._files import _not_utf8, csv_reader, csv_writer, header_names, skip_row
 from .errors import (
     DataFormatError,
     EmptyPanelError,
@@ -345,12 +345,8 @@ def _parse_long(reader: Any, path: str) -> _Parsed:
     for row in reader:
         day = day_cells.get(row[0]) if len(row) == 3 else None
         if day is None:
-            if not row or all(not cell.strip() for cell in row):
+            if skip_row(row, 3, path, reader.line_num):
                 continue
-            if len(row) != 3:
-                raise DataFormatError(
-                    f"{path}: line {reader.line_num}: expected 3 fields, got {len(row)}"
-                )
             day = day_cells[row[0]] = _parse_date(row[0], path=path, line=reader.line_num)
         ticker = row[1].strip()
         if not ticker:
@@ -371,20 +367,12 @@ def _parse_long(reader: Any, path: str) -> _Parsed:
 
 
 def _parse_wide(reader: Any, header: list[str], path: str) -> _Parsed:
-    tickers = [h.strip() for h in header[1:]]
-    if not tickers or any(not t for t in tickers):
-        raise DataFormatError(f"{path}: line 1: blank ticker column in header")
-    if len(set(tickers)) != len(tickers):
-        raise DataFormatError(f"{path}: line 1: duplicate ticker column in header")
+    tickers = header_names(header[1:], path)
     days: dict[date, int] = {}  # date -> row of `values`
     values = array("d")
     for row in reader:
-        if not row or all(not cell.strip() for cell in row):
+        if skip_row(row, len(header), path, reader.line_num):
             continue
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"{path}: line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
-            )
         day = _parse_date(row[0], path=path, line=reader.line_num)
         if day in days:
             raise DataFormatError(f"{path}: line {reader.line_num}: duplicate date {day}")

@@ -161,6 +161,8 @@ def portfolio_return(
 
 
 def _cov_entries(weights: WeightVector, cov: CovarianceMatrix | np.ndarray) -> np.ndarray:
+    """Covariance entries in the weights' ticker order; a plain array is taken
+    to be in that order and gets the checks `CovarianceMatrix` makes."""
     if isinstance(cov, CovarianceMatrix):
         if set(cov.tickers) != set(weights.tickers):
             raise AlignmentError(
@@ -173,7 +175,7 @@ def _cov_entries(weights: WeightVector, cov: CovarianceMatrix | np.ndarray) -> n
     n = len(weights)
     if entries.shape != (n, n):
         raise AlignmentError(f"covariance shape {entries.shape}, expected ({n}, {n})")
-    return entries
+    return CovarianceMatrix(weights.tickers, entries).entries
 
 
 def portfolio_variance(
@@ -207,16 +209,19 @@ def sharpe_ratio(
     Raises
     ------
     ValueError
-        Negative risk.
+        A return or risk that is not finite, a negative risk, or a
+        risk-free rate that `RiskFreeAssumption` rejects.
     ZeroDivisionError
         Zero risk, where the ratio is undefined.
     """
+    if not (math.isfinite(annual_return) and math.isfinite(annual_risk)):
+        raise ValueError(f"return and risk must be finite, got {annual_return}, {annual_risk}")
     if annual_risk < 0.0:
         raise ValueError(f"risk cannot be negative, got {annual_risk}")
     if annual_risk == 0.0:
         raise ZeroDivisionError("Sharpe ratio undefined at zero risk")
-    rate = rf.rate if isinstance(rf, RiskFreeAssumption) else float(rf)
-    return (annual_return - rate) / annual_risk
+    rf = rf if isinstance(rf, RiskFreeAssumption) else RiskFreeAssumption(float(rf))
+    return (annual_return - rf.rate) / annual_risk
 
 
 def portfolio_stats(

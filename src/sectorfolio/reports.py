@@ -1,9 +1,8 @@
 """Report-file serialization and the cross-sector summary.
 
 Report CSVs print percentages with two decimals and weights with six.
-Lines starting with ``#`` are comments; readers skip them and blank
-lines. Returns are held as fractions in memory and become ``*_pct``
-columns on disk.
+Returns are held as fractions in memory and become ``*_pct`` columns on
+disk.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from ._files import csv_reader, csv_writer
+from ._files import csv_reader, csv_writer, header_names, skip_row
 from .errors import AlignmentError, DataFormatError, EmptySummaryError
 from .portfolio import WeightVector
 from .return_stats import AssetStats
@@ -113,16 +112,12 @@ def read_weights_csv(source: str | Path | IO[str]) -> dict[str, WeightVector]:
     with csv_reader(source) as (path, reader, header):
         if len(header) < 2 or header[0] != "ticker":
             raise DataFormatError(f"{path}: line 1: not a weights header")
-        columns = header[1:]
+        columns = header_names(header[1:], path)
         tickers: list[str] = []
         values: list[list[float]] = []
         for row in reader:
-            if not row or row[0].startswith("#"):
+            if skip_row(row, len(header), path, reader.line_num):
                 continue
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}: line {reader.line_num}: expected {len(header)} fields"
-                )
             ticker = row[0].strip()
             if not ticker:
                 raise DataFormatError(f"{path}: line {reader.line_num}: empty ticker")
@@ -201,12 +196,8 @@ def read_sector_results(*sources: str | Path | IO[str]) -> list[SectorResult]:
             if header != _RESULT_HEADER:
                 raise DataFormatError(f"{path}: line 1: not a sector-result header")
             for row in reader:
-                if not row or row[0].startswith("#"):
+                if skip_row(row, len(_RESULT_HEADER), path, reader.line_num):
                     continue
-                if len(row) != 4:
-                    raise DataFormatError(
-                        f"{path}: line {reader.line_num}: expected 4 fields, got {len(row)}"
-                    )
                 sector, ewp_text, orp_text, winner = row
                 if winner not in WINNERS:
                     raise DataFormatError(

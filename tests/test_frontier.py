@@ -237,6 +237,14 @@ def test_read_frontier_rejects_malformed_input(tmp_path):
         read_frontier_csv(path)
 
 
+@pytest.mark.parametrize("flag", ["bogus", "MRP", "orp+mrp", " mrp"])
+def test_read_frontier_rejects_an_unknown_flag(flag):
+    text = f"annual_risk,annual_return,sharpe,w_A,flag\n0.1,0.2,1.9,1,mrp\n0.1,0.2,1.9,1,{flag}\n"
+    with pytest.raises(DataFormatError) as caught:
+        read_frontier_csv(io.StringIO(text))
+    assert str(caught.value) == f"<stream>: line 3: unknown flag {flag!r}"
+
+
 def _exported(cloud):
     buf = io.StringIO()
     export_frontier(cloud, buf)

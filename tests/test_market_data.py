@@ -462,6 +462,63 @@ def test_csv_module_errors_become_data_format_errors(reader, text, message):
         reader(stream)
 
 
+# each reader of the one CSV dialect: its header, two valid rows, what to
+# compare of its result, and its header with a blank name and with a repeat
+_DIALECT_READERS = {
+    "long-prices": (
+        parse_price_file, "date,ticker,close", ["2022-01-03,AAA,100", "2022-01-04,AAA,101"],
+        lambda panel: (panel.tickers, panel.dates, panel.closes.tolist()), None,
+    ),
+    "wide-prices": (
+        parse_price_file, "date,AAA,BBB", ["2022-01-03,100,50", "2022-01-04,101,51"],
+        lambda panel: (panel.tickers, panel.dates, panel.closes.tolist()),
+        ("date,AAA, ", "date,AAA,AAA"),
+    ),
+    "weights": (
+        read_weights_csv, "ticker,ewp,mrp", ["AAA,0.5,0.25", "BBB,0.5,0.75"],
+        lambda books: {k: (v.tickers, v.weights.tolist()) for k, v in books.items()},
+        ("ticker,ewp,", "ticker,ewp,ewp"),
+    ),
+    "frontier": (
+        read_frontier_csv, "annual_risk,annual_return,sharpe,w_AAA,w_BBB,flag",
+        ["0.1,0.2,1.9,0.5,0.5,mrp", "0.2,0.3,1.45,0.25,0.75,orp"],
+        lambda out: (out[0], [(*row[:3], row[3].tolist(), row[4]) for row in out[1]]),
+        ("annual_risk,annual_return,sharpe,w_AAA,w_,flag",
+         "annual_risk,annual_return,sharpe,w_AAA,w_AAA,flag"),
+    ),
+    "sector-results": (
+        read_sector_results, "sector,ewp_test_return_pct,orp_test_return_pct,winner",
+        ["Auto,23.52,25.78,ORP", "Metal,14.38,41.97,ORP"],
+        lambda results: [(r.sector, r.ewp_test_return, r.orp_test_return, r.winner)
+                         for r in results],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_DIALECT_READERS))
+def test_every_reader_keeps_the_one_dialect(name):
+    reader, header, rows, result, bad_headers = _DIALECT_READERS[name]
+
+    def read(*lines):
+        return reader(io.StringIO("\n".join(lines) + "\n"))
+
+    expected = result(read(header, *rows))
+    width = header.count(",") + 1
+    # skipped between rows and at the end: blank, whitespace-only, all-empty, comment
+    for junk in ["", "   ", "," * (width - 1), "# a note, with a comma"]:
+        assert result(read(header, rows[0], junk, rows[1], junk)) == expected, repr(junk)
+    with pytest.raises(DataFormatError) as caught:
+        read(header, rows[0], ",".join(rows[1].split(",")[:2]))
+    assert str(caught.value) == f"<stream>: line 3: expected {width} fields, got 2"
+    if bad_headers is not None:
+        blank, repeated = bad_headers
+        with pytest.raises(DataFormatError, match="^<stream>: line 1: blank column name"):
+            read(blank, *rows)
+        with pytest.raises(DataFormatError, match="^<stream>: line 1: repeated column '(AAA|ewp)'"):
+            read(repeated, *rows)
+
+
 def test_a_byte_that_is_not_utf8_is_placed_on_its_line(tmp_path):
     # far past the decoder's first chunk, where the reader's count lags
     for reader, head, row, bad in [

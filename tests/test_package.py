@@ -1,0 +1,35 @@
+"""The package's public surface: the names its modules list, and nothing more imported."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import sectorfolio
+from sectorfolio import backtest, errors, frontier, market_data, portfolio, reports, return_stats
+
+MODULES = (errors, market_data, return_stats, portfolio, frontier, backtest, reports)
+
+
+def test_the_package_exports_what_its_modules_list():
+    listed = {name: module for module in MODULES for name in module.__all__}
+    assert set(sectorfolio.__all__) == {"__version__", "errors", *listed}
+    assert len(sectorfolio.__all__) == len(set(sectorfolio.__all__))
+    for name, module in listed.items():
+        assert getattr(sectorfolio, name) is getattr(module, name), name
+    assert sectorfolio.errors is errors
+
+
+def test_importing_the_package_leaves_fetch_and_the_cli_unloaded():
+    src = str(Path(sectorfolio.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, sectorfolio; "
+        "print(sorted({'sectorfolio.fetch', 'sectorfolio.cli'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -172,3 +172,36 @@ def test_portfolio_return_rejects_an_expected_return_that_is_not_finite(bad):
         portfolio_return(w, {"AAA": 0.1, "BBB": bad, "CCC": 0.2})
     with pytest.raises(ValueError, match="expected returns: BBB is not finite"):
         portfolio_stats(w, [0.1, bad, 0.2], np.eye(3) * 1e-4)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[math.nan, 0.0], [0.0, 1e-4]], "covariance entries must be finite"),
+        ([[1e-4, 5e-3], [0.0, 1e-4]], "covariance matrix is not symmetric"),
+        ([[1e-4, 5e-3], [5e-3, 1e-4]], "covariance matrix is not positive semidefinite"),
+    ],
+    ids=["nan", "asymmetric", "not-psd"],
+)
+def test_a_covariance_array_gets_the_covariance_matrix_checks(entries, message):
+    w = equal_weights(["A", "B"])
+    for call in (portfolio_variance, portfolio_annual_risk):
+        with pytest.raises(ValueError, match=message):
+            call(w, np.array(entries))
+    with pytest.raises(ValueError, match=message):
+        portfolio_stats(w, [0.1, 0.2], entries)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((math.nan, 0.2), "return and risk must be finite"),
+        ((0.1, math.nan), "return and risk must be finite"),
+        ((0.1, math.inf), "return and risk must be finite"),
+        ((0.1, 0.2, math.nan), "risk-free rate must be finite"),
+    ],
+    ids=["return", "risk", "infinite-risk", "rf"],
+)
+def test_sharpe_ratio_rejects_an_input_that_is_not_finite(args, message):
+    with pytest.raises(ValueError, match=message):
+        sharpe_ratio(*args)
