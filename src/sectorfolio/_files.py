@@ -30,9 +30,13 @@ def text_stream(target: Target) -> Iterator[IO[str]]:
 def csv_reader(source: Target) -> Iterator[tuple[str, Any, list[str]]]:
     """Yield the source's name, a csv reader past the header, and the header.
 
-    An empty source, a csv module error inside the block (say, an
-    over-long field) or bytes that are not UTF-8 raise DataFormatError
-    naming the source.
+    This is the only code that says where a fault is. A ValueError or
+    csv module error (say, an over-long field) raised inside the block
+    is a fault of the header or of the row just read, and becomes
+    DataFormatError ``"<source>: line N: <reason>"``, N being the line
+    where that record ends. So a check of the whole file, which names no
+    line, runs after the block. An empty source, or bytes that are not
+    UTF-8, also raise DataFormatError naming the source.
     """
     with text_stream(source) as fh:
         path = str(getattr(fh, "name", "<stream>"))
@@ -42,35 +46,35 @@ def csv_reader(source: Target) -> Iterator[tuple[str, Any, list[str]]]:
             if header is None:
                 raise DataFormatError(f"{path}: empty file")
             yield path, reader, header
-        except csv.Error as exc:
-            raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
+        except UnicodeDecodeError as exc:  # a ValueError too, so caught first
             raise DataFormatError(_not_utf8(source, path, exc)) from None
+        except (csv.Error, ValueError) as exc:
+            raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def header_names(names: Sequence[str], path: str) -> list[str]:
-    """`names` stripped; a blank or repeated name raises DataFormatError at line 1."""
+def header_names(names: Sequence[str]) -> list[str]:
+    """`names` stripped; a blank or repeated name raises ValueError."""
     stripped = [name.strip() for name in names]
     seen: set[str] = set()
     for name in stripped:
         if not name:
-            raise DataFormatError(f"{path}: line 1: blank column name in header")
+            raise ValueError("blank column name in header")
         if name in seen:
-            raise DataFormatError(f"{path}: line 1: repeated column {name!r} in header")
+            raise ValueError(f"repeated column {name!r} in header")
         seen.add(name)
     return stripped
 
 
-def skip_row(row: list[str], width: int, path: str, line: int) -> bool:
+def skip_row(row: list[str], width: int) -> bool:
     """True for a row the dialect skips: all cells blank, or a comment (first
     cell starting with ``#``, such as the summary's win-count footer).
 
-    Any other row without `width` fields raises DataFormatError naming `line`.
+    Any other row without `width` fields raises ValueError.
     """
     if not any(cell.strip() for cell in row) or row[0].startswith("#"):
         return True
     if len(row) != width:
-        raise DataFormatError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
+        raise ValueError(f"expected {width} fields, got {len(row)}")
     return False
 
 

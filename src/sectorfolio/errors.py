@@ -29,7 +29,7 @@ class AnalyticsError(Exception):
 
 
 class DataFormatError(AnalyticsError):
-    """A price, config, or report file is malformed. Message carries the line number."""
+    """A price, config, or report file is malformed. Message names the file, and any line."""
 
 
 class MissingTickerError(AnalyticsError):

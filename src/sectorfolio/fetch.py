@@ -38,12 +38,18 @@ def _http_get(url: str, timeout: float) -> str:
 def _parse_payload(ticker: str, text: str) -> PriceSeries:
     reader = csv.reader(io.StringIO(text))
     try:
-        return _parse_rows(ticker, reader)
-    except csv.Error as exc:
+        rows = _parse_rows(ticker, reader)
+    except (csv.Error, ValueError) as exc:
+        # a fault of the row just read: the only place its line is named
         raise FetchError(f"{ticker}: line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise FetchError(f"{ticker}: no usable rows in response")
+    days = sorted(rows)
+    return PriceSeries(ticker, days, [rows[d] for d in days])
 
 
-def _parse_rows(ticker: str, reader) -> PriceSeries:
+def _parse_rows(ticker: str, reader) -> dict[date, float]:
+    """The payload's usable closes by date; a faulty row raises ValueError."""
     try:
         header = [h.strip().lower() for h in next(reader)]
     except StopIteration:
@@ -58,26 +64,20 @@ def _parse_rows(ticker: str, reader) -> PriceSeries:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) <= max(date_col, close_col):
-            raise FetchError(f"{ticker}: line {reader.line_num}: short row")
+            raise ValueError("short row")
         cell = row[close_col].strip()
         if cell.lower() in _NO_DATA:
             continue
-        try:
-            day = parse_iso_date(row[date_col].strip())
-            close = float(cell)
-        except ValueError as exc:
-            raise FetchError(f"{ticker}: line {reader.line_num}: {exc}") from None
+        day = parse_iso_date(row[date_col].strip())
+        close = float(cell)
         if not math.isfinite(close):
-            raise FetchError(f"{ticker}: line {reader.line_num}: close {cell!r} is not finite")
+            raise ValueError(f"close {cell!r} is not finite")
         if close <= 0.0:
             continue
         if day in rows:
-            raise FetchError(f"{ticker}: line {reader.line_num}: duplicate date {day}")
+            raise ValueError(f"duplicate date {day}")
         rows[day] = close
-    if not rows:
-        raise FetchError(f"{ticker}: no usable rows in response")
-    days = sorted(rows)
-    return PriceSeries(ticker, days, [rows[d] for d in days])
+    return rows
 
 
 def fetch_history(

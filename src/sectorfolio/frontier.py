@@ -56,7 +56,7 @@ from typing import IO, Callable, Mapping, Sequence
 import numpy as np
 
 from ._files import csv_reader, csv_writer, header_names, skip_row
-from .errors import DataFormatError, DegenerateSampleError, EmptyCloudError
+from .errors import DegenerateSampleError, EmptyCloudError
 from .portfolio import _SUM_TOLERANCE, RiskFreeAssumption, WeightVector, _aligned
 from .portfolio import _annual_risks, _book_returns
 from .return_stats import CovarianceMatrix
@@ -191,7 +191,7 @@ def sample_frontier(
         sequence aligned to ``cov.tickers``.
     cov : daily covariance matrix; defines the ticker order.
     n_samples : cloud size, at least 1.
-    seed : generator seed; same seed, same cloud.
+    seed : generator seed, an integer in [0, 2**128); same seed, same cloud.
     rf : risk-free assumption for per-sample Sharpe ratios.
     sampler : name of a registered weight sampler (see the module docs
         for what each one draws).
@@ -199,8 +199,9 @@ def sample_frontier(
     Raises
     ------
     EmptyCloudError : n_samples < 1.
-    ValueError : unknown sampler name, or an expected return that is not
-        finite (naming its ticker).
+    ValueError : unknown sampler name, a seed out of range or not an
+        integer, or an expected return that is not finite (naming its
+        ticker).
     AlignmentError : expected returns do not align with the covariance.
     """
     if n_samples < 1:
@@ -209,6 +210,12 @@ def sample_frontier(
         raise ValueError(
             f"unknown sampler {sampler!r}, known: {', '.join(sorted(WEIGHT_SAMPLERS))}"
         )
+    try:
+        seeded = 0 <= operator.index(seed) < 2**128  # Philox's key
+    except TypeError:
+        seeded = False
+    if not seeded:
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     tickers = list(cov.tickers)
     mu = _aligned(expected_returns, tickers, "expected returns")
     rf = rf if isinstance(rf, RiskFreeAssumption) else RiskFreeAssumption(float(rf))
@@ -365,28 +372,30 @@ def read_frontier_csv(
 
     Each row is (annual_risk, annual_return, sharpe, weights, flag), the
     flag one of ``mrp``, ``orp``, ``mrp+orp`` or empty. Raises
-    DataFormatError on any malformed line.
+    DataFormatError on any malformed line, including weights that
+    `WeightVector` rejects and a second row flagged ``mrp`` or ``orp``.
     """
-    with csv_reader(source) as (path, reader, header):
+    with csv_reader(source) as (_, reader, header):
         if (
             len(header) < 5
             or header[:3] != ["annual_risk", "annual_return", "sharpe"]
             or header[-1] != "flag"
             or any(not h.startswith("w_") for h in header[3:-1])
         ):
-            raise DataFormatError(f"{path}: line 1: not a frontier export header")
-        tickers = header_names([h[2:] for h in header[3:-1]], path)
+            raise ValueError("not a frontier export header")
+        tickers = header_names([h[2:] for h in header[3:-1]])
         rows = []
+        flagged: dict[str, int] = {}  # "mrp" or "orp" -> line of its row
         for row in reader:
-            if skip_row(row, len(header), path, reader.line_num):
+            if skip_row(row, len(header)):
                 continue
             if row[-1] not in _ROW_ENDS:
-                raise DataFormatError(f"{path}: line {reader.line_num}: unknown flag {row[-1]!r}")
-            try:
-                values = [float(x) for x in row[:-1]]
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-            rows.append(
-                (values[0], values[1], values[2], np.array(values[3:]), row[-1])
-            )
+                raise ValueError(f"unknown flag {row[-1]!r}")
+            values = [float(x) for x in row[:-1]]
+            weights = WeightVector(tickers, values[3:]).weights
+            for flag in filter(None, row[-1].split("+")):
+                if flag in flagged:
+                    raise ValueError(f"flag {flag!r} repeats line {flagged[flag]}")
+                flagged[flag] = reader.line_num
+            rows.append((values[0], values[1], values[2], weights, row[-1]))
         return tickers, rows

@@ -258,6 +258,9 @@ class UniverseConfig:
             raise EmptyUniverseError(f"{self.sector}: no tickers configured")
         if len(set(self.tickers)) != len(self.tickers):
             raise ValueError(f"{self.sector}: duplicate tickers in universe")
+        for ticker in self.tickers:
+            if ticker.strip().startswith("#"):
+                raise ValueError(f"{self.sector}: ticker {ticker!r} reads as a CSV comment")
         for name, window in (("train", self.train_window), ("test", self.test_window)):
             if window[0] > window[1]:
                 raise ValueError(f"{self.sector}: {name} window starts after it ends")
@@ -314,24 +317,20 @@ def read_universe_config(path: str | Path) -> UniverseConfig:
         raise DataFormatError(f"{path}: {exc}") from None
 
 
-def _parse_date(text: str, *, path: str, line: int) -> date:
+def _parse_date(text: str) -> date:
     try:
         return parse_iso_date(text.strip())
     except ValueError:
-        raise DataFormatError(f"{path}: line {line}: bad date {text!r}") from None
+        raise ValueError(f"bad date {text!r}") from None
 
 
-def _parse_close(text: str, path: str, line: int, ticker: str) -> float:
+def _parse_close(text: str, ticker: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise DataFormatError(
-            f"{path}: line {line}: bad close {text!r} for {ticker}"
-        ) from None
+        raise ValueError(f"bad close {text!r} for {ticker}") from None
     if not 0.0 < value < math.inf:
-        raise DataFormatError(
-            f"{path}: line {line}: close for {ticker} must be finite and positive, got {text!r}"
-        )
+        raise ValueError(f"close for {ticker} must be finite and positive, got {text!r}")
     return value
 
 
@@ -339,24 +338,22 @@ def _parse_close(text: str, path: str, line: int, ticker: str) -> float:
 _Parsed = tuple[list[str], list[date], np.ndarray]
 
 
-def _parse_long(reader: Any, path: str) -> _Parsed:
+def _parse_long(reader: Any) -> _Parsed:
     quotes: dict[str, dict[date, float]] = {}  # ticker -> {date: close}, in file order
     day_cells: dict[str, date] = {}  # date cell text -> date
     for row in reader:
         day = day_cells.get(row[0]) if len(row) == 3 else None
         if day is None:
-            if skip_row(row, 3, path, reader.line_num):
+            if skip_row(row, 3):
                 continue
-            day = day_cells[row[0]] = _parse_date(row[0], path=path, line=reader.line_num)
+            day = day_cells[row[0]] = _parse_date(row[0])
         ticker = row[1].strip()
         if not ticker:
-            raise DataFormatError(f"{path}: line {reader.line_num}: empty ticker")
-        close = _parse_close(row[2], path, reader.line_num, ticker)
+            raise ValueError("empty ticker")
+        close = _parse_close(row[2], ticker)
         series = quotes.setdefault(ticker, {})
         if day in series:
-            raise DataFormatError(
-                f"{path}: line {reader.line_num}: duplicate observation for {ticker} on {day}"
-            )
+            raise ValueError(f"duplicate observation for {ticker} on {day}")
         series[day] = close
     dates = sorted(set(day_cells.values()))
     column = {d: j for j, d in enumerate(dates)}
@@ -366,19 +363,19 @@ def _parse_long(reader: Any, path: str) -> _Parsed:
     return list(quotes), dates, closes
 
 
-def _parse_wide(reader: Any, header: list[str], path: str) -> _Parsed:
-    tickers = header_names(header[1:], path)
+def _parse_wide(reader: Any, header: list[str]) -> _Parsed:
+    tickers = header_names(header[1:])
     days: dict[date, int] = {}  # date -> row of `values`
     values = array("d")
     for row in reader:
-        if skip_row(row, len(header), path, reader.line_num):
+        if skip_row(row, len(header)):
             continue
-        day = _parse_date(row[0], path=path, line=reader.line_num)
+        day = _parse_date(row[0])
         if day in days:
-            raise DataFormatError(f"{path}: line {reader.line_num}: duplicate date {day}")
+            raise ValueError(f"duplicate date {day}")
         days[day] = len(days)
         values.extend(
-            _parse_close(cell, path, reader.line_num, ticker) if cell.strip() else math.nan
+            _parse_close(cell, ticker) if cell.strip() else math.nan
             for ticker, cell in zip(tickers, row[1:])
         )
     dates = sorted(days)
@@ -403,15 +400,13 @@ def parse_price_file(source: str | Path | IO[str]) -> PricePanel:
     with csv_reader(source) as (path, reader, header):
         names = [h.strip().lower() for h in header]
         if names[:1] != ["date"]:
-            raise DataFormatError(
-                f"{path}: line 1: first column must be 'date', got {header!r}"
-            )
+            raise ValueError(f"first column must be 'date', got {header!r}")
         if names == ["date", "ticker", "close"]:
-            tickers, dates, closes = _parse_long(reader, path)
+            tickers, dates, closes = _parse_long(reader)
         elif len(names) < 2:
-            raise DataFormatError(f"{path}: line 1: unrecognized header {header!r}")
+            raise ValueError(f"unrecognized header {header!r}")
         else:
-            tickers, dates, closes = _parse_wide(reader, header, path)
+            tickers, dates, closes = _parse_wide(reader, header)
     if not dates:
         raise EmptyPanelError(f"{path}: no quotes")
     return PricePanel(tickers, dates, closes)

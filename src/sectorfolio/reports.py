@@ -51,6 +51,8 @@ class SectorResult:
     def __post_init__(self) -> None:
         if not self.sector:
             raise ValueError("sector name must be non-empty")
+        if self.sector.strip().startswith("#"):
+            raise ValueError(f"sector name {self.sector!r} reads as a CSV comment")
         if not np.isfinite([self.ewp_test_return, self.orp_test_return]).all():
             raise ValueError("test returns must be finite")
         if self.ewp_test_return > self.orp_test_return:
@@ -111,41 +113,36 @@ def read_weights_csv(source: str | Path | IO[str]) -> dict[str, WeightVector]:
     """
     with csv_reader(source) as (path, reader, header):
         if len(header) < 2 or header[0] != "ticker":
-            raise DataFormatError(f"{path}: line 1: not a weights header")
-        columns = header_names(header[1:], path)
+            raise ValueError("not a weights header")
+        columns = header_names(header[1:])
         tickers: list[str] = []
         values: list[list[float]] = []
         for row in reader:
-            if skip_row(row, len(header), path, reader.line_num):
+            if skip_row(row, len(header)):
                 continue
             ticker = row[0].strip()
             if not ticker:
-                raise DataFormatError(f"{path}: line {reader.line_num}: empty ticker")
+                raise ValueError("empty ticker")
             if ticker in tickers:
-                raise DataFormatError(
-                    f"{path}: line {reader.line_num}: duplicate ticker {ticker!r}"
-                )
+                raise ValueError(f"duplicate ticker {ticker!r}")
             tickers.append(ticker)
-            try:
-                values.append([float(x) for x in row[1:]])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-        if not tickers:
-            raise DataFormatError(f"{path}: no weight rows")
-        matrix = np.array(values)
-        out = {}
-        for j, name in enumerate(columns):
-            col = matrix[:, j]
-            total = float(col.sum())
-            if not abs(total - 1.0) <= 1e-4:  # NaN fails too
-                raise DataFormatError(
-                    f"{path}: column {name!r} sums to {total:.6f}, not a weight column"
-                )
-            try:
-                out[name] = WeightVector(list(tickers), col / total)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: column {name!r}: {exc}") from None
-        return out
+            values.append([float(x) for x in row[1:]])
+    if not tickers:
+        raise DataFormatError(f"{path}: no weight rows")
+    matrix = np.array(values)
+    out = {}
+    for j, name in enumerate(columns):
+        col = matrix[:, j]
+        total = float(col.sum())
+        if not abs(total - 1.0) <= 1e-4:  # NaN fails too
+            raise DataFormatError(
+                f"{path}: column {name!r} sums to {total:.6f}, not a weight column"
+            )
+        try:
+            out[name] = WeightVector(list(tickers), col / total)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: column {name!r}: {exc}") from None
+    return out
 
 
 def write_sector_result(result: SectorResult, dest: str | Path | IO[str]) -> None:
@@ -194,32 +191,23 @@ def read_sector_results(*sources: str | Path | IO[str]) -> list[SectorResult]:
     for k, source in enumerate(sources):
         with csv_reader(source) as (path, reader, header):
             if header != _RESULT_HEADER:
-                raise DataFormatError(f"{path}: line 1: not a sector-result header")
+                raise ValueError("not a sector-result header")
             for row in reader:
-                if skip_row(row, len(_RESULT_HEADER), path, reader.line_num):
+                if skip_row(row, len(_RESULT_HEADER)):
                     continue
                 sector, ewp_text, orp_text, winner = row
                 if winner not in WINNERS:
-                    raise DataFormatError(
-                        f"{path}: line {reader.line_num}: unknown winner {winner!r}"
-                    )
-                try:
-                    result = SectorResult(
-                        sector.strip(), float(ewp_text) / 100.0, float(orp_text) / 100.0
-                    )
-                except ValueError as exc:
-                    raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+                    raise ValueError(f"unknown winner {winner!r}")
+                result = SectorResult(
+                    sector.strip(), float(ewp_text) / 100.0, float(orp_text) / 100.0
+                )
                 tie = result.ewp_test_return == result.orp_test_return
                 if result.winner != winner and not tie:
-                    raise DataFormatError(
-                        f"{path}: line {reader.line_num}: winner {winner!r} contradicts returns"
-                    )
+                    raise ValueError(f"winner {winner!r} contradicts returns")
                 if result.sector in first:
                     held, name, line = first[result.sector]
                     where = f"line {line}" if held == k else f"{name} line {line}"
-                    raise DataFormatError(
-                        f"{path}: line {reader.line_num}: sector {result.sector!r} repeats {where}"
-                    )
+                    raise ValueError(f"sector {result.sector!r} repeats {where}")
                 first[result.sector] = (k, path, reader.line_num)
                 result.winner = winner if tie else result.winner
                 results.append(result)

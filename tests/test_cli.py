@@ -146,6 +146,15 @@ def test_ignored_concurrency_flags_reject_zero(tmp_path, capsys, flag):
     assert flag in capsys.readouterr().err
 
 
+def test_a_negative_seed_fails_in_one_line_naming_it(tmp_path, capsys):
+    ini, _ = build_sector(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("weights", "--universe", ini, "--out", out, "--seed", -1) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "sectorfolio weights: seed must be an integer in [0, 2**128), got -1\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_window_flag_takes_only_yyyy_mm_dd(tmp_path, capsys):
     ini, _ = build_sector(tmp_path)
     with pytest.raises(SystemExit) as exc:

@@ -245,6 +245,66 @@ def test_read_frontier_rejects_an_unknown_flag(flag):
     assert str(caught.value) == f"<stream>: line 3: unknown flag {flag!r}"
 
 
+_FRONTIER_HEADER = "annual_risk,annual_return,sharpe,w_A,w_B,flag\n"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["0.1,0.2,1.9,0.5,0.5,mrp", "0.2,0.3,1.4,0.5,0.5,mrp"], "line 3: flag 'mrp' repeats line 2"),
+        (["0.1,0.2,1.9,0.5,0.5,orp", "", "0.2,0.3,1.4,0.5,0.5,orp"],
+         "line 4: flag 'orp' repeats line 2"),
+        (["0.1,0.2,1.9,0.5,0.5,mrp+orp", "0.2,0.3,1.4,0.5,0.5,orp"],
+         "line 3: flag 'orp' repeats line 2"),
+        (["0.1,0.2,1.9,0.5,0.5,orp", "0.2,0.3,1.4,0.5,0.5,mrp+orp"],
+         "line 3: flag 'orp' repeats line 2"),
+    ],
+    ids=["mrp-twice", "orp-twice", "both-then-orp", "orp-then-both"],
+)
+def test_read_frontier_rejects_a_second_flagged_row(rows, message):
+    text = _FRONTIER_HEADER + "".join(row + "\n" for row in rows)
+    with pytest.raises(DataFormatError) as caught:
+        read_frontier_csv(io.StringIO(text))
+    assert str(caught.value) == f"<stream>: {message}"
+
+
+@pytest.mark.parametrize(
+    "weights, reason",
+    [
+        ("0.9,0.9", "weights must sum to 1 within 1e-09, got 1.8"),
+        ("-0.5,1.5", "weights must be finite and non-negative"),
+        ("nan,1", "weights must be finite and non-negative"),
+        ("0.5,0.4999", "weights must sum to 1 within 1e-09, got 0.9999"),
+    ],
+)
+def test_read_frontier_rejects_weights_off_the_simplex(weights, reason):
+    text = _FRONTIER_HEADER + f"0.1,0.2,1.9,0.5,0.5,mrp\n0.2,0.3,1.4,{weights},\n"
+    with pytest.raises(DataFormatError) as caught:
+        read_frontier_csv(io.StringIO(text))
+    assert str(caught.value) == f"<stream>: line 3: {reason}"
+
+
+def test_reloaded_export_weights_lie_on_the_simplex():
+    tickers = [f"T{i:02d}" for i in range(50)]
+    cov = CovarianceMatrix(tickers, np.diag(np.linspace(1e-4, 4e-4, 50)))
+    cloud = sample_frontier(np.linspace(0.0, 0.3, 50), cov, n_samples=5_000, seed=3)
+    _, rows = read_frontier_csv(io.StringIO(_exported(cloud)))
+    sums = np.array([row[3].sum() for row in rows])
+    assert len(rows) == 5_000 and np.abs(sums - 1.0).max() < 1e-11
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "1", None])
+def test_sample_frontier_rejects_a_seed_philox_cannot_take(seed):
+    with pytest.raises(ValueError) as caught:
+        sample_frontier(MU3, COV3, n_samples=3, seed=seed)
+    assert str(caught.value) == f"seed must be an integer in [0, 2**128), got {seed!r}"
+
+
+def test_sample_frontier_takes_any_128_bit_seed():
+    for seed in (0, np.int64(7), 2**128 - 1):
+        assert sample_frontier(MU3, COV3, n_samples=3, seed=seed).sample_count == 3
+
+
 def _exported(cloud):
     buf = io.StringIO()
     export_frontier(cloud, buf)

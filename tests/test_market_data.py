@@ -11,6 +11,7 @@ from sectorfolio import (
     DataFormatError,
     EmptyPanelError,
     EmptyUniverseError,
+    FetchError,
     InsufficientDataError,
     MissingTickerError,
     PricePanel,
@@ -26,6 +27,8 @@ from sectorfolio import (
     read_weights_csv,
     write_long_csv,
 )
+
+from sectorfolio.fetch import fetch_history
 
 from helpers import random_panel, weekdays
 
@@ -588,3 +591,84 @@ def test_a_file_without_quotes():
         with pytest.raises(EmptyPanelError, match="<stream>: no quotes"):
             load_price_panel(io.StringIO(text), make_universe(["AAA", "CCC"]), (D1, D2))
 
+
+
+def test_universe_rejects_a_ticker_that_reads_as_a_comment(tmp_path):
+    # configparser keeps a '#' that follows no whitespace, and weights.csv
+    # would then hold a '#B' row that every reader skips as a comment
+    ini = tmp_path / "u.ini"
+    ini.write_text(
+        "[universe]\nsector = Tech\ntickers = A,#B\n"
+        "train = 2021-01-01:2021-12-31\ntest = 2022-01-01:2022-12-31\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DataFormatError) as caught:
+        read_universe_config(ini)
+    assert str(caught.value) == f"{ini}: Tech: ticker '#B' reads as a CSV comment"
+
+
+def _fetch(text):
+    return fetch_history(["AAA"], D1, D3, transport=lambda url: text)
+
+
+_RESULTS = "sector,ewp_test_return_pct,orp_test_return_pct,winner"
+_FRONTIER = "annual_risk,annual_return,sharpe,w_AAA,flag"
+
+# a blank line and a comment, skipped but counted; fetch's dialect skips
+# blank rows and days without a quote, not comments
+_JUNK = ["", "# a note, with a comma"]
+_FETCH_JUNK = ["", "2022-01-04,n/d"]
+
+
+@pytest.mark.parametrize(
+    "read, lines, message",
+    [
+        # a row fault names its physical line
+        (parse_price_file, ["date,ticker,close", "2022-01-03,AAA,1", *_JUNK, "2022-01-04,AAA,x"],
+         "<stream>: line 5: bad close 'x' for AAA"),
+        (parse_price_file, ["date,AAA", "2022-01-03,1", *_JUNK, "2022-01-03,2"],
+         "<stream>: line 5: duplicate date 2022-01-03"),
+        (read_weights_csv, ["ticker,ewp", "AAA,1", *_JUNK, "BBB,x"],
+         "<stream>: line 5: could not convert string to float: 'x'"),
+        (read_sector_results, [_RESULTS, "Auto,1,2,ORP", *_JUNK, "Metal,1,2,EWP"],
+         "<stream>: line 5: winner 'EWP' contradicts returns"),
+        (read_frontier_csv, [_FRONTIER, "0.1,0.2,1.9,1,mrp", *_JUNK, "0.1,0.2,1.9,1,mrp+orp"],
+         "<stream>: line 5: flag 'mrp' repeats line 2"),
+        (_fetch, ["Date,Close", "2022-01-03,1", *_FETCH_JUNK, "2022-01-05,inf"],
+         "AAA: line 5: close 'inf' is not finite"),
+        # a header fault names line 1
+        (parse_price_file, ["day,ticker,close"],
+         "<stream>: line 1: first column must be 'date', got ['day', 'ticker', 'close']"),
+        (parse_price_file, ["date,AAA,AAA"], "<stream>: line 1: repeated column 'AAA' in header"),
+        (read_weights_csv, ["tick,ewp"], "<stream>: line 1: not a weights header"),
+        (read_sector_results, ["sector,ewp"], "<stream>: line 1: not a sector-result header"),
+        (read_frontier_csv, ["annual_risk,annual_return,sharpe,w_,flag"],
+         "<stream>: line 1: blank column name in header"),
+        (_fetch, ["Date,Close," + "x" * (csv.field_size_limit() + 1)],
+         f"AAA: line 1: field larger than field limit ({csv.field_size_limit()})"),
+        # a header record split by a quoted newline ends, and is named, at line 2
+        (parse_price_file, ['"date', '",A,A', "2022-01-03,1,2"],
+         "<stream>: line 2: repeated column 'A' in header"),
+        # a fault of the whole file names no line
+        (parse_price_file, ["date,ticker,close", *_JUNK], "<stream>: no quotes"),
+        (read_weights_csv, ["ticker,ewp", *_JUNK], "<stream>: no weight rows"),
+        (read_weights_csv, ["ticker,ewp", "AAA,0.5", *_JUNK],
+         "<stream>: column 'ewp' sums to 0.500000, not a weight column"),
+        (read_weights_csv, ["ticker,ewp", "AAA,-1", "BBB,2"],
+         "<stream>: column 'ewp': weights must be finite and non-negative"),
+        (read_sector_results, [], "<stream>: empty file"),
+        (read_frontier_csv, [], "<stream>: empty file"),
+        (_fetch, ["Date,Close", *_FETCH_JUNK], "AAA: no usable rows in response"),
+        (_fetch, ["day,close"], "AAA: response has no date/close columns: ['day', 'close']"),
+    ],
+    ids=["long-row", "wide-row", "weights-row", "results-row", "frontier-row", "fetch-row",
+         "long-header", "wide-header", "weights-header", "results-header", "frontier-header",
+         "fetch-header", "split-header", "prices-file", "weights-no-rows", "weights-column-sum",
+         "weights-column", "results-file", "frontier-file", "fetch-file", "fetch-columns"],
+)
+def test_a_reading_error_names_the_line_only_for_a_row_or_header(read, lines, message):
+    text = "".join(line + "\n" for line in lines)
+    source = text if read is _fetch else io.StringIO(text)
+    with pytest.raises((DataFormatError, EmptyPanelError, FetchError)) as caught:
+        read(source)
+    assert str(caught.value) == message

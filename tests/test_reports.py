@@ -33,6 +33,14 @@ def test_winner_is_derived_from_returns():
     assert WINNERS == ("EWP", "ORP", "TIE")
 
 
+@pytest.mark.parametrize("sector", ["#1 Tech", "  # Tech"])
+def test_sector_result_rejects_a_name_that_reads_as_a_comment(sector):
+    # write_summary would write the row and read_sector_results skip it
+    with pytest.raises(ValueError) as caught:
+        SectorResult(sector, 0.1, 0.2)
+    assert str(caught.value) == f"sector name {sector!r} reads as a CSV comment"
+
+
 def test_winner_counts():
     results = [
         SectorResult("A", 0.2, 0.1),
