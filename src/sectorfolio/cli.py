@@ -7,9 +7,9 @@ Subcommands:
 * ``frontier``  the sampled cloud -> frontier.csv
 * ``backtest``  buy-and-hold one book over the test window -> backtest_<column>.csv
 * ``pipeline``  all of the above plus both backtests and the sector
-  result; ``--all`` iterates a directory of universe configs and adds a
-  cross-sector summary.csv of the sectors that finished (a failed sector
-  gets one stderr line, the others still run, and the exit code is 1)
+  result; a failed sector writes nothing and gets one stderr line naming
+  it. ``--all`` iterates a directory of universe configs, runs the rest
+  after a failure, and adds a summary.csv of the sectors that finished
 * ``summary``   combine sector_result.csv files -> summary.csv
 * ``fetch``     download close histories -> canonical long CSV
 
@@ -20,7 +20,6 @@ only when every requested output was written.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from collections.abc import Callable
@@ -79,7 +78,7 @@ __all__ = [
     "main",
 ]
 
-# errors that end a command (or one sector of `pipeline --all`) in one stderr line
+# errors that end a command (or one sector of `pipeline`) in one stderr line
 _USER_ERRORS = (AnalyticsError, OSError, ValueError, ZeroDivisionError)
 
 
@@ -87,7 +86,7 @@ _USER_ERRORS = (AnalyticsError, OSError, ValueError, ZeroDivisionError)
 class RunConfig:
     """Everything one sector run needs. Its windows are the universe's own
     (`--train`/`--test` replace them there, and `UniverseConfig` checks their
-    order); samples and threshold are checked where used, before any write."""
+    order); samples, threshold and capital are checked where used, before any write."""
 
     universe: UniverseConfig
     prices: Path
@@ -98,13 +97,6 @@ class RunConfig:
     sampler: str = "uniform"
     threshold: float = 0.30
     capital: float = 100_000.0
-
-    def __post_init__(self) -> None:
-        # the backtests would catch this only after pipeline wrote three reports
-        if not 0.0 < self.capital < math.inf:
-            raise ValueError(
-                f"{self.universe.sector}: capital must be positive and finite, got {self.capital}"
-            )
 
 
 @dataclass
@@ -236,29 +228,29 @@ def cmd_pipeline(config: RunConfig, prices: PricePanel | None = None) -> SectorR
     capital/n per configured ticker, so exclusions leave cash idle)
     against a full-capital ORP backtest. `prices` is `config.prices`
     already parsed (`parse_price_file`); without it the file is parsed
-    here. Both windows are cut from that one panel.
+    here. Both windows are cut from that one panel, and every result is
+    computed before the first write, so a failure writes nothing.
     """
     if prices is None:
         prices = parse_price_file(config.prices)
     art = _train(config, prices)
-    out = config.out_dir
     ewp, mrp, orp = _books(art)
-    _write(out / "stats.csv", write_stats_csv, art.stats)
-    _write(out / "weights.csv", write_weights_csv, ewp, mrp, orp)
-    _write(out / "frontier.csv", export_frontier, art.cloud)
-
     test_panel = _test_panel(config, prices, art.panel.tickers)
     ewp_report = backtest_from_panel(
         ewp, test_panel, config.capital,
         mode="fixed-amount-per-stock", nominal_universe_size=len(config.universe.tickers),
     )
     orp_report = backtest_from_panel(orp, test_panel, config.capital)
-    _write(out / "backtest_ewp.csv", write_backtest_csv, ewp_report)
-    _write(out / "backtest_orp.csv", write_backtest_csv, orp_report)
-
     result = SectorResult(
         config.universe.sector, ewp_report.holding_return, orp_report.holding_return
     )
+
+    out = config.out_dir
+    _write(out / "stats.csv", write_stats_csv, art.stats)
+    _write(out / "weights.csv", write_weights_csv, ewp, mrp, orp)
+    _write(out / "frontier.csv", export_frontier, art.cloud)
+    _write(out / "backtest_ewp.csv", write_backtest_csv, ewp_report)
+    _write(out / "backtest_orp.csv", write_backtest_csv, orp_report)
     _write(out / "sector_result.csv", write_sector_result, result)
     _write_exclusions(art.excluded, out)
     print(
@@ -414,10 +406,23 @@ def _handle_backtest(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_sector(config: RunConfig, panels: dict[Path, PricePanel]) -> SectorResult | None:
+    """One sector of `pipeline`; a failure is one stderr line naming the sector, and None."""
+    sector = config.universe.sector
+    try:
+        if config.prices not in panels:
+            panels[config.prices] = parse_price_file(config.prices)
+        return cmd_pipeline(config, panels[config.prices])
+    except _USER_ERRORS as exc:
+        reason = str(exc).removeprefix(f"{sector}: ")
+        print(f"sectorfolio pipeline: {sector}: {reason}", file=sys.stderr)
+        return None
+
+
 def _handle_pipeline(args: argparse.Namespace) -> int:
     if not args.all:
-        cmd_pipeline(_config_from_args(args, Path(args.universe)))
-        return 0
+        result = _run_sector(_config_from_args(args, Path(args.universe)), {})
+        return 0 if result is not None else 1
     config_paths = sorted(Path(args.universe).glob("*.ini"))
     if not config_paths:
         raise EmptyUniverseError(f"no universe configs (*.ini) in {args.universe}")
@@ -437,17 +442,12 @@ def _handle_pipeline(args: argparse.Namespace) -> int:
             raise ValueError(f"{first} and {path} both write to {config.out_dir}")
         configs.append(config)
     panels: dict[Path, PricePanel] = {}
+    # one failed sector is reported and skipped; the rest still run
     results: list[SectorResult] = []
     for config in configs:
-        sector = config.universe.sector
-        try:
-            if config.prices not in panels:
-                panels[config.prices] = parse_price_file(config.prices)
-            results.append(cmd_pipeline(config, panels[config.prices]))
-        except _USER_ERRORS as exc:
-            # one failed sector is reported and skipped; the rest still run
-            reason = str(exc).removeprefix(f"{sector}: ")
-            print(f"sectorfolio pipeline: {sector}: {reason}", file=sys.stderr)
+        result = _run_sector(config, panels)
+        if result is not None:
+            results.append(result)
     if results:
         _write(out / "summary.csv", write_summary, results)
     return 0 if len(results) == len(config_paths) else 1
@@ -471,12 +471,12 @@ def _handle_fetch(args: argparse.Namespace) -> int:
         if not (args.tickers and args.start and args.end):
             raise ValueError("fetch needs --universe or all of --tickers/--start/--end")
         tickers, start, end = args.tickers, args.start, args.end
-    series = fetch_history(
+    panel = fetch_history(
         tickers, start, end,
         url_template=args.url_template or DEFAULT_URL_TEMPLATE,
         suffix=args.suffix, timeout=args.timeout,
     )
-    _write(Path(args.out), write_long_csv, series)
+    _write(Path(args.out), write_long_csv, panel)
     return 0
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 from urllib import error, parse, request
 
 from .errors import FetchError
-from .market_data import PriceSeries, parse_iso_date
+from .market_data import PricePanel, _quote_matrix, parse_iso_date
 
 __all__ = ["DEFAULT_URL_TEMPLATE", "fetch_history"]
 
@@ -33,19 +33,6 @@ def _http_get(url: str, timeout: float) -> str:
             return resp.read().decode("utf-8", errors="replace")
     except (error.URLError, TimeoutError, OSError) as exc:
         raise FetchError(f"{url}: {exc}") from None
-
-
-def _parse_payload(ticker: str, text: str) -> PriceSeries:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        rows = _parse_rows(ticker, reader)
-    except (csv.Error, ValueError) as exc:
-        # a fault of the row just read: the only place its line is named
-        raise FetchError(f"{ticker}: line {reader.line_num}: {exc}") from None
-    if not rows:
-        raise FetchError(f"{ticker}: no usable rows in response")
-    days = sorted(rows)
-    return PriceSeries(ticker, days, [rows[d] for d in days])
 
 
 def _parse_rows(ticker: str, reader) -> dict[date, float]:
@@ -77,6 +64,8 @@ def _parse_rows(ticker: str, reader) -> dict[date, float]:
         if day in rows:
             raise ValueError(f"duplicate date {day}")
         rows[day] = close
+    if not rows:
+        raise FetchError(f"{ticker}: no usable rows in response")
     return rows
 
 
@@ -89,25 +78,38 @@ def fetch_history(
     suffix: str = "",
     transport: Callable[[str], str] | None = None,
     timeout: float = 30.0,
-) -> list[PriceSeries]:
-    """Download daily closes for each ticker over [start, end].
+) -> PricePanel:
+    """Download daily closes for each ticker over [start, end] as one panel,
+    tickers in the given order, NaN where one has no quote.
 
     `suffix` is appended to each symbol before URL-encoding (exchange
     qualifiers like ".in"). `transport` maps a URL to response text;
     the default uses urllib with the given timeout.
 
-    Raises FetchError when a request fails or a payload is unusable,
-    and ValueError when the window is inverted.
+    Raises FetchError when a request fails or a payload is unusable, and
+    ValueError, before any request, for an inverted window or a repeated
+    or blank ticker.
     """
+    tickers = list(tickers)
     if start > end:
         raise ValueError(f"start {start} is after end {end}")
+    repeated = sorted({t for t in tickers if tickers.count(t) > 1})
+    if repeated:
+        raise ValueError(f"duplicate tickers: {', '.join(repeated)}")
+    if not all(t.strip() for t in tickers):
+        raise ValueError("ticker must be non-empty")
     get = transport if transport is not None else (lambda url: _http_get(url, timeout))
-    out = []
+    quotes: dict[str, dict[date, float]] = {}
     for ticker in tickers:
         url = url_template.format(
             symbol=parse.quote((ticker + suffix).lower()),
             start=start.strftime("%Y%m%d"),
             end=end.strftime("%Y%m%d"),
         )
-        out.append(_parse_payload(ticker, get(url)))
-    return out
+        reader = csv.reader(io.StringIO(get(url)))
+        try:
+            quotes[ticker] = _parse_rows(ticker, reader)
+        except (csv.Error, ValueError) as exc:
+            # a fault of the row just read: the only place its line is named
+            raise FetchError(f"{ticker}: line {reader.line_num}: {exc}") from None
+    return PricePanel(*_quote_matrix(quotes))

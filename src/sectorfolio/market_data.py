@@ -59,7 +59,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator
+from typing import IO, Any, Iterable
 
 import numpy as np
 
@@ -355,7 +355,12 @@ def _parse_long(reader: Any) -> _Parsed:
         if day in series:
             raise ValueError(f"duplicate observation for {ticker} on {day}")
         series[day] = close
-    dates = sorted(set(day_cells.values()))
+    return _quote_matrix(quotes)
+
+
+def _quote_matrix(quotes: dict[str, dict[date, float]]) -> _Parsed:
+    """ticker -> {date: close} over the union of their dates, NaN in the gaps."""
+    dates = sorted(set().union(*quotes.values()))
     column = {d: j for j, d in enumerate(dates)}
     closes = np.full((len(quotes), len(dates)), np.nan)
     for i, series in enumerate(quotes.values()):
@@ -519,21 +524,10 @@ def apply_missing_data_policy(
     return fill_gaps(panel.restrict(retained)), excluded
 
 
-def write_long_csv(panel_or_series: PricePanel | Iterable[PriceSeries], dest: str | Path | IO[str]) -> None:
-    """Write prices in the canonical long layout (date,ticker,close)."""
-
-    def rows() -> Iterator[tuple[date, str, float]]:
-        if isinstance(panel_or_series, PricePanel):
-            p = panel_or_series
-            for j, d in enumerate(p.dates):
-                for i, t in enumerate(p.tickers):
-                    if not np.isnan(p.closes[i, j]):
-                        yield d, t, float(p.closes[i, j])
-        else:
-            for s in panel_or_series:
-                for d, c in zip(s.dates, s.closes):
-                    yield d, s.ticker, float(c)
-
+def write_long_csv(panel: PricePanel, dest: str | Path | IO[str]) -> None:
+    """Write a panel as long rows (date,ticker,close), date by date; a gap writes no row."""
     with csv_writer(dest, ["date", "ticker", "close"]) as (_, writer):
-        for d, t, c in rows():
-            writer.writerow([d.isoformat(), t, format(c, ".12g")])
+        for d, column in zip(panel.dates, panel.closes.T):
+            for t, c in zip(panel.tickers, column):
+                if not np.isnan(c):
+                    writer.writerow([d.isoformat(), t, format(float(c), ".12g")])

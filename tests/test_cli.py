@@ -396,6 +396,47 @@ def test_fetch_requires_enough_arguments(tmp_path, capsys):
     assert "--tickers/--start/--end" in capsys.readouterr().err
 
 
+def _quote_files(root, quotes):
+    """One ``<symbol>.csv`` per ticker under root; returns a file URL template."""
+    root.mkdir()
+    for ticker, rows in quotes.items():
+        lines = ["Date,Close", *(f"{d},{c}" for d, c in rows)]
+        (root / f"{ticker.lower()}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return f"file://{root}/{{symbol}}.csv"
+
+
+def test_fetch_writes_a_long_file_that_reads_back_as_the_fetched_panel(tmp_path, capsys):
+    d1, d2, d3 = date(2022, 1, 3), date(2022, 1, 4), date(2022, 1, 5)
+    template = _quote_files(tmp_path / "quotes", {
+        "AAA": [(d1, 10.5), (d3, 11.25)],
+        "BBB": [(d1, 20.0), (d2, 21.5), (d3, 19.75)],
+    })
+    out = tmp_path / "prices.csv"
+    assert run_cli("fetch", "--tickers", "AAA", "BBB", "--start", d1, "--end", d3,
+                   "--out", out, "--url-template", template) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote {out}\n"
+    assert captured.err == ""
+    panel = parse_price_file(out)
+    assert panel.tickers == ["AAA", "BBB"]
+    assert panel.dates == [d1, d2, d3]
+    np.testing.assert_array_equal(panel.closes, [[10.5, np.nan, 11.25], [20.0, 21.5, 19.75]])
+    # rows come date by date
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == [
+        str(d1), str(d1), str(d2), str(d3), str(d3)]
+
+
+def test_fetch_refuses_a_repeated_ticker_and_writes_nothing(tmp_path, capsys):
+    template = _quote_files(tmp_path / "quotes", {"AAA": [(date(2022, 1, 3), 10.0)]})
+    out = tmp_path / "prices.csv"
+    assert run_cli("fetch", "--tickers", "AAA", "AAA", "--start", "2022-01-03",
+                   "--end", "2022-01-05", "--out", out, "--url-template", template) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "sectorfolio fetch: duplicate tickers: AAA\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_exclusions_log_written_for_sparse_ticker(tmp_path):
     ini, _ = build_sector(
         tmp_path, tickers=["AAA", "BBB", "CCC", "DDD"], seed=8,
@@ -482,6 +523,59 @@ def test_book_ticker_without_any_test_quote_fails_the_sector(tmp_path, capsys):
     assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 200) == 1
     assert "Delisted: CCC: no observations to fill from" in capsys.readouterr().err
     assert not (out / "backtest_ewp.csv").exists()
+
+
+def _snapshot(directory):
+    return {p.relative_to(directory): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+
+def test_a_failed_rerun_leaves_its_output_directory_byte_identical(tmp_path, capsys):
+    ini, prices = build_sector(tmp_path, sector="Metal", train_days=60, test_days=15)
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 200,
+                   "--seed", 0) == 0
+    before = _snapshot(out)
+    capsys.readouterr()
+    # a one-date test window trains a new book but cannot backtest it
+    test_day = parse_price_file(prices).dates[60]
+    assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 200,
+                   "--seed", 7, "--test", f"{test_day}:{test_day}") == 1
+    assert _snapshot(out) == before
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "sectorfolio pipeline: Metal: backtest needs at least 2 dates, panel has 1\n")
+    assert captured.out == ""
+
+
+def test_pipeline_all_writes_nothing_for_a_sector_that_fails_its_test_window(tmp_path, capsys):
+    prices = _three_sectors_sharing_one_file(tmp_path / "configs")
+    universe = read_universe_config(tmp_path / "configs" / "alpha.ini")
+    test_day = universe.test_window[0]
+    write_universe(tmp_path / "configs" / "alpha.ini", "Alpha", ["AAA", "BBB"],
+                   universe.train_window, (test_day, test_day), prices=prices.name)
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--universe", tmp_path / "configs", "--all",
+                   "--out", out, "--samples", 200) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "sectorfolio pipeline: Alpha: backtest needs at least 2 dates, panel has 1\n")
+    assert "Alpha:" not in captured.out
+    assert not (out / "alpha").exists()
+    assert [r.sector for r in read_sector_results(out / "summary.csv")] == ["Beta", "Gamma"]
+
+
+def test_single_pipeline_names_the_sector_of_an_absent_ticker(tmp_path, capsys):
+    ini, prices = build_sector(tmp_path, sector="Two Names", tickers=["AAA", "BBB"])
+    universe = read_universe_config(ini)
+    write_universe(ini, "Two Names", ["AAA", "BBB", "CCC"], universe.train_window,
+                   universe.test_window, prices=prices.name)
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 100) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "sectorfolio pipeline: Two Names: tickers absent from price source: CCC\n")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def _count_parses(monkeypatch):

@@ -33,11 +33,10 @@ def canned(payloads):
 
 def test_fetch_parses_date_and_close_columns():
     transport, calls = canned([PAYLOAD])
-    series = fetch_history(["AAA"], START, END, transport=transport)
-    assert len(series) == 1
-    assert series[0].ticker == "AAA"
-    assert series[0].dates == [date(2022, 1, 3), date(2022, 1, 4), date(2022, 1, 5)]
-    assert series[0].closes.tolist() == [100.5, 102.0, 99.75]
+    panel = fetch_history(["AAA"], START, END, transport=transport)
+    assert panel.tickers == ["AAA"]
+    assert panel.dates == [date(2022, 1, 3), date(2022, 1, 4), date(2022, 1, 5)]
+    assert panel.closes[0].tolist() == [100.5, 102.0, 99.75]
     assert len(calls) == 1
 
 
@@ -73,9 +72,10 @@ def test_fetch_skips_no_data_and_nonpositive_rows():
         "2022-01-07,104\n"
     )
     transport, _ = canned([payload])
-    (series,) = fetch_history(["AAA"], START, END, transport=transport)
-    assert series.dates == [date(2022, 1, 3), date(2022, 1, 7)]
-    assert series.closes.tolist() == [100.0, 104.0]
+    panel = fetch_history(["AAA"], START, END, transport=transport)
+    assert panel.tickers == ["AAA"]
+    assert panel.dates == [date(2022, 1, 3), date(2022, 1, 7)]
+    assert panel.closes[0].tolist() == [100.0, 104.0]
 
 
 @pytest.mark.parametrize(
@@ -102,6 +102,20 @@ def test_fetch_rejects_unusable_payloads(payload):
 def test_fetch_rejects_inverted_window():
     with pytest.raises(ValueError):
         fetch_history(["AAA"], END, START, transport=lambda url: PAYLOAD)
+
+
+@pytest.mark.parametrize(
+    "tickers, message",
+    [(["AAA", "BBB", "AAA"], "duplicate tickers: AAA"),
+     (["AAA", " "], "ticker must be non-empty")],
+    ids=["repeated", "blank"],
+)
+def test_fetch_refuses_a_ticker_before_any_request(tickers, message):
+    transport, calls = canned([PAYLOAD, PAYLOAD, PAYLOAD])
+    with pytest.raises(ValueError) as caught:
+        fetch_history(tickers, START, END, transport=transport)
+    assert str(caught.value) == message
+    assert calls == []
 
 
 def test_fetched_series_feed_the_loader():
