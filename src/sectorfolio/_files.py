@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import io
 import os
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import IO, Any, Iterator, Sequence
 
 from .errors import DataFormatError
@@ -26,9 +28,49 @@ def text_stream(target: Target) -> Iterator[IO[str]]:
         yield fh
 
 
+_LINES = 1 << 16  # characters of a `SourceText` turned into lines at a time
+
+
+@dataclass(frozen=True)
+class SourceText:
+    """A source read whole: its name and its text.
+
+    It iterates over its lines as a file opened by `text_stream` gives
+    them, so `csv_reader` reads it like that file, under the same name.
+    """
+
+    name: str
+    text: str
+
+    def __iter__(self) -> Iterator[str]:
+        # a line always ends right after a "\n", "\r\n" included, so each
+        # piece cut there splits into the file's own lines; a piece at a time
+        # keeps the copy that does the splitting small
+        start = 0
+        while start < len(self.text):
+            end = self.text.find("\n", start + _LINES) + 1 or len(self.text)
+            yield from io.StringIO(self.text[start:end], newline="")
+            start = end
+
+
+def read_text(source: Target) -> SourceText:
+    """The source's name and its whole text, read at once.
+
+    Bytes that are not UTF-8 raise DataFormatError naming the source.
+    """
+    with text_stream(source) as fh:
+        path = str(getattr(fh, "name", "<stream>"))
+        try:
+            return SourceText(path, fh.read())
+        except UnicodeDecodeError as exc:  # a ValueError too, so caught first
+            raise DataFormatError(_not_utf8(source, path, exc)) from None
+
+
 @contextmanager
-def csv_reader(source: Target) -> Iterator[tuple[str, Any, list[str]]]:
+def csv_reader(source: Target | SourceText) -> Iterator[tuple[str, Any, list[str]]]:
     """Yield the source's name, a csv reader past the header, and the header.
+
+    A `SourceText` is read from its text, under its name.
 
     This is the only code that says where a fault is. A ValueError or
     csv module error (say, an over-long field) raised inside the block

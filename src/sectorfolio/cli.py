@@ -406,13 +406,24 @@ def _handle_backtest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_sector(config: RunConfig, panels: dict[Path, PricePanel]) -> SectorResult | None:
-    """One sector of `pipeline`; a failure is one stderr line naming the sector, and None."""
+def _run_sector(
+    config: RunConfig, panels: dict[Path, PricePanel | Exception]
+) -> SectorResult | None:
+    """One sector of `pipeline`; a failure is one stderr line naming the sector, and None.
+
+    `panels` holds each price file's panel, or the error its one parse raised.
+    """
     sector = config.universe.sector
     try:
         if config.prices not in panels:
-            panels[config.prices] = parse_price_file(config.prices)
-        return cmd_pipeline(config, panels[config.prices])
+            try:
+                panels[config.prices] = parse_price_file(config.prices)
+            except _USER_ERRORS as exc:
+                panels[config.prices] = exc
+        parsed = panels[config.prices]
+        if isinstance(parsed, Exception):
+            raise parsed
+        return cmd_pipeline(config, parsed)
     except _USER_ERRORS as exc:
         reason = str(exc).removeprefix(f"{sector}: ")
         print(f"sectorfolio pipeline: {sector}: {reason}", file=sys.stderr)
@@ -441,7 +452,7 @@ def _handle_pipeline(args: argparse.Namespace) -> int:
         if first != path:
             raise ValueError(f"{first} and {path} both write to {config.out_dir}")
         configs.append(config)
-    panels: dict[Path, PricePanel] = {}
+    panels: dict[Path, PricePanel | Exception] = {}
     # one failed sector is reported and skipped; the rest still run
     results: list[SectorResult] = []
     for config in configs:

@@ -29,13 +29,20 @@ Tickers are separated by whitespace or commas. Windows are inclusive
 ``start:end`` date ranges, and the training window must end before the
 test window begins.
 
-`parse_price_file` reads a whole file in one streaming pass into a
-full-span panel: every ticker in the file over every date, NaN marking
-the gaps. `PricePanel.window` cuts a universe's tickers and one date
-window from it by slicing, keeping the union of in-window dates on
-which those tickers trade. The CLI parses each price file once per
-invocation and cuts every window it needs from that one panel with
-`load_price_panel`, which also takes a file and parses it whole.
+`parse_price_file` reads a whole file at once into a full-span panel:
+every ticker in the file over every date, NaN marking the gaps. A long
+file is parsed with array operations, about 256 KiB of lines at a time:
+each chunk is split into cells once, its closes converted by `float`
+and its tickers and date cells coded through dicts, and one scatter
+fills the matrix. Anything that path does not take as it stands (a
+quote, a blank or comment line, a bad cell, a repeat) sends the text to
+the row-by-row loop, which parses it again and names the faulty line.
+A wide file always goes through its loop. `PricePanel.window` cuts a
+universe's tickers and one date window from it by slicing, keeping the
+union of in-window dates on which those tickers trade. The CLI parses
+each price file once per invocation and cuts every window it needs from
+that one panel with `load_price_panel`, which also takes a file and
+parses it whole.
 
 `apply_missing_data_policy` drops tickers whose missing fraction over
 the panel's dates exceeds the threshold, then fills the remaining gaps:
@@ -52,6 +59,7 @@ InsufficientDataError.
 from __future__ import annotations
 
 import configparser
+import csv
 import math
 import re
 from array import array
@@ -63,7 +71,14 @@ from typing import IO, Any, Iterable
 
 import numpy as np
 
-from ._files import _not_utf8, csv_reader, csv_writer, header_names, skip_row
+from ._files import (
+    _not_utf8,
+    csv_reader,
+    csv_writer,
+    header_names,
+    read_text,
+    skip_row,
+)
 from .errors import (
     DataFormatError,
     EmptyPanelError,
@@ -368,6 +383,81 @@ def _quote_matrix(quotes: dict[str, dict[date, float]]) -> _Parsed:
     return list(quotes), dates, closes
 
 
+_LONG_HEADER = ["date", "ticker", "close"]
+_CHUNK = 1 << 18  # characters of long-layout text, about 256 KiB, split at a time
+
+
+def _parse_long_arrays(text: str) -> _Parsed | None:
+    """A long-layout text parsed with array operations, a chunk of lines at a time.
+
+    None for any other text and for any line the array path does not take
+    as it stands, leaving `_parse_long` to parse it and name a fault: a
+    quote, ``\\r`` or NUL anywhere; a line without exactly two commas
+    (a blank or comment line among them); an empty, padded or ``#``
+    ticker; a close that `float` rejects or that is not finite and
+    positive; a date cell that does not parse, or two that strip to one
+    date; a repeated (ticker, date).
+    """
+    start = text.find("\n") + 1
+    header = [name.strip().lower() for name in text[:start].split(",")]
+    # one scan of the whole text finds a blank or comment line before any chunk is split
+    odd = ('"', "\r", "\0", "\n\n", "\n#")
+    if header != _LONG_HEADER or start == len(text) or any(mark in text for mark in odd):
+        return None
+    limit = csv.field_size_limit()
+    tickers: dict[str, int] = {}  # ticker -> code, in file order
+    cells: dict[str, int] = {}  # date cell -> code, in file order
+    # each line's ticker code, date-cell code and close
+    n = text.count("\n", start) + (not text.endswith("\n"))
+    rows, cols, closes = np.empty(n, np.intp), np.empty(n, np.intp), np.empty(n)
+    lo = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        chunk, start = text[start:end], end
+        if not chunk.endswith("\n"):
+            chunk += "\n"
+        raw = np.frombuffer(chunk.encode("utf-8", "surrogatepass"), np.uint8)
+        ends = np.flatnonzero(raw == ord("\n"))
+        hi = lo + ends.size
+        # line k (from 1) ends after exactly 2k commas; none is longer than a field may be
+        commas = np.searchsorted(np.flatnonzero(raw == ord(",")), ends)
+        if not np.array_equal(commas, np.arange(2, 2 * ends.size + 1, 2)):
+            return None
+        if np.diff(ends, prepend=-1).max() > limit:
+            return None
+        fields = chunk[:-1].replace("\n", ",").split(",")
+        try:
+            closes[lo:hi] = np.fromiter(map(float, fields[2::3]), float, hi - lo)
+        except ValueError:
+            return None
+        for codes, column, out in ((tickers, fields[1::3], rows), (cells, fields[0::3], cols)):
+            for key in dict.fromkeys(column):
+                codes.setdefault(key, len(codes))
+            out[lo:hi] = np.fromiter(map(codes.__getitem__, column), np.intp, hi - lo)
+        lo = hi
+        del fields, column  # freed before the next chunk's cells are made, not after
+    if not np.all((closes > 0.0) & (closes < math.inf)):
+        return None
+    if any(not t or t != t.strip() or t.startswith("#") for t in tickers):
+        return None
+    try:
+        days = [_parse_date(cell) for cell in cells]
+    except ValueError:
+        return None
+    if len(set(days)) < len(days):
+        return None
+    order = sorted(range(len(days)), key=days.__getitem__)
+    rank = np.empty(len(days), np.intp)  # the matrix column of each date cell
+    rank[order] = np.arange(len(days))
+    rows *= len(days)  # each line's row becomes its flat index in the matrix
+    rows += rank[cols]
+    matrix = np.full(len(tickers) * len(days), np.nan)
+    matrix[rows] = closes
+    if np.count_nonzero(~np.isnan(matrix)) < closes.size:  # a repeated (ticker, date)
+        return None
+    return list(tickers), [days[k] for k in order], matrix.reshape(len(tickers), len(days))
+
+
 def _parse_wide(reader: Any, header: list[str]) -> _Parsed:
     tickers = header_names(header[1:])
     days: dict[date, int] = {}  # date -> row of `values`
@@ -402,18 +492,22 @@ def parse_price_file(source: str | Path | IO[str]) -> PricePanel:
     DataFormatError : a row fails to parse (message names the line).
     EmptyPanelError : the file holds a header but no quote.
     """
-    with csv_reader(source) as (path, reader, header):
-        names = [h.strip().lower() for h in header]
-        if names[:1] != ["date"]:
-            raise ValueError(f"first column must be 'date', got {header!r}")
-        if names == ["date", "ticker", "close"]:
-            tickers, dates, closes = _parse_long(reader)
-        elif len(names) < 2:
-            raise ValueError(f"unrecognized header {header!r}")
-        else:
-            tickers, dates, closes = _parse_wide(reader, header)
+    whole = read_text(source)
+    parsed = _parse_long_arrays(whole.text)
+    if parsed is None:
+        with csv_reader(whole) as (_, reader, header):
+            names = [h.strip().lower() for h in header]
+            if names[:1] != ["date"]:
+                raise ValueError(f"first column must be 'date', got {header!r}")
+            if names == _LONG_HEADER:
+                parsed = _parse_long(reader)
+            elif len(names) < 2:
+                raise ValueError(f"unrecognized header {header!r}")
+            else:
+                parsed = _parse_wide(reader, header)
+    tickers, dates, closes = parsed
     if not dates:
-        raise EmptyPanelError(f"{path}: no quotes")
+        raise EmptyPanelError(f"{whole.name}: no quotes")
     return PricePanel(tickers, dates, closes)
 
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import io
 from datetime import date, timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-from sectorfolio import PricePanel, write_long_csv
+from sectorfolio import DataFormatError, EmptyPanelError, PricePanel, write_long_csv
+from sectorfolio import market_data
 
 
 def weekdays(start: date, count: int) -> list[date]:
@@ -60,3 +63,29 @@ def write_universe(
         lines.append(f"prices = {prices}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def _outcome(text: str) -> tuple | str:
+    """`parse_price_file` on a text: its panel's tickers, dates and close bits, or its error."""
+    try:
+        panel = market_data.parse_price_file(io.StringIO(text, newline=""))
+    except (DataFormatError, EmptyPanelError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return panel.tickers, panel.dates, panel.closes.shape, panel.closes.tobytes()
+
+
+def check_array_path(text: str) -> bool:
+    """Check the long layout's array path against its loop on one text.
+
+    The array path returns nothing or exactly the loop's tickers, dates and
+    closes, NaN included, and `parse_price_file` gives the loop's panel or
+    raises the loop's exact message. True when the array path took the text.
+    """
+    with mock.patch.object(market_data, "_parse_long_arrays", return_value=None):
+        loop = _outcome(text)
+    assert _outcome(text) == loop
+    arrays = market_data._parse_long_arrays(text)
+    if arrays is not None:
+        tickers, dates, closes = arrays
+        assert (tickers, dates, closes.shape, closes.tobytes()) == loop
+    return arrays is not None

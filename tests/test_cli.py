@@ -619,6 +619,21 @@ def test_pipeline_all_parses_a_shared_price_file_once(tmp_path, monkeypatch):
         "Alpha", "Beta", "Gamma"]
 
 
+def test_pipeline_all_parses_a_bad_shared_price_file_once(tmp_path, monkeypatch, capsys):
+    prices = _three_sectors_sharing_one_file(tmp_path / "configs")
+    lines = prices.read_text(encoding="utf-8").splitlines(keepends=True)
+    prices.write_text("".join(lines) + "2021-01-04,AAA,x\n", encoding="utf-8")
+    parsed = _count_parses(monkeypatch)
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--universe", tmp_path / "configs", "--all",
+                   "--out", out, "--samples", 200) == 1
+    assert parsed == [prices]
+    reason = f"{prices}: line {len(lines) + 1}: bad close 'x' for AAA"
+    assert capsys.readouterr().err == "".join(
+        f"sectorfolio pipeline: {sector}: {reason}\n" for sector in ("Alpha", "Beta", "Gamma"))
+    assert not out.exists()
+
+
 def test_pipeline_all_jobs_do_not_change_a_byte(tmp_path):
     _three_sectors_sharing_one_file(tmp_path / "configs")
     outs = []

@@ -2,7 +2,9 @@
 
 import csv
 import io
+import random
 from datetime import date
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,9 +30,10 @@ from sectorfolio import (
     write_long_csv,
 )
 
+from sectorfolio import market_data
 from sectorfolio.fetch import fetch_history
 
-from helpers import random_panel, weekdays
+from helpers import check_array_path, random_panel, weekdays
 
 D1, D2, D3 = date(2022, 1, 3), date(2022, 1, 4), date(2022, 1, 5)
 
@@ -672,3 +675,188 @@ def test_a_reading_error_names_the_line_only_for_a_row_or_header(read, lines, me
     with pytest.raises((DataFormatError, EmptyPanelError, FetchError)) as caught:
         read(source)
     assert str(caught.value) == message
+
+
+# each anomaly edits the body rows of a long text (lists of cells) in place,
+# into a text the array path must leave to the loop; "no-final-newline" is
+# no anomaly but an edge the array path must take
+def _quote(rng, rows):
+    row = rng.choice(rows)
+    k = rng.randrange(3)
+    row[k] = f'"{row[k]}"'
+
+
+def _carriage_return(rng, rows):
+    rng.choice(rows)[2] += "\r"
+
+
+def _field_count(rng, rows):
+    row = rng.choice(rows)
+    row[:] = rng.choice([row[:2], row + ["x"], row + ["", ""]])
+
+
+def _blank_line(rng, rows):
+    rows.insert(rng.randrange(len(rows) + 1), [rng.choice(["", "   "])])
+
+
+def _comment_line(rng, rows):
+    rows.insert(rng.randrange(len(rows) + 1), rng.choice([["# a note"], ["#x", "y", "z"]]))
+
+
+def _ticker(rng, rows):
+    row = rng.choice(rows)
+    row[1] = rng.choice(["", " ", f" {row[1]}", f"{row[1]}\t", "#" + row[1]])
+
+
+def _close(rng, rows):
+    rng.choice(rows)[2] = rng.choice(["x", "", "0", "-1", "nan", "inf", "1e999", "1,5"])
+
+
+def _date(rng, rows):
+    rng.choice(rows)[0] = rng.choice(["2022-13-01", "20220103", "2022-1-3", "", "#2022-01-03"])
+
+
+def _date_spelling(rng, rows):
+    rng.choice(rows)[0] = f" {rng.choice(rows)[0].strip()} "
+
+
+def _repeat(rng, rows):
+    row = rng.choice(rows)
+    rows.insert(rng.randrange(len(rows) + 1), [row[0], row[1], "7"])
+
+
+def _nul(rng, rows):
+    rng.choice(rows)[1] += "\0"
+
+
+def _long_field(rng, rows):
+    # a close over the csv module's field limit that float() still reads
+    rng.choice(rows)[2] = "0" * csv.field_size_limit() + "1"
+
+
+_ANOMALIES = {
+    "quote": _quote, "carriage-return": _carriage_return, "field-count": _field_count,
+    "blank-line": _blank_line, "comment-line": _comment_line, "ticker": _ticker,
+    "close": _close, "date": _date, "date-spelling": _date_spelling, "repeat": _repeat,
+    "nul": _nul, "long-field": _long_field, "no-final-newline": None,
+}
+
+
+def _random_long_text(rng, anomaly=None):
+    tickers = rng.sample(["AAA", "BBB", "M&M", "C-1", "Métal", "X_Y"], rng.randint(1, 4))
+    days = sorted(rng.sample(weekdays(date(2021, 12, 27), 30), rng.randint(1, 12)))
+    spell = [lambda x: format(x, ".6g"), lambda x: format(x, ".3e"), lambda x: f" {x:.2f}",
+             lambda x: format(round(x), "_d"), repr]
+    rows = [[d.isoformat(), t, rng.choice(spell)(rng.uniform(0.5, 5000.0))]
+            for t in tickers for d in days if rng.random() < 0.8]
+    if not rows:
+        rows = [[days[0].isoformat(), tickers[0], "1"]]
+    rng.shuffle(rows)
+    if anomaly is not None and _ANOMALIES[anomaly] is not None:
+        _ANOMALIES[anomaly](rng, rows)
+    text = "date,ticker,close\n" + "".join(",".join(row) + "\n" for row in rows)
+    return text[:-1] if anomaly == "no-final-newline" else text
+
+
+@pytest.mark.parametrize("chunk", [1, 40, market_data._CHUNK])
+def test_array_path_gives_the_loop_panel_or_leaves_the_text_to_it(chunk):
+    rng = random.Random(20261019 + chunk)
+    taken = {name: 0 for name in [None, *_ANOMALIES]}
+    with mock.patch.object(market_data, "_CHUNK", chunk):
+        for _ in range(40):
+            for anomaly in taken:
+                taken[anomaly] += check_array_path(_random_long_text(rng, anomaly))
+    # clean texts take the array path; every anomaly but a missing final
+    # newline and a padded date cell leaves the text to the loop
+    assert taken.pop(None) == taken.pop("no-final-newline") == 40
+    assert 0 < taken.pop("date-spelling") < 40
+    assert taken == dict.fromkeys(taken, 0)
+
+
+def _three_chunks():
+    """A clean long text over three chunks, and the offset of its first body line."""
+    days = weekdays(date(2000, 1, 3), 1800)
+    lines = [f"{d},T{i:02d},{100 + i + j / 8}" for j, d in enumerate(days) for i in range(20)]
+    text = "date,ticker,close\n" + "".join(line + "\n" for line in lines)
+    assert len(text) > 3 * market_data._CHUNK
+    return text, text.index("\n") + 1
+
+
+def test_a_repeat_two_chunks_after_its_first_row_is_named_by_the_loop():
+    text, body = _three_chunks()
+    first = text[body:text.index("\n", body)]  # 2000-01-03,T00,100.0, on line 2
+    at = text.index("\n", body + 2 * market_data._CHUNK + 1000) + 1  # inside chunk 3
+    text = text[:at] + first.replace(",100.0", ",7") + "\n" + text[at:]
+    assert check_array_path(text) is False
+    with pytest.raises(DataFormatError) as caught:
+        parse_price_file(io.StringIO(text))
+    line = text.count("\n", 0, at) + 1
+    assert str(caught.value) == f"<stream>: line {line}: duplicate observation for T00 on 2000-01-03"
+
+
+def test_a_bad_close_on_a_last_line_without_newline_is_named_by_the_loop():
+    text, _ = _three_chunks()
+    text = text[:-1].rsplit(",", 1)[0] + ",x"
+    assert check_array_path(text) is False
+    with pytest.raises(DataFormatError) as caught:
+        parse_price_file(io.StringIO(text))
+    line = text.count("\n") + 1
+    assert str(caught.value) == f"<stream>: line {line}: bad close 'x' for T19"
+
+
+def test_a_line_across_a_chunk_boundary_is_read_whole():
+    text, body = _three_chunks()
+    # the first chunk takes whole lines up to the newline at or after `cut`,
+    # so the line from `lo` to `hi` is cut by a plain split at `cut`
+    cut = body + market_data._CHUNK
+    lo, hi = text.rindex("\n", 0, cut) + 1, text.index("\n", cut)
+    assert lo < cut < hi
+    assert check_array_path(text) is True
+    day, ticker, close = text[lo:hi].split(",")
+    panel = parse_price_file(io.StringIO(text))
+    assert panel.closes[panel.tickers.index(ticker), panel.dates.index(date.fromisoformat(day))] \
+        == float(close)
+
+
+def test_a_clean_long_file_never_reaches_the_loop(tmp_path, monkeypatch):
+    def loop(reader):
+        raise AssertionError("a clean long file went to the loop")
+
+    monkeypatch.setattr(market_data, "_parse_long", loop)
+    path = tmp_path / "prices.csv"
+    write_long_csv(random_panel(["AAA", "BBB", "CCC"], 300, seed=5), path)
+    from_path = parse_price_file(path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        from_stream = parse_price_file(fh)
+    assert from_path.tickers == from_stream.tickers == ["AAA", "BBB", "CCC"]
+    assert from_path.dates == from_stream.dates
+    assert from_path.closes.tobytes() == from_stream.closes.tobytes()
+    panel = parse_price_file(io.StringIO(LONG_CSV))
+    assert panel.closes.tolist() == [[100.0, 110.0, 99.0], [50.0, 51.0, 52.0]]
+
+
+@pytest.mark.parametrize("text", [LONG_CSV, LONG_CSV + "2022-01-06,AAA,x\n", WIDE_CSV],
+                         ids=["long", "long-bad-close", "wide"])
+def test_a_price_file_is_opened_and_read_once(tmp_path, monkeypatch, text):
+    from sectorfolio import _files
+
+    reads = []
+
+    class Counted(io.StringIO):
+        def read(self, *args):
+            reads.append(args)
+            return super().read(*args)
+
+    def counting_open(path, *args, **kwargs):
+        with open(path, *args, **kwargs) as fh:
+            return Counted(fh.read())
+
+    monkeypatch.setattr(_files, "open", counting_open, raising=False)
+    path = tmp_path / "prices.csv"
+    path.write_text(text, encoding="utf-8")
+    if text.endswith(",x\n"):
+        with pytest.raises(DataFormatError, match="^<stream>: line 8: bad close 'x'"):
+            parse_price_file(path)
+    else:
+        parse_price_file(path)
+    assert reads == [()]

@@ -3,6 +3,7 @@
 import csv
 import io
 from datetime import date
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ from sectorfolio import (  # noqa: E402
     parse_price_file,
     write_long_csv,
 )
+from sectorfolio import _files, market_data  # noqa: E402
+
+from helpers import check_array_path  # noqa: E402
 
 # fragments of real price files, so that many draws get past the header
 _cell = st.one_of(
@@ -104,3 +108,49 @@ def test_long_and_wide_files_give_equal_panels(panel):
     assert from_long.tickers == from_wide.tickers
     assert from_long.dates == from_wide.dates
     assert np.array_equal(from_long.closes, from_wide.closes, equal_nan=True)
+
+
+# cells that a clean long file never holds, or holds only in some places
+_odd_cell = st.one_of(
+    st.sampled_from(["", " ", '"', '"AAA"', "\r", "\0", "#", "#AAA", "x", "0", "-1", "nan",
+                     "inf", "1e999", "1_0", " 5", "2022-01-03", " 2022-01-03", "20220103",
+                     "AAA", " AAA", ",", "\n", "7"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _long_texts(draw):
+    """Long-layout texts of a panel's rows, in any order, some of them edited."""
+    panel = draw(_panels())
+    rows = [[d.isoformat(), t, format(c, ".12g")]
+            for t, row in zip(panel.tickers, panel.closes) for d, c in zip(panel.dates, row)
+            if not np.isnan(c)]
+    rows = [list(row) for row in draw(st.permutations(rows))]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["cell", "repeat", "line"]))
+        if edit == "cell":
+            k = draw(st.integers(0, 2))
+            rows[at][k:k + 1] = [draw(_odd_cell)]
+        elif edit == "repeat":
+            rows.insert(draw(st.integers(0, len(rows))), [*rows[at][:2], draw(_odd_cell)])
+        else:
+            rows.insert(at, draw(st.lists(_odd_cell, max_size=4)))
+    text = "date,ticker,close\n" + "".join(",".join(row) + "\n" for row in rows)
+    return text if draw(st.booleans()) else text[:-1]
+
+
+@given(text=_long_texts(), chunk=st.sampled_from([1, 16, market_data._CHUNK]))
+@settings(max_examples=300, deadline=None)
+def test_array_path_gives_the_loop_panel_or_leaves_the_text_to_it(text, chunk):
+    with mock.patch.object(market_data, "_CHUNK", chunk):
+        check_array_path(text)
+
+
+@given(text=st.text(alphabet='ab,"\r\n', max_size=40), size=st.sampled_from([1, 2, 5, 16]))
+@settings(max_examples=300, deadline=None)
+def test_a_source_text_has_the_lines_of_a_file(text, size):
+    as_file = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="")
+    with mock.patch.object(_files, "_LINES", size):
+        assert list(_files.SourceText("<stream>", text)) == list(as_file)
