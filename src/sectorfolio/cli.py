@@ -20,6 +20,7 @@ only when every requested output was written.
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
 from collections.abc import Callable
@@ -492,6 +493,10 @@ def _handle_fetch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        # run as the program: numpy's import heap lives until exit anyway,
+        # and frozen it is walked by no later collection, shutdown's included
+        gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)

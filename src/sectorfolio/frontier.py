@@ -41,8 +41,8 @@ exact power of ten, so it lies within half an ulp (under 6.2e-5) of the
 exact product, and ``rint(y)`` is the correctly rounded 12-digit integer
 whenever the fraction of ``y`` is more than 2.5e-4 from one half and
 ``rint(y)`` has exactly 12 digits. Every other cell (1 or more, below
-1e-4, zero, NaN, infinite, or near a rounding tie) is left in the text
-as a ``%.12g`` field and formatted by the ``%`` operator.
+1e-4, zero, NaN, infinite, or near a rounding tie) is printed on its
+own by ``b"%.12g," % v`` into the cell's slot of the chunk.
 """
 
 from __future__ import annotations
@@ -273,8 +273,8 @@ def export_frontier(cloud: FrontierCloud, dest: str | Path | IO[str]) -> None:
     or nothing. Each value is written exactly as ``"%.12g"`` prints it,
     so reloading reproduces selection and stats to numerical noise.
     Rows are redrawn and written 256 at a time; cells in [1e-4, 1) are
-    spelled by array arithmetic and all others by the ``%`` operator
-    (see the module docs for the tie margin that keeps them exact).
+    spelled by array arithmetic and all others printed one by one (see
+    the module docs for the tie margin that keeps them exact).
     """
     mrp, orp = _selection(cloud, "export")
     flags = {mrp: "mrp"}
@@ -313,8 +313,6 @@ _GROUP_WORDS = _words(
 )
 del _DIGITS
 _SIGN_WORDS = _words(b"0.", b"-0.")
-# a cell left to the % operator, padded to the six words of a spelled one
-_FIELD_WORDS = _words(b"%.12", b"g,", b"", b"", b"", b"")
 _ROW_ENDS = {
     "": _words(b"\n", b""),
     "mrp": _words(b"mrp\n", b""),
@@ -358,11 +356,12 @@ def _spell_rows(values: np.ndarray, ends: np.ndarray) -> str:
         zero = zeros_after & (group == 0)
         cell[..., j] = _GROUP_WORDS[group + 1000 * zero + 1000 * zeros_after]
         digits, zeros_after = rest, zero
+    # any other cell is printed into its own 24-byte slot, NUL-padded; the
+    # longest spelling, such as -1.79769313486e+308 and its comma, takes 20
     slow = ~fast
-    cell[slow] = _FIELD_WORDS
-    text = words.tobytes().translate(None, b"\0").decode("ascii")
-    # the % operator scans all of the text, so it runs only when needed
-    return text % tuple(values[slow].tolist()) if slow.any() else text
+    spelled = b"".join([(b"%.12g," % v).ljust(24, b"\0") for v in values[slow].tolist()])
+    cell[slow] = np.frombuffer(spelled, dtype=np.uint32).reshape(-1, 6)
+    return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def read_frontier_csv(

@@ -390,14 +390,17 @@ _CHUNK = 1 << 18  # characters of long-layout text, about 256 KiB, split at a ti
 def _parse_long_arrays(text: str) -> _Parsed | None:
     """A long-layout text parsed with array operations, a chunk of lines at a time.
 
-    None for any other text and for any line the array path does not take
-    as it stands, leaving `_parse_long` to parse it and name a fault: a
-    quote, ``\\r`` or NUL anywhere; a line without exactly two commas
-    (a blank or comment line among them); an empty, padded or ``#``
-    ticker; a close that `float` rejects or that is not finite and
-    positive; a date cell that does not parse, or two that strip to one
-    date; a repeated (ticker, date).
+    In a text without a quote, ``\\r\\n`` line ends read as ``\\n``, as the
+    csv module reads them. None for any other text and for any line the
+    array path does not take as it stands, leaving `_parse_long` to parse
+    the text it was given and name a fault: a quote, NUL or other ``\\r``
+    anywhere; a line without exactly two commas (a blank or comment line
+    among them); an empty, padded or ``#`` ticker; a close that `float`
+    rejects or that is not finite and positive; a date cell that does not
+    parse, or two that strip to one date; a repeated (ticker, date).
     """
+    if "\r\n" in text and '"' not in text and text.count("\r") == text.count("\r\n"):
+        text = text.replace("\r\n", "\n")
     start = text.find("\n") + 1
     header = [name.strip().lower() for name in text[:start].split(",")]
     # one scan of the whole text finds a blank or comment line before any chunk is split

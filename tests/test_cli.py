@@ -2,6 +2,7 @@
 
 import csv
 import filecmp
+import gc
 import os
 import subprocess
 import sys
@@ -289,6 +290,38 @@ def test_summary_reports_an_over_long_field_in_one_line(tmp_path):
     assert run.stderr.count("\n") == 1
     assert run.stdout == ""
     assert not out.exists()
+
+
+_FREEZE_PROBE = """
+import gc, sys
+from sectorfolio import cli
+before = gc.get_freeze_count()
+sys.argv = ["sectorfolio", "--help"]
+try:
+    cli.main()
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(before, gc.get_freeze_count())
+"""
+
+
+def test_the_program_freezes_its_import_heap():
+    src = str(Path(sectorfolio.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _FREEZE_PROBE], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    before, after = map(int, run.stdout.split()[-2:])
+    assert before == 0 and after > 0
+
+
+def test_main_given_its_arguments_leaves_the_collector_alone(tmp_path):
+    ini, _ = build_sector(tmp_path)
+    frozen = gc.get_freeze_count()
+    assert run_cli("pipeline", "--universe", ini, "--out", tmp_path / "out") == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_summary_names_the_file_and_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):

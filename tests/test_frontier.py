@@ -405,10 +405,23 @@ def test_export_spells_any_float_as_printf_does():
     spelled_as_printf()
 
 
+def test_export_prints_the_longest_cells_whole():
+    # cells printed one by one, each into a 24-byte slot of its chunk; the
+    # longest, -1.79769313486e+308 and its comma, takes 20 of those bytes
+    row = [-sys.float_info.max, -2.2250738585072014e-308, -5e-324, math.nan, -math.inf, -0.0]
+    cloud = _cloud_of([row, row[::-1]])
+    text = _exported(cloud)
+    assert text == _printf_export(cloud)
+    assert text.splitlines()[1:] == [
+        "-1.79769313486e+308,-2.22507385851e-308,-4.94065645841e-324,nan,-inf,-0,mrp",
+        "-0,-inf,nan,-4.94065645841e-324,-2.22507385851e-308,-1.79769313486e+308,",
+    ]
+
+
 @pytest.mark.parametrize("mrp, orp", [(255, 512), (256, 256)], ids=["apart", "on-an-edge"])
 def test_export_flags_rows_across_chunks(mrp, orp):
-    # six-decimal values lie far from every rounding tie, so no cell is
-    # left to the % operator
+    # six-decimal values lie far from every rounding tie, so every cell is
+    # spelled by array arithmetic
     rng = np.random.default_rng(600)
     table = np.round(rng.uniform(0.01, 0.9, (600, 8)), 6)
     table[mrp, 0] = 0.001

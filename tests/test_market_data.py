@@ -679,7 +679,7 @@ def test_a_reading_error_names_the_line_only_for_a_row_or_header(read, lines, me
 
 # each anomaly edits the body rows of a long text (lists of cells) in place,
 # into a text the array path must leave to the loop; "no-final-newline" is
-# no anomaly but an edge the array path must take
+# no anomaly but an edge the array path must take, as are "\r\n" line ends
 def _quote(rng, rows):
     row = rng.choice(rows)
     k = rng.randrange(3)
@@ -687,7 +687,10 @@ def _quote(rng, rows):
 
 
 def _carriage_return(rng, rows):
-    rng.choice(rows)[2] += "\r"
+    # a "\r" that does not end a line
+    row = rng.choice(rows)
+    k = rng.randrange(3)
+    row[k] = "\r" + row[k]
 
 
 def _field_count(rng, rows):
@@ -742,7 +745,7 @@ _ANOMALIES = {
 }
 
 
-def _random_long_text(rng, anomaly=None):
+def _random_long_text(rng, anomaly=None, newline="\n"):
     tickers = rng.sample(["AAA", "BBB", "M&M", "C-1", "Métal", "X_Y"], rng.randint(1, 4))
     days = sorted(rng.sample(weekdays(date(2021, 12, 27), 30), rng.randint(1, 12)))
     spell = [lambda x: format(x, ".6g"), lambda x: format(x, ".3e"), lambda x: f" {x:.2f}",
@@ -754,23 +757,24 @@ def _random_long_text(rng, anomaly=None):
     rng.shuffle(rows)
     if anomaly is not None and _ANOMALIES[anomaly] is not None:
         _ANOMALIES[anomaly](rng, rows)
-    text = "date,ticker,close\n" + "".join(",".join(row) + "\n" for row in rows)
-    return text[:-1] if anomaly == "no-final-newline" else text
+    text = "date,ticker,close" + newline + "".join(",".join(row) + newline for row in rows)
+    return text.removesuffix(newline) if anomaly == "no-final-newline" else text
 
 
 @pytest.mark.parametrize("chunk", [1, 40, market_data._CHUNK])
 def test_array_path_gives_the_loop_panel_or_leaves_the_text_to_it(chunk):
     rng = random.Random(20261019 + chunk)
-    taken = {name: 0 for name in [None, *_ANOMALIES]}
-    with mock.patch.object(market_data, "_CHUNK", chunk):
-        for _ in range(40):
-            for anomaly in taken:
-                taken[anomaly] += check_array_path(_random_long_text(rng, anomaly))
-    # clean texts take the array path; every anomaly but a missing final
-    # newline and a padded date cell leaves the text to the loop
-    assert taken.pop(None) == taken.pop("no-final-newline") == 40
-    assert 0 < taken.pop("date-spelling") < 40
-    assert taken == dict.fromkeys(taken, 0)
+    for newline in ("\n", "\r\n"):
+        taken = {name: 0 for name in [None, *_ANOMALIES]}
+        with mock.patch.object(market_data, "_CHUNK", chunk):
+            for _ in range(40):
+                for anomaly in taken:
+                    taken[anomaly] += check_array_path(_random_long_text(rng, anomaly, newline))
+        # clean texts take the array path; every anomaly but a missing final
+        # newline and a padded date cell leaves the text to the loop
+        assert taken.pop(None) == taken.pop("no-final-newline") == 40, repr(newline)
+        assert 0 < taken.pop("date-spelling") < 40, repr(newline)
+        assert taken == dict.fromkeys(taken, 0), repr(newline)
 
 
 def _three_chunks():
@@ -833,6 +837,23 @@ def test_a_clean_long_file_never_reaches_the_loop(tmp_path, monkeypatch):
     assert from_path.closes.tobytes() == from_stream.closes.tobytes()
     panel = parse_price_file(io.StringIO(LONG_CSV))
     assert panel.closes.tolist() == [[100.0, 110.0, 99.0], [50.0, 51.0, 52.0]]
+
+
+def test_a_clean_crlf_long_file_never_reaches_the_loop(tmp_path, monkeypatch):
+    text, _ = _three_chunks()
+    crlf = text.replace("\n", "\r\n")
+    path = tmp_path / "prices.csv"
+    path.write_bytes(crlf.encode())
+    expected = parse_price_file(io.StringIO(text))
+
+    def loop(reader):
+        raise AssertionError("a clean \\r\\n long file went to the loop")
+
+    monkeypatch.setattr(market_data, "_parse_long", loop)
+    for panel in (parse_price_file(path), parse_price_file(io.StringIO(crlf))):
+        assert panel.tickers == expected.tickers
+        assert panel.dates == expected.dates
+        assert panel.closes.tobytes() == expected.closes.tobytes()
 
 
 @pytest.mark.parametrize("text", [LONG_CSV, LONG_CSV + "2022-01-06,AAA,x\n", WIDE_CSV],

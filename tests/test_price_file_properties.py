@@ -121,7 +121,8 @@ _odd_cell = st.one_of(
 
 @st.composite
 def _long_texts(draw):
-    """Long-layout texts of a panel's rows, in any order, some of them edited."""
+    """Long-layout texts of a panel's rows, in any order, some of them edited,
+    with ``\n`` or ``\r\n`` line ends."""
     panel = draw(_panels())
     rows = [[d.isoformat(), t, format(c, ".12g")]
             for t, row in zip(panel.tickers, panel.closes) for d, c in zip(panel.dates, row)
@@ -137,8 +138,9 @@ def _long_texts(draw):
             rows.insert(draw(st.integers(0, len(rows))), [*rows[at][:2], draw(_odd_cell)])
         else:
             rows.insert(at, draw(st.lists(_odd_cell, max_size=4)))
-    text = "date,ticker,close\n" + "".join(",".join(row) + "\n" for row in rows)
-    return text if draw(st.booleans()) else text[:-1]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "date,ticker,close" + newline + "".join(",".join(row) + newline for row in rows)
+    return text if draw(st.booleans()) else text.removesuffix(newline)
 
 
 @given(text=_long_texts(), chunk=st.sampled_from([1, 16, market_data._CHUNK]))
