@@ -85,7 +85,8 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "frontier.csv"
         export_frontier(cloud, out)
-        flagged = [line for line in out.read_text().splitlines() if line.endswith(("mrp", "orp"))]
+        lines = out.read_text(encoding="utf-8").splitlines()
+        flagged = [line for line in lines if line.endswith(("mrp", "orp"))]
         print(f"exported {out} ({len(flagged)} flagged rows), removed on exit")
 
 

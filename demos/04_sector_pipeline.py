@@ -90,14 +90,14 @@ def run_demo(root):
         run_sector(ini, out)
         exclusions = out / "exclusions.log"
         if exclusions.exists():
-            print(f"excluded: {exclusions.read_text().splitlines()[1:]}")
+            print(f"excluded: {exclusions.read_text(encoding='utf-8').splitlines()[1:]}")
         print()
 
     print("--- summary ---")
     summary = cmd_summary(
         [root / ini.stem / "sector_result.csv" for ini in (steady, patchy)], root
     )
-    print(summary.read_text())
+    print(summary.read_text(encoding="utf-8"))
 
 
 if __name__ == "__main__":

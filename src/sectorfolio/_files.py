@@ -1,4 +1,7 @@
-"""The package's one CSV dialect (UTF-8, ``\\n`` line ends), over a path or a stream."""
+"""The package's one CSV dialect (UTF-8, ``\\n`` line ends), over a path or a stream.
+
+`read_text` is the only code that reads an input, each once and whole.
+"""
 
 from __future__ import annotations
 
@@ -13,29 +16,14 @@ from .errors import DataFormatError
 
 Target = str | os.PathLike | IO[str]
 
-
-@contextmanager
-def text_stream(target: Target) -> Iterator[IO[str]]:
-    """Yield `target` itself when it is a stream, else open it to read UTF-8 text.
-
-    A path is opened with ``newline=""``, as the csv module expects, and
-    closed on exit; a stream passed in is left open for its owner.
-    """
-    if not isinstance(target, (str, os.PathLike)):
-        yield target
-        return
-    with open(target, encoding="utf-8", newline="") as fh:
-        yield fh
-
-
 _LINES = 1 << 16  # characters of a `SourceText` turned into lines at a time
 
 
 @dataclass(frozen=True)
 class SourceText:
-    """A source read whole: its name and its text.
+    """A source read whole by `read_text`: its name and its text.
 
-    It iterates over its lines as a file opened by `text_stream` gives
+    It iterates over its lines as a file opened with ``newline=""`` gives
     them, so `csv_reader` reads it like that file, under the same name.
     """
 
@@ -56,42 +44,54 @@ class SourceText:
 def read_text(source: Target) -> SourceText:
     """The source's name and its whole text, read at once.
 
-    Bytes that are not UTF-8 raise DataFormatError naming the source.
+    A path is opened once, in binary, and its bytes are decoded as UTF-8
+    with no newline translation, as ``newline=""`` reads them. A stream
+    is read whole and left open for its owner. A byte that is not UTF-8
+    raises DataFormatError naming the source, and for a path its line.
     """
-    with text_stream(source) as fh:
-        path = str(getattr(fh, "name", "<stream>"))
+    if not isinstance(source, (str, os.PathLike)):
+        name = str(getattr(source, "name", "<stream>"))
         try:
-            return SourceText(path, fh.read())
-        except UnicodeDecodeError as exc:  # a ValueError too, so caught first
-            raise DataFormatError(_not_utf8(source, path, exc)) from None
+            return SourceText(name, source.read())
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(_not_utf8(name, exc)) from None
+    name = str(os.fspath(source))
+    with open(source, "rb") as fh:
+        raw = fh.read()
+    try:
+        return SourceText(name, raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(_not_utf8(f"{name}: line {line}", exc)) from None
+
+
+def _not_utf8(where: str, exc: UnicodeDecodeError) -> str:
+    return f"{where}: not valid UTF-8 (byte 0x{exc.object[exc.start]:02x})"
 
 
 @contextmanager
 def csv_reader(source: Target | SourceText) -> Iterator[tuple[str, Any, list[str]]]:
     """Yield the source's name, a csv reader past the header, and the header.
 
-    A `SourceText` is read from its text, under its name.
-
+    A source other than a `SourceText` is read by `read_text` first.
     This is the only code that says where a fault is. A ValueError or
     csv module error (say, an over-long field) raised inside the block
     is a fault of the header or of the row just read, and becomes
     DataFormatError ``"<source>: line N: <reason>"``, N being the line
     where that record ends. So a check of the whole file, which names no
-    line, runs after the block. An empty source, or bytes that are not
-    UTF-8, also raise DataFormatError naming the source.
+    line, runs after the block. An empty source raises DataFormatError
+    naming it.
     """
-    with text_stream(source) as fh:
-        path = str(getattr(fh, "name", "<stream>"))
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise DataFormatError(f"{path}: empty file")
-            yield path, reader, header
-        except UnicodeDecodeError as exc:  # a ValueError too, so caught first
-            raise DataFormatError(_not_utf8(source, path, exc)) from None
-        except (csv.Error, ValueError) as exc:
-            raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not isinstance(source, SourceText):
+        source = read_text(source)
+    reader = csv.reader(source)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataFormatError(f"{source.name}: empty file")
+        yield source.name, reader, header
+    except (csv.Error, ValueError) as exc:
+        raise DataFormatError(f"{source.name}: line {reader.line_num}: {exc}") from None
 
 
 def header_names(names: Sequence[str]) -> list[str]:
@@ -118,24 +118,6 @@ def skip_row(row: list[str], width: int) -> bool:
     if len(row) != width:
         raise ValueError(f"expected {width} fields, got {len(row)}")
     return False
-
-
-def _not_utf8(source: Target, path: str, exc: UnicodeDecodeError) -> str:
-    """Name the first byte that is not UTF-8, and its line when `source` is a path.
-
-    The decoder works in chunks, so the reader's line count lags the
-    fault; a path is read again as bytes to place it.
-    """
-    where, bad = "", exc.object[exc.start]
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as fh:
-            raw = fh.read()
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as whole:
-            line = raw.count(b"\n", 0, whole.start) + 1
-            where, bad = f" line {line}:", raw[whole.start]
-    return f"{path}:{where} not valid UTF-8 (byte 0x{bad:02x})"
 
 
 @contextmanager

@@ -30,13 +30,15 @@ Tickers are separated by whitespace or commas. Windows are inclusive
 test window begins.
 
 `parse_price_file` reads a whole file at once into a full-span panel:
-every ticker in the file over every date, NaN marking the gaps. A long
-file is parsed with array operations, about 256 KiB of lines at a time:
+every ticker in the file over every date, NaN marking the gaps. The
+file is read and decoded once, and the csv module reads its header once.
+A long file is then parsed with array operations, about 256 KiB of lines
+at a time: blank and comment lines are dropped, as the loop skips them,
 each chunk is split into cells once, its closes converted by `float`
 and its tickers and date cells coded through dicts, and one scatter
-fills the matrix. Anything that path does not take as it stands (a
-quote, a blank or comment line, a bad cell, a repeat) sends the text to
-the row-by-row loop, which parses it again and names the faulty line.
+fills the matrix. Anything else that path does not take as it stands (a
+quote, a bad cell, a repeat) leaves the text to the row-by-row loop,
+which reads on past the header and names the faulty line.
 A wide file always goes through its loop. `PricePanel.window` cuts a
 universe's tickers and one date window from it by slicing, keeping the
 union of in-window dates on which those tickers trade. The CLI parses
@@ -60,6 +62,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import io
 import math
 import re
 from array import array
@@ -71,14 +74,7 @@ from typing import IO, Any, Iterable
 
 import numpy as np
 
-from ._files import (
-    _not_utf8,
-    csv_reader,
-    csv_writer,
-    header_names,
-    read_text,
-    skip_row,
-)
+from ._files import csv_reader, csv_writer, header_names, read_text, skip_row
 from .errors import (
     DataFormatError,
     EmptyPanelError,
@@ -304,13 +300,12 @@ def read_universe_config(path: str | Path) -> UniverseConfig:
     """
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    whole = read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
+        # newline=None reads "\r\n" and "\r" as "\n", as a file opened in text mode does
+        parser.read_file(io.StringIO(whole.text, newline=None), whole.name)
     except configparser.Error as exc:
         raise DataFormatError(f"{path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(_not_utf8(path, str(path), exc)) from None
     if not parser.has_section("universe"):
         raise DataFormatError(f"{path}: missing [universe] section")
     sec = parser["universe"]
@@ -385,29 +380,37 @@ def _quote_matrix(quotes: dict[str, dict[date, float]]) -> _Parsed:
 
 _LONG_HEADER = ["date", "ticker", "close"]
 _CHUNK = 1 << 18  # characters of long-layout text, about 256 KiB, split at a time
+_SKIPPED = re.compile(r"\n(?:[ \t]*(?=\n)|#[^\n]*)")
+# one scan of the whole text, faster than `_SKIPPED`'s, finds such a line before any chunk
+_MAYBE_SKIPPED = re.compile(r"\n[\n \t#]")
 
 
 def _parse_long_arrays(text: str) -> _Parsed | None:
     """A long-layout text parsed with array operations, a chunk of lines at a time.
 
-    In a text without a quote, ``\\r\\n`` line ends read as ``\\n``, as the
-    csv module reads them. None for any other text and for any line the
-    array path does not take as it stands, leaving `_parse_long` to parse
-    the text it was given and name a fault: a quote, NUL or other ``\\r``
-    anywhere; a line without exactly two commas (a blank or comment line
-    among them); an empty, padded or ``#`` ticker; a close that `float`
-    rejects or that is not finite and positive; a date cell that does not
-    parse, or two that strip to one date; a repeated (ticker, date).
+    The caller has checked the header, the text's first line. ``\\r\\n``
+    ends read as ``\\n``, and lines that are empty, hold only spaces or
+    tabs, or start with ``#`` are dropped, as the loop reads them. Any
+    other line the array path does not take as it stands gives None, never
+    an exception, so `_parse_long` parses the original text and names the
+    fault: a quote, NUL or other ``\\r``; dropped lines as long as the
+    field limit; a line without exactly two commas; an empty, padded or
+    ``#`` ticker; a close that `float` rejects or that is not finite and
+    positive; a bad date cell, or two that strip to one date; a repeat.
     """
-    if "\r\n" in text and '"' not in text and text.count("\r") == text.count("\r\n"):
+    if "\r" in text and text.count("\r") == text.count("\r\n"):
         text = text.replace("\r\n", "\n")
-    start = text.find("\n") + 1
-    header = [name.strip().lower() for name in text[:start].split(",")]
-    # one scan of the whole text finds a blank or comment line before any chunk is split
-    odd = ('"', "\r", "\0", "\n\n", "\n#")
-    if header != _LONG_HEADER or start == len(text) or any(mark in text for mark in odd):
+    if any(mark in text for mark in ('"', "\r", "\0")):
         return None
     limit = csv.field_size_limit()
+    if _MAYBE_SKIPPED.search(text):
+        kept = _SKIPPED.sub("", text)
+        if len(text) - len(kept) >= limit:  # so no dropped line is over the field limit
+            return None
+        text = kept
+    start = text.find("\n") + 1
+    if not 0 < start < len(text):
+        return None
     tickers: dict[str, int] = {}  # ticker -> code, in file order
     cells: dict[str, int] = {}  # date cell -> code, in file order
     # each line's ticker code, date-cell code and close
@@ -496,18 +499,16 @@ def parse_price_file(source: str | Path | IO[str]) -> PricePanel:
     EmptyPanelError : the file holds a header but no quote.
     """
     whole = read_text(source)
-    parsed = _parse_long_arrays(whole.text)
-    if parsed is None:
-        with csv_reader(whole) as (_, reader, header):
-            names = [h.strip().lower() for h in header]
-            if names[:1] != ["date"]:
-                raise ValueError(f"first column must be 'date', got {header!r}")
-            if names == _LONG_HEADER:
-                parsed = _parse_long(reader)
-            elif len(names) < 2:
-                raise ValueError(f"unrecognized header {header!r}")
-            else:
-                parsed = _parse_wide(reader, header)
+    with csv_reader(whole) as (_, reader, header):
+        names = [h.strip().lower() for h in header]
+        if names[:1] != ["date"]:
+            raise ValueError(f"first column must be 'date', got {header!r}")
+        if names == _LONG_HEADER:
+            parsed = _parse_long_arrays(whole.text) or _parse_long(reader)
+        elif len(names) < 2:
+            raise ValueError(f"unrecognized header {header!r}")
+        else:
+            parsed = _parse_wide(reader, header)
     tickers, dates, closes = parsed
     if not dates:
         raise EmptyPanelError(f"{whole.name}: no quotes")

@@ -324,6 +324,16 @@ def test_universe_config_roundtrip(tmp_path):
     assert cfg.prices == "psu.csv"
 
 
+def test_a_crlf_universe_reads_as_its_lf_twin(tmp_path):
+    text = ("[universe]\nsector = Auto\ntickers = AAA,\n  BBB\ntrain = 2021-01-01:2021-12-31\n"
+            "test = 2022-01-01:2022-12-31\nprices = auto.csv ; here\n")
+    lf, crlf = tmp_path / "lf.ini", tmp_path / "crlf.ini"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    assert read_universe_config(crlf) == read_universe_config(lf)
+    assert read_universe_config(crlf).tickers == ["AAA", "BBB"]
+
+
 def test_universe_config_missing_key(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[universe]\nsector = X\ntickers = AAA\n", encoding="utf-8")
@@ -540,6 +550,16 @@ def test_a_byte_that_is_not_utf8_is_placed_on_its_line(tmp_path):
         assert str(caught.value) == f"{path}: line 5000: not valid UTF-8 (byte 0xe9)"
 
 
+def test_a_byte_that_is_not_utf8_is_reported_before_an_earlier_bad_row(tmp_path):
+    # the whole file is decoded before its first row is read
+    lines = ["ticker,ewp", "AAA,x"] + [f"T{i},0" for i in range(4997)] + ["M\xe9tal,1"]
+    path = tmp_path / "weights.csv"
+    path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+    with pytest.raises(DataFormatError) as caught:
+        read_weights_csv(path)
+    assert str(caught.value) == f"{path}: line 5000: not valid UTF-8 (byte 0xe9)"
+
+
 def test_parse_reports_a_path_source_by_name(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("date,ticker,close\n2022-01-03,AAA,x\n", encoding="utf-8")
@@ -716,7 +736,8 @@ def _close(rng, rows):
 
 
 def _date(rng, rows):
-    rng.choice(rows)[0] = rng.choice(["2022-13-01", "20220103", "2022-1-3", "", "#2022-01-03"])
+    # a date cell from "#" makes a comment line, which `_comment_line` covers
+    rng.choice(rows)[0] = rng.choice(["2022-13-01", "20220103", "2022-1-3", ""])
 
 
 def _date_spelling(rng, rows):
@@ -770,9 +791,11 @@ def test_array_path_gives_the_loop_panel_or_leaves_the_text_to_it(chunk):
             for _ in range(40):
                 for anomaly in taken:
                     taken[anomaly] += check_array_path(_random_long_text(rng, anomaly, newline))
-        # clean texts take the array path; every anomaly but a missing final
-        # newline and a padded date cell leaves the text to the loop
-        assert taken.pop(None) == taken.pop("no-final-newline") == 40, repr(newline)
+        # clean texts take the array path, and so do those with a missing final
+        # newline or a blank or comment line; every other anomaly but a padded
+        # date cell leaves the text to the loop
+        for kind in (None, "no-final-newline", "blank-line", "comment-line"):
+            assert taken.pop(kind) == 40, (kind, newline)
         assert 0 < taken.pop("date-spelling") < 40, repr(newline)
         assert taken == dict.fromkeys(taken, 0), repr(newline)
 
@@ -856,28 +879,113 @@ def test_a_clean_crlf_long_file_never_reaches_the_loop(tmp_path, monkeypatch):
         assert panel.closes.tobytes() == expected.closes.tobytes()
 
 
-@pytest.mark.parametrize("text", [LONG_CSV, LONG_CSV + "2022-01-06,AAA,x\n", WIDE_CSV],
-                         ids=["long", "long-bad-close", "wide"])
-def test_a_price_file_is_opened_and_read_once(tmp_path, monkeypatch, text):
-    from sectorfolio import _files
+def test_blank_and_comment_lines_never_send_a_long_file_to_the_loop(tmp_path, monkeypatch):
+    head, body = LONG_CSV.split("\n", 1)
+    text = f"{head}\n# note\n{body}  \n\t\n\n"
+    expected = parse_price_file(io.StringIO(LONG_CSV))
 
-    reads = []
+    def loop(reader):
+        raise AssertionError("a long file with blank and comment lines went to the loop")
 
-    class Counted(io.StringIO):
+    monkeypatch.setattr(market_data, "_parse_long", loop)
+    path = tmp_path / "prices.csv"
+    path.write_text(text, encoding="utf-8")
+    for panel in (parse_price_file(path), parse_price_file(io.StringIO(text, newline=""))):
+        assert panel.tickers == expected.tickers
+        assert panel.dates == expected.dates
+        assert panel.closes.tobytes() == expected.closes.tobytes()
+
+
+def test_a_bad_close_after_a_comment_line_is_named_at_its_own_line():
+    head, body = LONG_CSV.split("\n", 1)
+    text = f"{head}\n# note\n\n{body}2022-01-06,AAA,x\n"
+    assert check_array_path(text) is False
+    with pytest.raises(DataFormatError) as caught:
+        parse_price_file(io.StringIO(text))
+    assert str(caught.value) == "<stream>: line 10: bad close 'x' for AAA"
+
+
+@pytest.mark.parametrize("skipped", ["#", " "])
+def test_a_skipped_line_over_the_field_limit_is_still_named_by_the_loop(skipped):
+    limit = csv.field_size_limit()
+    text = LONG_CSV + skipped * (limit + 1) + "\n"
+    assert check_array_path(text) is False
+    with pytest.raises(DataFormatError) as caught:
+        parse_price_file(io.StringIO(text))
+    assert str(caught.value) == f"<stream>: line 8: field larger than field limit ({limit})"
+
+
+_UNIVERSE_INI = (
+    "[universe]\nsector = Auto\ntickers = AAA BBB\n"
+    "train = 2021-01-01:2021-12-31\ntest = 2022-01-01:2022-12-31\n"
+)
+
+
+def _counted_opens(monkeypatch):
+    """Every path the reading modules open, and the arguments of every read of it."""
+    from sectorfolio import _files, frontier, reports
+
+    opens, reads = [], []
+
+    class Counted(io.BytesIO):
         def read(self, *args):
             reads.append(args)
             return super().read(*args)
 
     def counting_open(path, *args, **kwargs):
+        opens.append(path)
         with open(path, *args, **kwargs) as fh:
             return Counted(fh.read())
 
-    monkeypatch.setattr(_files, "open", counting_open, raising=False)
+    for module in (_files, market_data, reports, frontier):
+        monkeypatch.setattr(module, "open", counting_open, raising=False)
+    return opens, reads
+
+
+@pytest.mark.parametrize("text", [LONG_CSV, LONG_CSV + "2022-01-06,AAA,x\n", WIDE_CSV,
+                                  LONG_CSV + "2022-01-06,AAA,x\nM\xe9tal\n"],
+                         ids=["long", "long-bad-close", "wide", "long-not-utf8"])
+def test_a_price_file_is_opened_and_read_once(tmp_path, monkeypatch, text):
+    opens, reads = _counted_opens(monkeypatch)
     path = tmp_path / "prices.csv"
-    path.write_text(text, encoding="utf-8")
-    if text.endswith(",x\n"):
-        with pytest.raises(DataFormatError, match="^<stream>: line 8: bad close 'x'"):
+    path.write_bytes(text.encode("latin-1"))
+    if text.endswith("tal\n"):
+        with pytest.raises(DataFormatError) as caught:
             parse_price_file(path)
+        assert str(caught.value) == f"{path}: line 9: not valid UTF-8 (byte 0xe9)"
+    elif text.endswith(",x\n"):
+        with pytest.raises(DataFormatError) as caught:
+            parse_price_file(path)
+        assert str(caught.value) == f"{path}: line 8: bad close 'x' for AAA"
     else:
         parse_price_file(path)
+    assert opens == [path]
+    assert reads == [()]
+
+
+_READERS = {
+    "weights": read_weights_csv, "frontier": read_frontier_csv,
+    "sector-results": read_sector_results, "universe": read_universe_config,
+}
+
+
+@pytest.mark.parametrize("utf8", [True, False], ids=["utf8", "not-utf8"])
+@pytest.mark.parametrize("name", list(_READERS))
+def test_every_other_reader_opens_and_reads_a_path_once(tmp_path, monkeypatch, name, utf8):
+    if name == "universe":
+        text = _UNIVERSE_INI
+    else:
+        _, header, rows, *_ = _DIALECT_READERS[name]
+        text = "\n".join([header, *rows]) + "\n"
+    opens, reads = _counted_opens(monkeypatch)
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.encode() + (b"" if utf8 else b"# caf\xe9\n"))
+    if utf8:
+        _READERS[name](path)
+    else:
+        with pytest.raises(DataFormatError) as caught:
+            _READERS[name](path)
+        line = text.count("\n") + 1
+        assert str(caught.value) == f"{path}: line {line}: not valid UTF-8 (byte 0xe9)"
+    assert opens == [path]
     assert reads == [()]
