@@ -33,12 +33,12 @@ test window begins.
 every ticker in the file over every date, NaN marking the gaps. The
 file is read and decoded once, and the csv module reads its header once.
 A long file is then parsed with array operations, about 256 KiB of lines
-at a time: blank and comment lines are dropped, as the loop skips them,
-each chunk is split into cells once, its closes converted by `float`
-and its tickers and date cells coded through dicts, and one scatter
-fills the matrix. Anything else that path does not take as it stands (a
-quote, a bad cell, a repeat) leaves the text to the row-by-row loop,
-which reads on past the header and names the faulty line.
+at a time: each chunk is split into cells once, its closes converted by
+`float` and its tickers and date cells coded through dicts, and one
+scatter fills the matrix. Anything that path does not take as it stands
+(a quote, a blank or comment line, a bad cell, a repeat) leaves the text
+to the row-by-row loop, which reads on past the header and names the
+faulty line.
 A wide file always goes through its loop. `PricePanel.window` cuts a
 universe's tickers and one date window from it by slicing, keeping the
 union of in-window dates on which those tickers trade. The CLI parses
@@ -380,34 +380,26 @@ def _quote_matrix(quotes: dict[str, dict[date, float]]) -> _Parsed:
 
 _LONG_HEADER = ["date", "ticker", "close"]
 _CHUNK = 1 << 18  # characters of long-layout text, about 256 KiB, split at a time
-_SKIPPED = re.compile(r"\n(?:[ \t]*(?=\n)|#[^\n]*)")
-# one scan of the whole text, faster than `_SKIPPED`'s, finds such a line before any chunk
-_MAYBE_SKIPPED = re.compile(r"\n[\n \t#]")
 
 
 def _parse_long_arrays(text: str) -> _Parsed | None:
     """A long-layout text parsed with array operations, a chunk of lines at a time.
 
     The caller has checked the header, the text's first line. ``\\r\\n``
-    ends read as ``\\n``, and lines that are empty, hold only spaces or
-    tabs, or start with ``#`` are dropped, as the loop reads them. Any
-    other line the array path does not take as it stands gives None, never
-    an exception, so `_parse_long` parses the original text and names the
-    fault: a quote, NUL or other ``\\r``; dropped lines as long as the
-    field limit; a line without exactly two commas; an empty, padded or
-    ``#`` ticker; a close that `float` rejects or that is not finite and
-    positive; a bad date cell, or two that strip to one date; a repeat.
+    ends read as ``\\n``, as the csv module reads them. Any line the array
+    path does not take as it stands gives None, never an exception, so
+    `_parse_long` parses the text and names the fault: a quote, NUL or
+    other ``\\r``; a blank or comment line; a line without exactly two
+    commas; an empty, padded or ``#`` ticker; a close that `float` rejects
+    or that is not finite and positive; a bad date cell, or two that strip
+    to one date; a repeated (ticker, date).
     """
     if "\r" in text and text.count("\r") == text.count("\r\n"):
         text = text.replace("\r\n", "\n")
-    if any(mark in text for mark in ('"', "\r", "\0")):
+    # one scan of the whole text finds a blank or comment line before any chunk is split
+    if any(mark in text for mark in ('"', "\r", "\0", "\n\n", "\n#")):
         return None
     limit = csv.field_size_limit()
-    if _MAYBE_SKIPPED.search(text):
-        kept = _SKIPPED.sub("", text)
-        if len(text) - len(kept) >= limit:  # so no dropped line is over the field limit
-            return None
-        text = kept
     start = text.find("\n") + 1
     if not 0 < start < len(text):
         return None

@@ -736,8 +736,7 @@ def _close(rng, rows):
 
 
 def _date(rng, rows):
-    # a date cell from "#" makes a comment line, which `_comment_line` covers
-    rng.choice(rows)[0] = rng.choice(["2022-13-01", "20220103", "2022-1-3", ""])
+    rng.choice(rows)[0] = rng.choice(["2022-13-01", "20220103", "2022-1-3", "", "#2022-01-03"])
 
 
 def _date_spelling(rng, rows):
@@ -791,11 +790,9 @@ def test_array_path_gives_the_loop_panel_or_leaves_the_text_to_it(chunk):
             for _ in range(40):
                 for anomaly in taken:
                     taken[anomaly] += check_array_path(_random_long_text(rng, anomaly, newline))
-        # clean texts take the array path, and so do those with a missing final
-        # newline or a blank or comment line; every other anomaly but a padded
-        # date cell leaves the text to the loop
-        for kind in (None, "no-final-newline", "blank-line", "comment-line"):
-            assert taken.pop(kind) == 40, (kind, newline)
+        # clean texts take the array path; every anomaly but a missing final
+        # newline and a padded date cell leaves the text to the loop
+        assert taken.pop(None) == taken.pop("no-final-newline") == 40, repr(newline)
         assert 0 < taken.pop("date-spelling") < 40, repr(newline)
         assert taken == dict.fromkeys(taken, 0), repr(newline)
 
@@ -879,23 +876,6 @@ def test_a_clean_crlf_long_file_never_reaches_the_loop(tmp_path, monkeypatch):
         assert panel.closes.tobytes() == expected.closes.tobytes()
 
 
-def test_blank_and_comment_lines_never_send_a_long_file_to_the_loop(tmp_path, monkeypatch):
-    head, body = LONG_CSV.split("\n", 1)
-    text = f"{head}\n# note\n{body}  \n\t\n\n"
-    expected = parse_price_file(io.StringIO(LONG_CSV))
-
-    def loop(reader):
-        raise AssertionError("a long file with blank and comment lines went to the loop")
-
-    monkeypatch.setattr(market_data, "_parse_long", loop)
-    path = tmp_path / "prices.csv"
-    path.write_text(text, encoding="utf-8")
-    for panel in (parse_price_file(path), parse_price_file(io.StringIO(text, newline=""))):
-        assert panel.tickers == expected.tickers
-        assert panel.dates == expected.dates
-        assert panel.closes.tobytes() == expected.closes.tobytes()
-
-
 def test_a_bad_close_after_a_comment_line_is_named_at_its_own_line():
     head, body = LONG_CSV.split("\n", 1)
     text = f"{head}\n# note\n\n{body}2022-01-06,AAA,x\n"
@@ -903,16 +883,6 @@ def test_a_bad_close_after_a_comment_line_is_named_at_its_own_line():
     with pytest.raises(DataFormatError) as caught:
         parse_price_file(io.StringIO(text))
     assert str(caught.value) == "<stream>: line 10: bad close 'x' for AAA"
-
-
-@pytest.mark.parametrize("skipped", ["#", " "])
-def test_a_skipped_line_over_the_field_limit_is_still_named_by_the_loop(skipped):
-    limit = csv.field_size_limit()
-    text = LONG_CSV + skipped * (limit + 1) + "\n"
-    assert check_array_path(text) is False
-    with pytest.raises(DataFormatError) as caught:
-        parse_price_file(io.StringIO(text))
-    assert str(caught.value) == f"<stream>: line 8: field larger than field limit ({limit})"
 
 
 _UNIVERSE_INI = (
