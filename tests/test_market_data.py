@@ -445,9 +445,11 @@ def test_wide_column_without_quotes_is_an_all_nan_row():
          + "\n", 3),
         # one date spelt two ways is still one date
         ("2022-01-03,AAA,1\n 2022-01-04,AAA,1\n2022-01-04,BBB,1\n2022-01-04,AAA,2\n", 5),
+        ("# note\n\n2022-01-03,AAA,1\n2022-01-04,AAA,x\n", 5),
     ],
     ids=["duplicate-then-bad-close", "bad-close-then-duplicate", "blank-line-counted",
-         "first-of-two-duplicates", "duplicate-then-csv-error", "padded-date-repeat"],
+         "first-of-two-duplicates", "duplicate-then-csv-error", "padded-date-repeat",
+         "comment-line-counted"],
 )
 def test_first_faulty_line_is_reported(text, line):
     with pytest.raises(DataFormatError, match=f"line {line}:"):
@@ -874,15 +876,6 @@ def test_a_clean_crlf_long_file_never_reaches_the_loop(tmp_path, monkeypatch):
         assert panel.tickers == expected.tickers
         assert panel.dates == expected.dates
         assert panel.closes.tobytes() == expected.closes.tobytes()
-
-
-def test_a_bad_close_after_a_comment_line_is_named_at_its_own_line():
-    head, body = LONG_CSV.split("\n", 1)
-    text = f"{head}\n# note\n\n{body}2022-01-06,AAA,x\n"
-    assert check_array_path(text) is False
-    with pytest.raises(DataFormatError) as caught:
-        parse_price_file(io.StringIO(text))
-    assert str(caught.value) == "<stream>: line 10: bad close 'x' for AAA"
 
 
 _UNIVERSE_INI = (
