@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sectorfolio import PricePanel, read_universe_config, write_long_csv
+from sectorfolio import PricePanel, parse_price_file, read_universe_config, write_long_csv
 from sectorfolio.cli import RunConfig, cmd_pipeline, cmd_summary
 
 TRAIN_DAYS = 120
@@ -63,7 +63,7 @@ def run_sector(ini, out_dir):
         samples=10_000,
         seed=SEED,
     )
-    return cmd_pipeline(config)
+    return cmd_pipeline(config, parse_price_file(config.prices))
 
 
 def main():

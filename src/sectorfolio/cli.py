@@ -7,14 +7,17 @@ Subcommands:
 * ``frontier``  the sampled cloud -> frontier.csv
 * ``backtest``  buy-and-hold one book over the test window -> backtest_<column>.csv
 * ``pipeline``  all of the above plus both backtests and the sector
-  result; a failed sector writes nothing and gets one stderr line naming
-  it. ``--all`` iterates a directory of universe configs, runs the rest
-  after a failure, and adds a summary.csv of the sectors that finished
+  result; a failed sector writes nothing. ``--all`` iterates a directory
+  of universe configs, runs the rest after a failure, and adds a
+  summary.csv of the sectors that finished
 * ``summary``   combine sector_result.csv files -> summary.csv
 * ``fetch``     download close histories -> canonical long CSV
 
-Commands print one ``wrote <path>`` line per output file and exit 0
-only when every requested output was written.
+Each sector command parses its price file once, in one runner that hands
+the panel to its ``cmd_*`` function and reports a failure as one
+``sectorfolio <command>: <sector>: <reason>`` line. Commands print one
+``wrote <path>`` line per output file and exit 0 only when every
+requested output was written.
 """
 
 from __future__ import annotations
@@ -26,16 +29,12 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from datetime import date
+from functools import partial
 from pathlib import Path
 
 from ._files import csv_writer
 from .backtest import MODES, backtest_from_panel, write_backtest_csv
-from .errors import (
-    AnalyticsError,
-    EmptySummaryError,
-    EmptyUniverseError,
-    InsufficientDataError,
-)
+from .errors import AnalyticsError, EmptySummaryError, EmptyUniverseError
 from .frontier import (
     WEIGHT_SAMPLERS,
     FrontierCloud,
@@ -100,36 +99,27 @@ class RunConfig:
     capital: float = 100_000.0
 
 
-@dataclass
-class _TrainArtifacts:
-    panel: PricePanel
-    excluded: list[tuple[str, float]]
-    stats: list[AssetStats]
-    cloud: FrontierCloud
-
-
-def _train_panel(config: RunConfig, prices: PricePanel) -> tuple[PricePanel, list[tuple[str, float]]]:
+def _train(
+    config: RunConfig, prices: PricePanel
+) -> tuple[PricePanel, list[tuple[str, float]], list[AssetStats]]:
+    """The training panel after the missing-data policy, its exclusions and its stats."""
     raw = load_price_panel(prices, config.universe, config.universe.train_window)
-    return apply_missing_data_policy(raw, config.threshold)
+    panel, excluded = apply_missing_data_policy(raw, config.threshold)
+    return panel, excluded, asset_stats(panel)
 
 
-def _train(config: RunConfig, prices: PricePanel) -> _TrainArtifacts:
-    panel, excluded = _train_panel(config, prices)
-    stats = asset_stats(panel)
-    cov = covariance_matrix(panel)
+def _cloud(config: RunConfig, panel: PricePanel, stats: list[AssetStats]) -> FrontierCloud:
     mu = [s.annual_return for s in stats]  # panel order, the covariance's order
-    cloud = sample_frontier(
-        mu, cov, config.samples, config.seed, config.rf, sampler=config.sampler
-    )
-    return _TrainArtifacts(panel, excluded, stats, cloud)
+    cov = covariance_matrix(panel)
+    return sample_frontier(mu, cov, config.samples, config.seed, config.rf, sampler=config.sampler)
 
 
-def _books(art: _TrainArtifacts) -> tuple[WeightVector, WeightVector, WeightVector]:
+def _books(panel: PricePanel, cloud: FrontierCloud) -> tuple[WeightVector, WeightVector, WeightVector]:
     """The EWP, MRP and ORP books of one training run."""
     return (
-        equal_weights(art.panel.tickers),
-        min_risk_portfolio(art.cloud).weights,
-        optimum_risk_portfolio(art.cloud).weights,
+        equal_weights(panel.tickers),
+        min_risk_portfolio(cloud).weights,
+        optimum_risk_portfolio(cloud).weights,
     )
 
 
@@ -146,36 +136,37 @@ def _exclusions_csv(excluded: list[tuple[str, float]], path: Path) -> None:
         writer.writerows([ticker, f"{fraction:.4f}"] for ticker, fraction in excluded)
 
 
-def _write_exclusions(excluded: list[tuple[str, float]], out_dir: Path) -> None:
-    """exclusions.log when a ticker was excluded; otherwise none, not even an old one."""
+def _write_files(out_dir: Path, excluded: list[tuple[str, float]] | None, *files: tuple) -> Path:
+    """Write each ``(name, write, *args)`` of `files` under `out_dir`, in order, and
+    return the first path. Then write exclusions.log when a ticker was excluded,
+    or remove an old one; `excluded` is None for a backtest, which trains nothing
+    and leaves the log alone."""
+    paths = [_write(out_dir / name, write, *args) for name, write, *args in files]
     if excluded:
         _write(out_dir / "exclusions.log", _exclusions_csv, excluded)
-    else:
+    elif excluded is not None:
         (out_dir / "exclusions.log").unlink(missing_ok=True)
+    return paths[0]
 
 
-def cmd_stats(config: RunConfig) -> Path:
+def cmd_stats(config: RunConfig, prices: PricePanel) -> Path:
     """Write training-window per-ticker stats; returns the file path."""
-    panel, excluded = _train_panel(config, parse_price_file(config.prices))
-    path = _write(config.out_dir / "stats.csv", write_stats_csv, asset_stats(panel))
-    _write_exclusions(excluded, config.out_dir)
-    return path
+    _, excluded, stats = _train(config, prices)
+    return _write_files(config.out_dir, excluded, ("stats.csv", write_stats_csv, stats))
 
 
-def cmd_weights(config: RunConfig) -> Path:
+def cmd_weights(config: RunConfig, prices: PricePanel) -> Path:
     """Write the EWP, MRP, and ORP books for one sector."""
-    art = _train(config, parse_price_file(config.prices))
-    path = _write(config.out_dir / "weights.csv", write_weights_csv, *_books(art))
-    _write_exclusions(art.excluded, config.out_dir)
-    return path
+    panel, excluded, stats = _train(config, prices)
+    books = _books(panel, _cloud(config, panel, stats))
+    return _write_files(config.out_dir, excluded, ("weights.csv", write_weights_csv, *books))
 
 
-def cmd_frontier(config: RunConfig) -> Path:
+def cmd_frontier(config: RunConfig, prices: PricePanel) -> Path:
     """Write the sampled frontier cloud with MRP/ORP flags."""
-    art = _train(config, parse_price_file(config.prices))
-    path = _write(config.out_dir / "frontier.csv", export_frontier, art.cloud)
-    _write_exclusions(art.excluded, config.out_dir)
-    return path
+    panel, excluded, stats = _train(config, prices)
+    cloud = _cloud(config, panel, stats)
+    return _write_files(config.out_dir, excluded, ("frontier.csv", export_frontier, cloud))
 
 
 def _test_panel(config: RunConfig, prices: PricePanel, tickers: list[str]) -> PricePanel:
@@ -188,14 +179,12 @@ def _test_panel(config: RunConfig, prices: PricePanel, tickers: list[str]) -> Pr
     """
     window = config.universe.test_window
     panel = load_price_panel(prices, config.universe, window).restrict(tickers)
-    try:
-        return fill_gaps(panel, prices.last_closes(tickers, window[0]))
-    except InsufficientDataError as exc:
-        raise InsufficientDataError(f"{config.universe.sector}: {exc}") from None
+    return fill_gaps(panel, prices.last_closes(tickers, window[0]))
 
 
 def cmd_backtest(
     config: RunConfig,
+    prices: PricePanel,
     weights_file: str | Path,
     column: str = "orp",
     mode: str = "simplex",
@@ -213,30 +202,28 @@ def cmd_backtest(
     outside = [t for t in book.tickers if t not in config.universe.tickers]
     if outside:
         raise ValueError(
-            f"{weights_file}: {column} book holds tickers outside the "
-            f"{config.universe.sector} universe: {', '.join(outside)}"
+            f"{weights_file}: {column} book holds tickers outside the universe: "
+            f"{', '.join(outside)}"
         )
-    test_panel = _test_panel(config, parse_price_file(config.prices), book.tickers)
+    test_panel = _test_panel(config, prices, book.tickers)
     report = backtest_from_panel(book, test_panel, config.capital, mode, len(config.universe.tickers))
-    return _write(config.out_dir / f"backtest_{column}.csv", write_backtest_csv, report)
+    return _write_files(config.out_dir, None, (f"backtest_{column}.csv", write_backtest_csv, report))
 
 
-def cmd_pipeline(config: RunConfig, prices: PricePanel | None = None) -> SectorResult:
+def cmd_pipeline(config: RunConfig, prices: PricePanel) -> SectorResult:
     """Run one sector end to end and write all report files.
 
     Training: stats, covariance, frontier cloud, candidate books.
     Test: a fixed-amount-per-stock equal-weight backtest (one ticket of
     capital/n per configured ticker, so exclusions leave cash idle)
     against a full-capital ORP backtest. `prices` is `config.prices`
-    already parsed (`parse_price_file`); without it the file is parsed
-    here. Both windows are cut from that one panel, and every result is
-    computed before the first write, so a failure writes nothing.
+    parsed (`parse_price_file`); both windows are cut from it, and every
+    result is computed before the first write, so a failure writes nothing.
     """
-    if prices is None:
-        prices = parse_price_file(config.prices)
-    art = _train(config, prices)
-    ewp, mrp, orp = _books(art)
-    test_panel = _test_panel(config, prices, art.panel.tickers)
+    panel, excluded, stats = _train(config, prices)
+    cloud = _cloud(config, panel, stats)
+    ewp, mrp, orp = _books(panel, cloud)
+    test_panel = _test_panel(config, prices, panel.tickers)
     ewp_report = backtest_from_panel(
         ewp, test_panel, config.capital,
         mode="fixed-amount-per-stock", nominal_universe_size=len(config.universe.tickers),
@@ -246,14 +233,15 @@ def cmd_pipeline(config: RunConfig, prices: PricePanel | None = None) -> SectorR
         config.universe.sector, ewp_report.holding_return, orp_report.holding_return
     )
 
-    out = config.out_dir
-    _write(out / "stats.csv", write_stats_csv, art.stats)
-    _write(out / "weights.csv", write_weights_csv, ewp, mrp, orp)
-    _write(out / "frontier.csv", export_frontier, art.cloud)
-    _write(out / "backtest_ewp.csv", write_backtest_csv, ewp_report)
-    _write(out / "backtest_orp.csv", write_backtest_csv, orp_report)
-    _write(out / "sector_result.csv", write_sector_result, result)
-    _write_exclusions(art.excluded, out)
+    _write_files(
+        config.out_dir, excluded,
+        ("stats.csv", write_stats_csv, stats),
+        ("weights.csv", write_weights_csv, ewp, mrp, orp),
+        ("frontier.csv", export_frontier, cloud),
+        ("backtest_ewp.csv", write_backtest_csv, ewp_report),
+        ("backtest_orp.csv", write_backtest_csv, orp_report),
+        ("sector_result.csv", write_sector_result, result),
+    )
     print(
         f"{result.sector}: EWP {result.ewp_test_return * 100.0:.2f}% vs "
         f"ORP {result.orp_test_return * 100.0:.2f}% -> {result.winner}"
@@ -357,13 +345,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="capital to invest (default %(default)s)")
 
     p = sub.add_parser("stats", parents=[run], help="per-ticker training stats")
-    p.set_defaults(handler=_handle_training, cmd=cmd_stats)
+    p.set_defaults(handler=_handle_sector, cmd=cmd_stats)
 
     p = sub.add_parser("weights", parents=[run, mc], help="EWP/MRP/ORP books")
-    p.set_defaults(handler=_handle_training, cmd=cmd_weights)
+    p.set_defaults(handler=_handle_sector, cmd=cmd_weights)
 
     p = sub.add_parser("frontier", parents=[run, mc], help="sampled frontier cloud")
-    p.set_defaults(handler=_handle_training, cmd=cmd_frontier)
+    p.set_defaults(handler=_handle_sector, cmd=cmd_frontier)
 
     p = sub.add_parser("backtest", parents=[run, money], help="backtest one book over the test window")
     p.add_argument("--weights", required=True, help="weights.csv from the weights subcommand")
@@ -371,12 +359,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default="simplex",
                    help="fixed-amount-per-stock books capital / (configured universe size) "
                    "per ticker (default %(default)s)")
-    p.set_defaults(handler=_handle_backtest)
+    p.set_defaults(handler=_handle_sector, cmd=cmd_backtest)
 
     p = sub.add_parser("pipeline", parents=[run, mc, money], help="full sector run")
     p.add_argument("--all", action="store_true", help="--universe is a directory of universe INI files")
     p.add_argument("--jobs", type=_ignored_count_arg, help="ignored (must be >= 1); kept so older command lines run")
-    p.set_defaults(handler=_handle_pipeline)
+    p.set_defaults(handler=_handle_pipeline, cmd=cmd_pipeline)
 
     p = sub.add_parser("summary", help="combine sector results")
     p.add_argument("results", nargs="+", help="sector_result.csv files")
@@ -397,24 +385,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _handle_training(args: argparse.Namespace) -> int:
-    args.cmd(_config_from_args(args, Path(args.universe)))
-    return 0
-
-
-def _handle_backtest(args: argparse.Namespace) -> int:
-    cmd_backtest(_config_from_args(args, Path(args.universe)), args.weights, args.column, args.mode)
-    return 0
-
-
 def _run_sector(
-    config: RunConfig, panels: dict[Path, PricePanel | Exception]
-) -> SectorResult | None:
-    """One sector of `pipeline`; a failure is one stderr line naming the sector, and None.
+    command: str,
+    config: RunConfig,
+    panels: dict[Path, PricePanel | Exception],
+    run: Callable[[RunConfig, PricePanel], object],
+) -> object:
+    """One sector command: ``run(config, prices)`` on its parsed price file.
 
-    `panels` holds each price file's panel, or the error its one parse raised.
+    A failure is one ``sectorfolio <command>: <sector>: <reason>`` line on
+    stderr, and None. `panels` holds each price file's panel, or the error
+    its one parse raised, so sectors sharing a file parse it once.
     """
-    sector = config.universe.sector
     try:
         if config.prices not in panels:
             try:
@@ -424,17 +406,23 @@ def _run_sector(
         parsed = panels[config.prices]
         if isinstance(parsed, Exception):
             raise parsed
-        return cmd_pipeline(config, parsed)
+        return run(config, parsed)
     except _USER_ERRORS as exc:
-        reason = str(exc).removeprefix(f"{sector}: ")
-        print(f"sectorfolio pipeline: {sector}: {reason}", file=sys.stderr)
+        print(f"sectorfolio {command}: {config.universe.sector}: {exc}", file=sys.stderr)
         return None
+
+
+def _handle_sector(args: argparse.Namespace) -> int:
+    run = args.cmd
+    if run is cmd_backtest:
+        run = partial(cmd_backtest, weights_file=args.weights, column=args.column, mode=args.mode)
+    config = _config_from_args(args, Path(args.universe))
+    return 0 if _run_sector(args.command, config, {}, run) is not None else 1
 
 
 def _handle_pipeline(args: argparse.Namespace) -> int:
     if not args.all:
-        result = _run_sector(_config_from_args(args, Path(args.universe)), {})
-        return 0 if result is not None else 1
+        return _handle_sector(args)
     config_paths = sorted(Path(args.universe).glob("*.ini"))
     if not config_paths:
         raise EmptyUniverseError(f"no universe configs (*.ini) in {args.universe}")
@@ -457,7 +445,7 @@ def _handle_pipeline(args: argparse.Namespace) -> int:
     # one failed sector is reported and skipped; the rest still run
     results: list[SectorResult] = []
     for config in configs:
-        result = _run_sector(config, panels)
+        result = _run_sector("pipeline", config, panels, cmd_pipeline)
         if result is not None:
             results.append(result)
     if results:

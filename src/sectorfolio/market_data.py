@@ -211,8 +211,6 @@ class PricePanel:
         tickers: Iterable[str],
         start: date | None = None,
         end: date | None = None,
-        *,
-        sector: str = "panel",
     ) -> "PricePanel":
         """Sub-panel of `tickers`, in the given order, over one date window.
 
@@ -222,8 +220,7 @@ class PricePanel:
         Raises
         ------
         MissingTickerError : some ticker is not in this panel.
-        EmptyPanelError : none of `tickers` has a quote in the window; the
-            message names `sector`.
+        EmptyPanelError : none of `tickers` has a quote in the window.
         """
         wanted = list(tickers)
         rows = self._rows(wanted)
@@ -233,7 +230,7 @@ class PricePanel:
         quoted = np.flatnonzero(~np.isnan(block).all(axis=0))
         if quoted.size == 0:
             where = "" if start is None and end is None else f" in {start}:{end}"
-            raise EmptyPanelError(f"{sector}: no observations for any configured ticker{where}")
+            raise EmptyPanelError(f"no observations for any configured ticker{where}")
         return PricePanel(wanted, [self.dates[lo + j] for j in quoted], block[:, quoted])
 
     def last_closes(self, tickers: Iterable[str], on_or_before: date) -> np.ndarray:
@@ -502,7 +499,7 @@ def parse_price_file(source: str | Path | IO[str]) -> PricePanel:
         else:
             parsed = _parse_wide(reader, header)
     tickers, dates, closes = parsed
-    if not dates:
+    if np.isnan(closes).all():
         raise EmptyPanelError(f"{whole.name}: no quotes")
     return PricePanel(tickers, dates, closes)
 
@@ -541,7 +538,7 @@ def load_price_panel(
     if not isinstance(source, PricePanel):
         source = parse_price_file(source)
     start, end = window or (None, None)
-    return source.window(universe.tickers, start, end, sector=universe.sector)
+    return source.window(universe.tickers, start, end)
 
 
 def fill_gaps(panel: PricePanel, opening: np.ndarray | None = None) -> PricePanel:

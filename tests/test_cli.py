@@ -152,8 +152,18 @@ def test_a_negative_seed_fails_in_one_line_naming_it(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("weights", "--universe", ini, "--out", out, "--seed", -1) == 1
     captured = capsys.readouterr()
-    assert captured.err == "sectorfolio weights: seed must be an integer in [0, 2**128), got -1\n"
+    assert captured.err == (
+        "sectorfolio weights: Demo: seed must be an integer in [0, 2**128), got -1\n")
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["stats", "weights", "frontier", "backtest", "pipeline", "summary", "fetch"])
+def test_every_subcommand_renders_its_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
 
 
 def test_window_flag_takes_only_yyyy_mm_dd(tmp_path, capsys):
@@ -245,6 +255,17 @@ def test_summary_from_result_files(tmp_path, capsys):
     assert (out / "summary.csv").read_text().splitlines()[-1] == (
         "# EWP wins: 0, ORP wins: 2"
     )
+
+
+def test_summary_of_files_without_a_result_writes_nothing(tmp_path, capsys):
+    empty = tmp_path / "r.csv"
+    empty.write_text("sector,ewp_test_return_pct,orp_test_return_pct,winner\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("summary", empty, "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "sectorfolio summary: no sector results in the given files\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -375,8 +396,8 @@ def test_backtest_names_a_book_ticker_outside_the_universe(tmp_path, capsys):
     assert run_cli("backtest", "--universe", ini, "--out", out, "--weights", weights) == 1
     captured = capsys.readouterr()
     assert captured.err == (
-        f"sectorfolio backtest: {weights}: orp book holds tickers outside the "
-        "Two Names universe: CCC\n"
+        f"sectorfolio backtest: Two Names: {weights}: orp book holds tickers outside the "
+        "universe: CCC\n"
     )
     assert captured.out == ""
     assert not out.exists()
@@ -429,6 +450,15 @@ def test_fetch_requires_enough_arguments(tmp_path, capsys):
     assert "--tickers/--start/--end" in capsys.readouterr().err
 
 
+def test_fetch_rejects_a_date_that_is_not_iso(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("fetch", "--tickers", "AAA", "--start", "2022/01/03", "--end", "2022-01-05",
+                "--out", tmp_path / "x.csv")
+    assert exc.value.code == 2
+    assert "--start: expected an ISO date, got '2022/01/03'" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def _quote_files(root, quotes):
     """One ``<symbol>.csv`` per ticker under root; returns a file URL template."""
     root.mkdir()
@@ -457,6 +487,29 @@ def test_fetch_writes_a_long_file_that_reads_back_as_the_fetched_panel(tmp_path,
     # rows come date by date
     assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == [
         str(d1), str(d1), str(d2), str(d3), str(d3)]
+
+
+def test_fetch_takes_tickers_and_window_from_a_universe_file(tmp_path, capsys):
+    d1, d2, d3 = date(2022, 1, 3), date(2022, 1, 4), date(2022, 1, 5)
+    quotes = tmp_path / "quotes"
+    quotes.mkdir()
+    # each URL names its window, so a request for any other window finds no file
+    for name, start, end in (("aaa", d1, d3), ("bbb", d1, d3), ("bbb", d2, d2)):
+        rows = [f"{d},{10 + d.day}" for d in (d1, d2, d3) if start <= d <= end]
+        (quotes / f"{name}_{start:%Y%m%d}_{end:%Y%m%d}.csv").write_text(
+            "\n".join(["Date,Close", *rows]) + "\n", encoding="utf-8")
+    template = f"file://{quotes}/{{symbol}}_{{start}}_{{end}}.csv"
+    ini = write_universe(tmp_path / "u.ini", "X", ["AAA", "BBB"], (d1, d1), (d2, d3))
+    whole, narrow = tmp_path / "whole.csv", tmp_path / "narrow.csv"
+    assert run_cli("fetch", "--universe", ini, "--out", whole, "--url-template", template) == 0
+    panel = parse_price_file(whole)
+    assert panel.tickers == ["AAA", "BBB"] and panel.dates == [d1, d2, d3]
+    # the flags override what the universe file gives
+    assert run_cli("fetch", "--universe", ini, "--tickers", "BBB", "--start", d2, "--end", d2,
+                   "--out", narrow, "--url-template", template) == 0
+    panel = parse_price_file(narrow)
+    assert panel.tickers == ["BBB"] and panel.dates == [d2]
+    assert capsys.readouterr().out == f"wrote {whole}\nwrote {narrow}\n"
 
 
 def test_fetch_refuses_a_repeated_ticker_and_writes_nothing(tmp_path, capsys):
@@ -622,12 +675,41 @@ def _count_parses(monkeypatch):
     return parsed
 
 
-def test_pipeline_parses_its_price_file_once(tmp_path, monkeypatch):
+SECTOR_COMMANDS = ["stats", "weights", "frontier", "backtest", "pipeline"]
+
+
+def _sector_argv(command, ini, out, weights):
+    """One sector command on `ini`; backtest replays the ORP of `weights`."""
+    extra = {"stats": [], "backtest": ["--weights", weights]}.get(command, ["--samples", 200])
+    return [command, "--universe", ini, "--out", out, *extra]
+
+
+@pytest.mark.parametrize("command", SECTOR_COMMANDS)
+def test_every_sector_command_parses_its_price_file_once(tmp_path, monkeypatch, command):
     ini, prices = build_sector(tmp_path, seed=3)
+    prep = tmp_path / "prep"
+    assert run_cli("weights", "--universe", ini, "--out", prep, "--samples", 200) == 0
     parsed = _count_parses(monkeypatch)
-    assert run_cli("pipeline", "--universe", ini, "--out", tmp_path / "out",
-                   "--samples", 200) == 0
+    assert run_cli(*_sector_argv(command, ini, tmp_path / "out", prep / "weights.csv")) == 0
     assert parsed == [prices]
+
+
+@pytest.mark.parametrize("command", SECTOR_COMMANDS)
+def test_every_sector_command_fails_in_one_line_naming_its_sector(tmp_path, capsys, command):
+    ini, prices = build_sector(tmp_path, sector="Bad Close")
+    lines = prices.read_text(encoding="utf-8").splitlines(keepends=True)
+    prices.write_text("".join(lines) + "2021-01-04,AAA,x\n", encoding="utf-8")
+    weights = tmp_path / "weights.csv"
+    weights.write_text("ticker,ewp,mrp,orp\nAAA,0.4,0.5,0.4\nBBB,0.3,0.5,0.3\nCCC,0.3,0,0.3\n",
+                       encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(*_sector_argv(command, ini, out, weights)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"sectorfolio {command}: Bad Close: {prices}: line {len(lines) + 1}: "
+        "bad close 'x' for AAA\n")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def _three_sectors_sharing_one_file(root):
@@ -766,17 +848,11 @@ def test_every_command_announces_exactly_the_files_it_writes(tmp_path, capsys, c
     assert run_cli("pipeline", "--universe", ini, "--out", prep, "--samples", 200) == 0
     capsys.readouterr()
     out = tmp_path / "out"
-    sector = ["--universe", ini, "--out", out]
     argv = {
-        "stats": ["stats", *sector],
-        "weights": ["weights", *sector, "--samples", 200],
-        "frontier": ["frontier", *sector, "--samples", 200],
-        "backtest": ["backtest", *sector, "--weights", prep / "weights.csv"],
-        "pipeline": ["pipeline", *sector, "--samples", 200],
         "pipeline --all": ["pipeline", "--universe", data, "--all", "--out", out,
                            "--samples", 200],
         "summary": ["summary", prep / "sector_result.csv", "--out", out],
-    }[command]
+    }.get(command) or _sector_argv(command, ini, out, prep / "weights.csv")
     assert run_cli(*argv) == 0
     wrote = [Path(line.removeprefix("wrote "))
              for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]

@@ -404,7 +404,7 @@ def test_window_cuts_the_full_span_like_load_price_panel():
     universe = make_universe(["BBB", "AAA"])
     for window in (None, (D2, D3), (D1, D1)):
         start, end = window or (None, None)
-        cut = full.window(universe.tickers, start, end, sector=universe.sector)
+        cut = full.window(universe.tickers, start, end)
         loaded = load_price_panel(io.StringIO(LONG_CSV), universe, window)
         reused = load_price_panel(full, universe, window)  # cut only, nothing parsed
         assert cut.tickers == loaded.tickers == reused.tickers == ["BBB", "AAA"]
@@ -421,8 +421,8 @@ def test_window_dates_are_those_its_tickers_trade():
     with pytest.raises(MissingTickerError) as exc:
         full.window(["AAA", "CCC", "DDD"])
     assert exc.value.tickers == ["CCC", "DDD"]
-    with pytest.raises(EmptyPanelError, match="Metal: .* in 2022-01-03:2022-01-03"):
-        full.window(["BBB"], D1, D1, sector="Metal")
+    with pytest.raises(EmptyPanelError, match="^no observations .* in 2022-01-03:2022-01-03"):
+        full.window(["BBB"], D1, D1)
 
 
 def test_wide_column_without_quotes_is_an_all_nan_row():
@@ -609,7 +609,8 @@ def test_fill_gaps_names_the_first_failing_ticker(bbb, opening, message):
 
 def test_a_file_without_quotes():
     long_text, wide_text = "date,ticker,close\n\n", "date,AAA,BBB\n"
-    for text in (long_text, wide_text):
+    dated_wide_text = "date,AAA,BBB\n2022-01-03,,\n2022-01-04,,\n"
+    for text in (long_text, wide_text, dated_wide_text):
         with pytest.raises(EmptyPanelError, match="<stream>: no quotes"):
             parse_price_file(io.StringIO(text))
         # load_price_panel parses through parse_price_file, so it says the same
