@@ -9,7 +9,6 @@ import csv
 import io
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import IO, Any, Iterator, Sequence
 
 from .errors import DataFormatError
@@ -19,16 +18,26 @@ Target = str | os.PathLike | IO[str]
 _LINES = 1 << 16  # characters of a `SourceText` turned into lines at a time
 
 
-@dataclass(frozen=True)
 class SourceText:
-    """A source read whole by `read_text`: its name and its text.
+    """A source read whole by `read_text`: its name and its text, both read-only.
 
     It iterates over its lines as a file opened with ``newline=""`` gives
     them, so `csv_reader` reads it like that file, under the same name.
     """
 
-    name: str
-    text: str
+    __slots__ = ("_name", "_text")
+
+    def __init__(self, name: str, text: str) -> None:
+        self._name = name
+        self._text = text
+
+    @property
+    def name(self) -> str:
+        return self._name
+
+    @property
+    def text(self) -> str:
+        return self._text
 
     def __iter__(self) -> Iterator[str]:
         # a line always ends right after a "\n", "\r\n" included, so each

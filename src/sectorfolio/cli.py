@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import re
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 from datetime import date
 from functools import partial
 from pathlib import Path
@@ -82,21 +82,40 @@ __all__ = [
 _USER_ERRORS = (AnalyticsError, OSError, ValueError, ZeroDivisionError)
 
 
-@dataclass
 class RunConfig:
     """Everything one sector run needs. Its windows are the universe's own
     (`--train`/`--test` replace them there, and `UniverseConfig` checks their
-    order); samples, threshold and capital are checked where used, before any write."""
+    order); samples, threshold and capital are checked where used, before any write.
+    The defaults are class attributes, which the command-line options read."""
 
-    universe: UniverseConfig
-    prices: Path
-    out_dir: Path
-    samples: int = 10_000
-    seed: int = 0
-    rf: RiskFreeAssumption = RiskFreeAssumption()
-    sampler: str = "uniform"
-    threshold: float = 0.30
-    capital: float = 100_000.0
+    samples = 10_000
+    seed = 0
+    rf = RiskFreeAssumption()
+    sampler = "uniform"
+    threshold = 0.30
+    capital = 100_000.0
+
+    def __init__(
+        self,
+        universe: UniverseConfig,
+        prices: Path,
+        out_dir: Path,
+        samples: int = samples,
+        seed: int = seed,
+        rf: RiskFreeAssumption = rf,
+        sampler: str = sampler,
+        threshold: float = threshold,
+        capital: float = capital,
+    ) -> None:
+        self.universe = universe
+        self.prices = prices
+        self.out_dir = out_dir
+        self.samples = samples
+        self.seed = seed
+        self.rf = rf
+        self.sampler = sampler
+        self.threshold = threshold
+        self.capital = capital
 
 
 def _train(
@@ -273,20 +292,31 @@ def _resolve_prices(prices_arg: str | None, universe: UniverseConfig, config_pat
     )
 
 
-def _config_from_args(args: argparse.Namespace, config_path: Path) -> RunConfig:
-    universe = read_universe_config(config_path)
-    universe = replace(universe, train_window=args.train or universe.train_window,
-                       test_window=args.test or universe.test_window)
-    # options that set a RunConfig field; a subcommand that lacks one keeps RunConfig's default
+def _run_options(args: argparse.Namespace) -> dict[str, object]:
+    """The RunConfig fields that `args` sets, built once for every universe file.
+
+    A subcommand that lacks an option keeps RunConfig's default for it.
+    """
     tunables = ("samples", "seed", "rf", "sampler", "threshold", "capital")
     given = {k: v for k, v in vars(args).items() if k in tunables}
     if "rf" in given:
         given["rf"] = RiskFreeAssumption(given["rf"])
+    return given
+
+
+def _config_from_args(
+    args: argparse.Namespace, config_path: Path, options: dict[str, object]
+) -> RunConfig:
+    read = read_universe_config(config_path)
+    universe = UniverseConfig(
+        read.sector, read.tickers, args.train or read.train_window,
+        args.test or read.test_window, read.prices,
+    )
     return RunConfig(
         universe=universe,
         prices=_resolve_prices(args.prices, universe, config_path),
         out_dir=Path(args.out),
-        **given,
+        **options,
     )
 
 
@@ -416,7 +446,7 @@ def _handle_sector(args: argparse.Namespace) -> int:
     run = args.cmd
     if run is cmd_backtest:
         run = partial(cmd_backtest, weights_file=args.weights, column=args.column, mode=args.mode)
-    config = _config_from_args(args, Path(args.universe))
+    config = _config_from_args(args, Path(args.universe), _run_options(args))
     return 0 if _run_sector(args.command, config, {}, run) is not None else 1
 
 
@@ -427,11 +457,12 @@ def _handle_pipeline(args: argparse.Namespace) -> int:
     if not config_paths:
         raise EmptyUniverseError(f"no universe configs (*.ini) in {args.universe}")
     out = Path(args.out)
+    options = _run_options(args)
     configs: list[RunConfig] = []
     claimed: dict[Path, Path] = {}  # output directory -> the INI that claimed it
     for path in config_paths:
         try:
-            config = _config_from_args(args, path)
+            config = _config_from_args(args, path, options)
         except _USER_ERRORS as exc:
             # an unreadable INI is reported and skipped, like a failed sector
             print(f"sectorfolio pipeline: {exc}", file=sys.stderr)
@@ -483,7 +514,7 @@ def _handle_fetch(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         # run as the program: numpy's import heap lives until exit anyway,
-        # and frozen it is walked by no later collection, shutdown's included
+        # and frozen it is walked by no later collection
         gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
@@ -493,5 +524,27 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def _program() -> None:
+    """The program: ``sectorfolio`` and ``python -m sectorfolio.cli``.
+
+    Runs `main()`, flushes stdout and stderr and ends the process with its
+    code through `os._exit`, which skips the interpreter's teardown: every
+    output file is closed by then and the process holds nothing else to
+    release. argparse's exit (``--help``, a usage error) ends the same way.
+    An exception `main` does not handle, or a flush that fails, takes the
+    normal exit instead.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # no stream, or a closed or broken one
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _program()

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable, Mapping, Sequence
 
@@ -80,7 +79,6 @@ _BLOCK = 2048
 _EXPORT_ROWS = 256
 
 
-@dataclass(eq=False)
 class FrontierSample:
     """One random portfolio with its annual return, risk, and Sharpe.
 
@@ -88,13 +86,15 @@ class FrontierSample:
     Sharpe refuses such clouds rather than guessing.
     """
 
-    weights: WeightVector
-    annual_return: float
-    annual_risk: float
-    sharpe: float
+    def __init__(
+        self, weights: WeightVector, annual_return: float, annual_risk: float, sharpe: float
+    ) -> None:
+        self.weights = weights
+        self.annual_return = annual_return
+        self.annual_risk = annual_risk
+        self.sharpe = sharpe
 
 
-@dataclass(eq=False)
 class FrontierCloud:
     """The scores of one frontier run as arrays, plus the inputs that made it.
 
@@ -103,13 +103,23 @@ class FrontierCloud:
     `weight_rows(lo, hi)` redraws weights; `sample(i)` builds a `FrontierSample`.
     """
 
-    tickers: list[str]
-    annual_returns: np.ndarray
-    annual_risks: np.ndarray
-    sharpe_ratios: np.ndarray
-    seed: int
-    rf: RiskFreeAssumption
-    sampler: str
+    def __init__(
+        self,
+        tickers: list[str],
+        annual_returns: np.ndarray,
+        annual_risks: np.ndarray,
+        sharpe_ratios: np.ndarray,
+        seed: int,
+        rf: RiskFreeAssumption,
+        sampler: str,
+    ) -> None:
+        self.tickers = tickers
+        self.annual_returns = annual_returns
+        self.annual_risks = annual_risks
+        self.sharpe_ratios = sharpe_ratios
+        self.seed = seed
+        self.rf = rf
+        self.sampler = sampler
 
     @property
     def sample_count(self) -> int:

@@ -67,7 +67,6 @@ import math
 import re
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import IO, Any, Iterable
@@ -111,18 +110,15 @@ def parse_iso_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
-@dataclass(eq=False)
 class PriceSeries:
     """Closing prices for one ticker on strictly increasing dates."""
 
-    ticker: str
-    dates: list[date]
-    closes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not self.ticker:
+    def __init__(self, ticker: str, dates: list[date], closes: np.ndarray) -> None:
+        if not ticker:
             raise ValueError("ticker must be non-empty")
-        self.closes = np.asarray(self.closes, dtype=float)
+        self.ticker = ticker
+        self.dates = dates
+        self.closes = np.asarray(closes, dtype=float)
         if self.closes.ndim != 1 or len(self.dates) != self.closes.size:
             raise ValueError(
                 f"{self.ticker}: {len(self.dates)} dates vs {self.closes.size} closes"
@@ -139,7 +135,6 @@ class PriceSeries:
         return self.closes.size
 
 
-@dataclass(eq=False)
 class PricePanel:
     """Aligned close-price matrix, one row per ticker, one column per date.
 
@@ -148,21 +143,19 @@ class PricePanel:
     are always finite and positive.
     """
 
-    tickers: list[str]
-    dates: list[date]
-    closes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not self.tickers:
+    def __init__(self, tickers: list[str], dates: list[date], closes: np.ndarray) -> None:
+        if not tickers:
             raise EmptyPanelError("panel has no tickers")
-        if len(set(self.tickers)) != len(self.tickers):
+        if len(set(tickers)) != len(tickers):
             raise ValueError("duplicate tickers in panel")
-        if not self.dates:
+        if not dates:
             raise EmptyPanelError("panel has no dates")
-        for a, b in zip(self.dates, self.dates[1:]):
+        for a, b in zip(dates, dates[1:]):
             if a >= b:
                 raise ValueError(f"panel dates not strictly increasing at {b}")
-        self.closes = np.asarray(self.closes, dtype=float)
+        self.tickers = tickers
+        self.dates = dates
+        self.closes = np.asarray(closes, dtype=float)
         if self.closes.shape != (len(self.tickers), len(self.dates)):
             raise ValueError(
                 f"closes shape {self.closes.shape} does not match "
@@ -249,33 +242,42 @@ class PricePanel:
         return rows
 
 
-@dataclass
 class UniverseConfig:
-    """One sector universe: tickers plus training and test windows."""
+    """One sector universe: tickers plus training and test windows; equal to
+    another when every field is."""
 
-    sector: str
-    tickers: list[str]
-    train_window: tuple[date, date]
-    test_window: tuple[date, date]
-    prices: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.sector:
+    def __init__(
+        self,
+        sector: str,
+        tickers: list[str],
+        train_window: tuple[date, date],
+        test_window: tuple[date, date],
+        prices: str | None = None,
+    ) -> None:
+        if not sector:
             raise ValueError("sector name must be non-empty")
-        if not self.tickers:
-            raise EmptyUniverseError(f"{self.sector}: no tickers configured")
-        if len(set(self.tickers)) != len(self.tickers):
-            raise ValueError(f"{self.sector}: duplicate tickers in universe")
-        for ticker in self.tickers:
+        if not tickers:
+            raise EmptyUniverseError(f"{sector}: no tickers configured")
+        if len(set(tickers)) != len(tickers):
+            raise ValueError(f"{sector}: duplicate tickers in universe")
+        for ticker in tickers:
             if ticker.strip().startswith("#"):
-                raise ValueError(f"{self.sector}: ticker {ticker!r} reads as a CSV comment")
-        for name, window in (("train", self.train_window), ("test", self.test_window)):
+                raise ValueError(f"{sector}: ticker {ticker!r} reads as a CSV comment")
+        for name, window in (("train", train_window), ("test", test_window)):
             if window[0] > window[1]:
-                raise ValueError(f"{self.sector}: {name} window starts after it ends")
-        if self.train_window[1] >= self.test_window[0]:
-            raise ValueError(
-                f"{self.sector}: training window must end before the test window begins"
-            )
+                raise ValueError(f"{sector}: {name} window starts after it ends")
+        if train_window[1] >= test_window[0]:
+            raise ValueError(f"{sector}: training window must end before the test window begins")
+        self.sector = sector
+        self.tickers = tickers
+        self.train_window = train_window
+        self.test_window = test_window
+        self.prices = prices
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def parse_window(text: str) -> tuple[date, date]:

@@ -8,7 +8,6 @@ scaled by the 250-day trading year where annual risk is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,33 +30,34 @@ __all__ = [
 _SUM_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
 class RiskFreeAssumption:
-    """Annual risk-free rate used in excess-return ratios. Default 1%."""
+    """Annual risk-free rate used in excess-return ratios, read-only. Default 1%."""
 
-    rate: float = 0.01
+    __slots__ = ("_rate",)
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.rate):
+    def __init__(self, rate: float = 0.01) -> None:
+        if not math.isfinite(rate):
             raise ValueError("risk-free rate must be finite")
+        self._rate = rate
+
+    @property
+    def rate(self) -> float:
+        return self._rate
 
 
-@dataclass(eq=False)
 class WeightVector:
     """Long-only portfolio weights aligned to a ticker list.
 
     Weights must be non-negative and sum to 1 within 1e-9.
     """
 
-    tickers: list[str]
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not self.tickers:
+    def __init__(self, tickers: list[str], weights: np.ndarray) -> None:
+        if not tickers:
             raise EmptyUniverseError("weight vector needs at least one ticker")
-        if len(set(self.tickers)) != len(self.tickers):
+        if len(set(tickers)) != len(tickers):
             raise ValueError("duplicate tickers in weight vector")
-        self.weights = np.asarray(self.weights, dtype=float)
+        self.tickers = tickers
+        self.weights = np.asarray(weights, dtype=float)
         if self.weights.shape != (len(self.tickers),):
             raise ValueError(
                 f"{len(self.tickers)} tickers vs weight shape {self.weights.shape}"
@@ -81,13 +81,13 @@ class WeightVector:
         return {t: float(w) for t, w in zip(self.tickers, self.weights)}
 
 
-@dataclass
 class PortfolioStats:
     """Annual return, annual risk, and Sharpe ratio of one portfolio."""
 
-    annual_return: float
-    annual_risk: float
-    sharpe: float
+    def __init__(self, annual_return: float, annual_risk: float, sharpe: float) -> None:
+        self.annual_return = annual_return
+        self.annual_risk = annual_risk
+        self.sharpe = sharpe
 
 
 def equal_weights(tickers: Sequence[str]) -> WeightVector:

@@ -7,7 +7,6 @@ disk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -34,7 +33,6 @@ WINNERS = ("EWP", "ORP", "TIE")
 _RESULT_HEADER = ["sector", "ewp_test_return_pct", "orp_test_return_pct", "winner"]
 
 
-@dataclass
 class SectorResult:
     """Head-to-head test-window outcome for one sector.
 
@@ -43,21 +41,19 @@ class SectorResult:
     equality.
     """
 
-    sector: str
-    ewp_test_return: float
-    orp_test_return: float
-    winner: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.sector:
+    def __init__(self, sector: str, ewp_test_return: float, orp_test_return: float) -> None:
+        if not sector:
             raise ValueError("sector name must be non-empty")
-        if self.sector.strip().startswith("#"):
-            raise ValueError(f"sector name {self.sector!r} reads as a CSV comment")
-        if not np.isfinite([self.ewp_test_return, self.orp_test_return]).all():
+        if sector.strip().startswith("#"):
+            raise ValueError(f"sector name {sector!r} reads as a CSV comment")
+        if not np.isfinite([ewp_test_return, orp_test_return]).all():
             raise ValueError("test returns must be finite")
-        if self.ewp_test_return > self.orp_test_return:
+        self.sector = sector
+        self.ewp_test_return = ewp_test_return
+        self.orp_test_return = orp_test_return
+        if ewp_test_return > orp_test_return:
             self.winner = "EWP"
-        elif self.orp_test_return > self.ewp_test_return:
+        elif orp_test_return > ewp_test_return:
             self.winner = "ORP"
         else:
             self.winner = "TIE"

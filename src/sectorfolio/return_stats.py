@@ -17,7 +17,6 @@ the per-series functions run the same row kernels on one row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
@@ -42,7 +41,6 @@ __all__ = [
 TRADING_DAYS_PER_YEAR = 250
 
 
-@dataclass(eq=False)
 class ReturnSeries:
     """Daily simple returns for one ticker.
 
@@ -50,12 +48,10 @@ class ReturnSeries:
     later date of the price pair it was computed from.
     """
 
-    ticker: str
-    dates: list[date]
-    returns: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.returns = np.asarray(self.returns, dtype=float)
+    def __init__(self, ticker: str, dates: list[date], returns: np.ndarray) -> None:
+        self.ticker = ticker
+        self.dates = dates
+        self.returns = np.asarray(returns, dtype=float)
         if self.returns.ndim != 1 or len(self.dates) != self.returns.size:
             raise ValueError(
                 f"{self.ticker}: {len(self.dates)} dates vs {self.returns.size} returns"
@@ -72,17 +68,18 @@ class ReturnSeries:
         return self.returns.size
 
 
-@dataclass
 class AssetStats:
     """Annualized summary statistics for one asset."""
 
-    ticker: str
-    annual_return: float
-    daily_volatility: float
-    annual_volatility: float
+    def __init__(
+        self, ticker: str, annual_return: float, daily_volatility: float, annual_volatility: float
+    ) -> None:
+        self.ticker = ticker
+        self.annual_return = annual_return
+        self.daily_volatility = daily_volatility
+        self.annual_volatility = annual_volatility
 
 
-@dataclass(eq=False)
 class CovarianceMatrix:
     """Sample covariance of daily returns across a set of assets.
 
@@ -91,16 +88,14 @@ class CovarianceMatrix:
     and rejects matrices that are materially non-positive-semidefinite.
     """
 
-    tickers: list[str]
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = len(self.tickers)
+    def __init__(self, tickers: list[str], entries: np.ndarray) -> None:
+        n = len(tickers)
         if n == 0:
             raise ValueError("covariance needs at least one ticker")
-        if len(set(self.tickers)) != n:
+        if len(set(tickers)) != n:
             raise ValueError("duplicate tickers in covariance matrix")
-        self.entries = np.asarray(self.entries, dtype=float)
+        self.tickers = tickers
+        self.entries = np.asarray(entries, dtype=float)
         if self.entries.shape != (n, n):
             raise ValueError(
                 f"covariance shape {self.entries.shape} does not match {n} tickers"

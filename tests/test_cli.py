@@ -338,6 +338,52 @@ def test_the_program_freezes_its_import_heap():
     assert before == 0 and after > 0
 
 
+def _program(*argv):
+    """The program entry, ``python -m sectorfolio.cli``, in dev mode with every warning an error."""
+    src = str(Path(sectorfolio.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # stdout and stderr buffered, as on any pipe, so an exit that skipped a flush loses lines
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "sectorfolio.cli", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_the_program_writes_what_main_writes_and_exits_with_its_code(tmp_path, capsys):
+    ini, prices = build_sector(tmp_path, sector="Program Run")
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    run = _program("pipeline", "--universe", ini, "--out", out, "--samples", 200)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run_cli("pipeline", "--universe", ini, "--out", ref, "--samples", 200) == 0
+    assert run.stdout == capsys.readouterr().out.replace(str(ref), str(out))
+    wrote = [Path(line.removeprefix("wrote "))
+             for line in run.stdout.splitlines() if line.startswith("wrote ")]
+    assert len(wrote) == 6
+    assert sorted(wrote) == sorted(p for p in out.rglob("*") if p.is_file())
+    # every file is complete: byte for byte what main() wrote in-process
+    for path in wrote:
+        assert path.read_bytes() == (ref / path.relative_to(out)).read_bytes(), path
+
+    lines = prices.read_text(encoding="utf-8").splitlines(keepends=True)
+    prices.write_text("".join(lines) + "2021-01-04,AAA,x\n", encoding="utf-8")
+    run = _program("pipeline", "--universe", ini, "--out", tmp_path / "failed")
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == (
+        f"sectorfolio pipeline: Program Run: {prices}: line {len(lines) + 1}: "
+        "bad close 'x' for AAA\n")
+
+    run = _program("pipeline", "--help")
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.startswith("usage: sectorfolio pipeline ")
+
+    run = _program("pipeline", "--out", out)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.endswith(
+        "sectorfolio pipeline: error: the following arguments are required: --universe\n")
+
+
 def test_main_given_its_arguments_leaves_the_collector_alone(tmp_path):
     ini, _ = build_sector(tmp_path)
     frozen = gc.get_freeze_count()
@@ -833,6 +879,17 @@ def test_pipeline_all_reports_an_unreadable_ini_and_runs_the_rest(tmp_path, caps
     assert f"wrote {out / 'summary.csv'}" in captured.out
     assert [r.sector for r in read_sector_results(out / "summary.csv")] == [
         "Alpha", "Beta", "Gamma"]
+
+
+def test_pipeline_all_rejects_a_risk_free_rate_that_is_not_finite_in_one_line(tmp_path, capsys):
+    _three_sectors_sharing_one_file(tmp_path / "configs")
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--universe", tmp_path / "configs", "--all", "--out", out,
+                   "--rf", "nan") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "sectorfolio pipeline: risk-free rate must be finite\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 COMMANDS = ["stats", "weights", "frontier", "backtest", "pipeline", "pipeline --all", "summary"]

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,11 +48,12 @@ def manual_sample(weights, tickers=TICKERS3, cov=COV3, mu=MU3, rf=0.01):
     return FrontierSample(wv, ret, risk, sharpe)
 
 
-@dataclass(eq=False)
 class _WrittenCloud(FrontierCloud):
     """A cloud whose weight rows are written out rather than drawn from its seed."""
 
-    rows: np.ndarray = None
+    def __init__(self, *args, rows, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rows = rows
 
     def weight_rows(self, lo, hi):
         return self.rows[lo:hi].copy()

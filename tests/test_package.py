@@ -1,6 +1,8 @@
 """The package's public surface: the names its modules list, and nothing more imported."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +35,13 @@ def test_importing_the_package_leaves_fetch_and_the_cli_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_no_class_of_the_package_carries_generated_dataclass_methods():
+    # a dataclass compiles its generated methods through exec at every import;
+    # the package's records write out their methods instead
+    for info in pkgutil.iter_modules(sectorfolio.__path__):
+        module = importlib.import_module(f"sectorfolio.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                assert not hasattr(value, "__dataclass_fields__"), f"{module.__name__}.{name}"
