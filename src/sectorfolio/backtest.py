@@ -93,6 +93,11 @@ class BacktestReport:
         return vars(self) == vars(other)
 
 
+def _check_capital(capital: float) -> None:
+    if not 0.0 < capital < math.inf:
+        raise ValueError(f"capital must be positive and finite, got {capital}")
+
+
 def run_backtest(
     weights: WeightVector,
     buy_prices: Mapping[str, float] | Sequence[float] | np.ndarray,
@@ -119,8 +124,7 @@ def run_backtest(
     ValueError : capital or a price that is not positive and finite, an
         unknown mode, or a nominal universe size below the book's count.
     """
-    if not 0.0 < capital < math.inf:
-        raise ValueError(f"capital must be positive and finite, got {capital}")
+    _check_capital(capital)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, known: {', '.join(MODES)}")
     buy = _aligned(buy_prices, weights.tickers, "buy prices")

@@ -33,11 +33,12 @@ from functools import partial
 from pathlib import Path
 
 from ._files import csv_writer
-from .backtest import MODES, backtest_from_panel, write_backtest_csv
+from .backtest import MODES, _check_capital, backtest_from_panel, write_backtest_csv
 from .errors import AnalyticsError, EmptySummaryError, EmptyUniverseError
 from .frontier import (
     WEIGHT_SAMPLERS,
     FrontierCloud,
+    _check_samples,
     export_frontier,
     min_risk_portfolio,
     optimum_risk_portfolio,
@@ -46,6 +47,7 @@ from .frontier import (
 from .market_data import (
     PricePanel,
     UniverseConfig,
+    _check_threshold,
     apply_missing_data_policy,
     fill_gaps,
     load_price_panel,
@@ -85,7 +87,8 @@ _USER_ERRORS = (AnalyticsError, OSError, ValueError, ZeroDivisionError)
 class RunConfig:
     """Everything one sector run needs. Its windows are the universe's own
     (`--train`/`--test` replace them there, and `UniverseConfig` checks their
-    order); samples, threshold and capital are checked where used, before any write.
+    order); samples, threshold and capital are checked where used, before any write
+    (`pipeline --all` checks them once, before its first sector).
     The defaults are class attributes, which the command-line options read."""
 
     samples = 10_000
@@ -458,6 +461,10 @@ def _handle_pipeline(args: argparse.Namespace) -> int:
         raise EmptyUniverseError(f"no universe configs (*.ini) in {args.universe}")
     out = Path(args.out)
     options = _run_options(args)
+    # each sector would fail on a bad value alike, so it fails once, here
+    _check_samples(args.samples)
+    _check_threshold(args.threshold)
+    _check_capital(args.capital)
     configs: list[RunConfig] = []
     claimed: dict[Path, Path] = {}  # output directory -> the INI that claimed it
     for path in config_paths:

@@ -33,22 +33,30 @@ no bit of the cloud, and `portfolio_stats` gives a sample its own bits.
 Export
 ------
 Every cell of ``frontier.csv`` is exactly what ``"%.12g"`` prints for
-its value. Rows are formatted `_EXPORT_ROWS` (256) at a time. A cell
-whose magnitude lies in [1e-4, 1), which covers every risk, most
-returns and nearly every weight, is spelled by array arithmetic: with
-``x = floor(log10|v|)``, ``y = |v| * 10**(11 - x)`` is one product by an
+its value. Rows are redrawn and spelled `_EXPORT_ROWS` (256) at a time,
+as 4-byte words with NUL padding that one ``bytes.translate`` deletes. A
+row starts with its newline, and each later cell, and then the row's
+flag, with a comma. A cell whose magnitude lies in [1e-4, 1), which
+covers every risk, most returns and nearly every weight, is spelled by
+array arithmetic in five words: separator, sign and ``0.``, then 16
+decimals (the last always 0) in four-digit groups, its trailing zeros
+dropped. Its exponent ``x = floor(log10|v|)`` comes from comparisons
+with 1e-3, 1e-2 and 1e-1, each exact because each of those doubles lies
+above its decimal value. ``y = |v| * 10**(11 - x)`` is one product by an
 exact power of ten, so it lies within half an ulp (under 6.2e-5) of the
 exact product, and ``rint(y)`` is the correctly rounded 12-digit integer
 whenever the fraction of ``y`` is more than 2.5e-4 from one half and
 ``rint(y)`` has exactly 12 digits. Every other cell (1 or more, below
-1e-4, zero, NaN, infinite, or near a rounding tie) is printed on its
-own by ``b"%.12g," % v`` into the cell's slot of the chunk.
+1e-4, zero, NaN, infinite, near a rounding tie, or rounding up to the
+next decade) is printed by one ``%`` call for the chunk, each into its
+own 20-byte slot padded with spaces, which are deleted with the NULs.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
 from pathlib import Path
 from typing import IO, Callable, Mapping, Sequence
 
@@ -185,6 +193,11 @@ def _weight_rows(seed: int, sampler: str, lo: int, hi: int, n_assets: int) -> np
     return rows
 
 
+def _check_samples(n_samples: int) -> None:
+    if n_samples < 1:
+        raise EmptyCloudError(f"n_samples must be at least 1, got {n_samples}")
+
+
 def sample_frontier(
     expected_returns: Mapping[str, float] | Sequence[float] | np.ndarray,
     cov: CovarianceMatrix,
@@ -214,8 +227,7 @@ def sample_frontier(
         ticker).
     AlignmentError : expected returns do not align with the covariance.
     """
-    if n_samples < 1:
-        raise EmptyCloudError(f"n_samples must be at least 1, got {n_samples}")
+    _check_samples(n_samples)
     if sampler not in WEIGHT_SAMPLERS:
         raise ValueError(
             f"unknown sampler {sampler!r}, known: {', '.join(sorted(WEIGHT_SAMPLERS))}"
@@ -282,9 +294,10 @@ def export_frontier(cloud: FrontierCloud, dest: str | Path | IO[str]) -> None:
     column per asset, and ``flag`` holding ``mrp``, ``orp``, ``mrp+orp``
     or nothing. Each value is written exactly as ``"%.12g"`` prints it,
     so reloading reproduces selection and stats to numerical noise.
-    Rows are redrawn and written 256 at a time; cells in [1e-4, 1) are
-    spelled by array arithmetic and all others printed one by one (see
-    the module docs for the tie margin that keeps them exact).
+    Rows are redrawn and spelled 256 at a time; cells in [1e-4, 1) are
+    spelled by array arithmetic and all others printed (see the module
+    docs for the tie margin that keeps them exact). A path gets the
+    spelled bytes on its binary buffer; a stream gets them as text.
     """
     mrp, orp = _selection(cloud, "export")
     flags = {mrp: "mrp"}
@@ -294,17 +307,23 @@ def export_frontier(cloud: FrontierCloud, dest: str | Path | IO[str]) -> None:
     header = ["annual_risk", "annual_return", "sharpe"]
     header += [f"w_{t}" for t in cloud.tickers] + ["flag"]
     with csv_writer(dest, header) as (fh, _):
+        if isinstance(dest, (str, os.PathLike)):
+            # the file csv_writer opened: UTF-8 with no newline translation
+            fh.flush()
+            write = fh.buffer.write
+        else:
+            def write(spelled: bytes) -> None:
+                fh.write(spelled.decode("ascii"))
         for lo in range(0, cloud.sample_count, _EXPORT_ROWS):
             hi = min(lo + _EXPORT_ROWS, cloud.sample_count)
             table = np.column_stack((
                 cloud.annual_risks[lo:hi], cloud.annual_returns[lo:hi],
                 cloud.sharpe_ratios[lo:hi], cloud.weight_rows(lo, hi),
             ))
-            ends = np.tile(_ROW_ENDS[""], (hi - lo, 1))
-            for i, flag in flags.items():
-                if lo <= i < hi:
-                    ends[i - lo] = _ROW_ENDS[flag]
-            fh.write(_spell_rows(table, ends))
+            spelled = _spell_rows(table, {i - lo: f for i, f in flags.items() if lo <= i < hi})
+            # the header's own newline ends it, so the first row's is dropped
+            write(spelled[1:] if lo == 0 else spelled)
+        write(b"\n")
 
 
 def _words(*texts: bytes) -> np.ndarray:
@@ -312,30 +331,39 @@ def _words(*texts: bytes) -> np.ndarray:
     return np.frombuffer(b"".join(t.ljust(4, b"\0") for t in texts), dtype=np.uint32)
 
 
-_DIGITS = [b"%03d" % g for g in range(1000)]
-# three-digit groups as words, 1,000 of each kind in this order: all
-# three digits; trailing zeros dropped, plus the cell's comma; trailing
-# zeros dropped (so group 0 is an empty word)
-_GROUP_WORDS = _words(
-    *_DIGITS,
-    *(d.rstrip(b"0") + b"," for d in _DIGITS),
-    *(d.rstrip(b"0") for d in _DIGITS),
-)
-del _DIGITS
-_SIGN_WORDS = _words(b"0.", b"-0.")
-_ROW_ENDS = {
-    "": _words(b"\n", b""),
-    "mrp": _words(b"mrp\n", b""),
-    "orp": _words(b"orp\n", b""),
-    "mrp+orp": _words(b"mrp+", b"orp\n"),
+def _digit_words() -> np.ndarray:
+    """Four-digit groups as words, 10,000 of each kind in this order: all
+    four digits; trailing zeros dropped (so group 0 is an empty word)."""
+    chars = np.empty((2, 10, 10, 10, 10, 4), np.uint8)  # kind, the four digits, byte
+    for k in range(4):
+        chars[..., k] = (np.arange(10) + ord("0")).reshape((10,) + (1,) * (3 - k))
+    # a digit is dropped when it and every digit after it are zeros
+    for k in range(4):
+        chars[(1,) + (slice(None),) * k + (0,) * (4 - k) + (k,)] = 0
+    return chars.view(np.uint32).ravel()
+
+
+_DIGIT_WORDS = _digit_words()
+# a fast cell's first word: separator, sign and "0."; `_spell_rows` puts
+# a newline in place of the comma of each row's first cell
+_PREFIX_WORDS = _words(b",0.", b",-0.")
+_FLAG_WORDS = {
+    "": _words(b",", b""),
+    "mrp": _words(b",mrp", b""),
+    "orp": _words(b",orp", b""),
+    "mrp+orp": _words(b",mrp", b"+orp"),
 }
 _SCALE = np.array([1e15, 1e14, 1e13, 1e12])  # 10**(11 - x) for x = -4..-1
-_SHIFT = np.array([1.0, 10.0, 100.0, 1000.0])  # 10**(x + 4): 15 decimals
+_SHIFT = np.array([1e1, 1e2, 1e3, 1e4])  # 10**(x + 5), for 16 decimals
+# a slow cell's slot: 20 bytes, as the longest spelling -1.79769313486e+308
+# and its separator take; a row holds no space, so the padding is deleted
+_SLOW = ",%-19.12g"
 
 
-def _spell_rows(values: np.ndarray, ends: np.ndarray) -> str:
-    """Rows of `values` as ``"%.12g"`` cells, each cell followed by a comma
-    and each row by its two `ends` words.
+def _spell_rows(values: np.ndarray, flags: Mapping[int, str]) -> bytes:
+    """Rows of `values` as ``"%.12g"`` cells, ASCII. Each row starts with a
+    newline; each later cell, and then the row's flag (``flags[row]``, or
+    nothing), starts with a comma.
 
     Cells in [1e-4, 1) are spelled here as ``0.`` and 15 decimals less
     their trailing zeros; the module docs say why ``rint(y)`` is exact.
@@ -344,34 +372,45 @@ def _spell_rows(values: np.ndarray, ends: np.ndarray) -> str:
     fast = (a >= 1e-4) & (a < 1.0)
     # other cells are scaled as 0.5 would be, so no step overflows
     a = np.where(fast, a, 0.5)
-    # the clip keeps an index in range should log10 round across 1e-4 or 1
-    x = np.clip(np.floor(np.log10(a)), -4, -1).astype(np.intp) + 4
-    y = a * _SCALE[x]
+    # x + 4 for x = floor(log10(a)); each of these doubles lies just above
+    # its decimal value, so a >= 1e-3 holds exactly when a is 0.001 or more
+    x = (a >= 1e-3).view(np.int8) + (a >= 1e-2).view(np.int8)
+    x += (a >= 1e-1).view(np.int8)
+    y = a * _SCALE.take(x)
     r = np.rint(y)
-    # a misjudged exponent leaves rint(y) outside [1e11, 1e12)
+    # a cell that rounds up to the next decade leaves rint(y) outside [1e11, 1e12)
     fast &= (np.abs(y - r) < 0.5 - 2.5e-4) & (r >= 1e11) & (r < 1e12)
+    # 0.9999999999999999 rounds to 1e12; clamped, no cell indexes past the table
+    np.minimum(r, 1e12 - 1.0, out=r)
 
     rows, cells = values.shape
-    words = np.empty((rows, cells * 6 + 2), dtype=np.uint32)
-    words[:, -2:] = ends
-    cell = words[:, :-2].reshape(rows, cells, 6)
-    cell[..., 0] = np.where(values < 0.0, _SIGN_WORDS[1], _SIGN_WORDS[0])
-    # three-digit groups, last first: a group is plain before the last
-    # nonzero one, takes the comma there, and is empty after it
-    digits = (r * _SHIFT[x]).astype(np.int64)
-    zeros_after = True
-    for j in range(5, 0, -1):
-        rest = digits // 1000
-        group = digits - 1000 * rest
-        zero = zeros_after & (group == 0)
-        cell[..., j] = _GROUP_WORDS[group + 1000 * zero + 1000 * zeros_after]
-        digits, zeros_after = rest, zero
-    # any other cell is printed into its own 24-byte slot, NUL-padded; the
-    # longest spelling, such as -1.79769313486e+308 and its comma, takes 20
+    words = np.empty((rows, cells * 5 + 2), dtype=np.uint32)
+    words[:, -2:] = _FLAG_WORDS[""]
+    for i, flag in flags.items():
+        words[i, -2:] = _FLAG_WORDS[flag]
+    cell = words[:, :-2].reshape(rows, cells, 5)
+    cell[..., 0] = _PREFIX_WORDS[0]
+    cell[values < 0.0, 0] = _PREFIX_WORDS[1]
+    # 16 decimals, the last always 0: r * 10**(x + 5) is below 1e16 and
+    # exact, as r * 5**4 < 2**53; split in two 8-digit halves, then in
+    # four-digit groups. A group is plain before the last nonzero one and
+    # trimmed from there on.
+    decimals = (r * _SHIFT.take(x)).astype(np.int64)
+    high = decimals // 100_000_000
+    low = (decimals - high * 100_000_000).astype(np.int32)
+    high = high.astype(np.int32)
+    g1, g3 = high // 10_000, low // 10_000
+    g2, g4 = high - g1 * 10_000, low - g3 * 10_000
+    trim = np.full(values.shape, 10_000, np.int32)  # 0 once a later group is nonzero
+    for j, group in ((4, g4), (3, g3), (2, g2), (1, g1)):
+        cell[..., j] = _DIGIT_WORDS.take(group + trim)
+        trim *= group == 0
+    # every other cell is printed into its own slot, padded with spaces
     slow = ~fast
-    spelled = b"".join([(b"%.12g," % v).ljust(24, b"\0") for v in values[slow].tolist()])
-    cell[slow] = np.frombuffer(spelled, dtype=np.uint32).reshape(-1, 6)
-    return words.tobytes().translate(None, b"\0").decode("ascii")
+    spelled = (_SLOW * np.count_nonzero(slow)) % tuple(values[slow].tolist())
+    cell[slow] = np.frombuffer(spelled.encode("ascii"), dtype=np.uint32).reshape(-1, 5)
+    words.view(np.uint8)[:, 0] = ord("\n")
+    return words.tobytes().translate(None, b"\0 ")
 
 
 def read_frontier_csv(
@@ -398,7 +437,7 @@ def read_frontier_csv(
         for row in reader:
             if skip_row(row, len(header)):
                 continue
-            if row[-1] not in _ROW_ENDS:
+            if row[-1] not in _FLAG_WORDS:
                 raise ValueError(f"unknown flag {row[-1]!r}")
             values = [float(x) for x in row[:-1]]
             weights = WeightVector(tickers, values[3:]).weights

@@ -38,7 +38,9 @@ at a time: each chunk is split into cells once, its closes converted by
 scatter fills the matrix. Anything that path does not take as it stands
 (a quote, a blank or comment line, a bad cell, a repeat) leaves the text
 to the row-by-row loop, which reads on past the header and names the
-faulty line.
+faulty line. One scan of the whole text finds a quote, a NUL or a stray
+``\r``; a blank line is caught by its chunk's count of commas, and a
+comment line by its date cell.
 A wide file always goes through its loop. `PricePanel.window` cuts a
 universe's tickers and one date window from it by slicing, keeping the
 union of in-window dates on which those tickers trade. The CLI parses
@@ -395,8 +397,8 @@ def _parse_long_arrays(text: str) -> _Parsed | None:
     """
     if "\r" in text and text.count("\r") == text.count("\r\n"):
         text = text.replace("\r\n", "\n")
-    # one scan of the whole text finds a blank or comment line before any chunk is split
-    if any(mark in text for mark in ('"', "\r", "\0", "\n\n", "\n#")):
+    # a blank line fails its chunk's comma count, and a comment line its date cell
+    if any(mark in text for mark in ('"', "\r", "\0")):
         return None
     limit = csv.field_size_limit()
     start = text.find("\n") + 1
@@ -580,6 +582,11 @@ def _carried(closes: np.ndarray) -> np.ndarray:
     return np.where(last < 0, np.nan, np.take_along_axis(closes, last, axis=1))
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be within [0, 1], got {threshold}")
+
+
 def apply_missing_data_policy(
     panel: PricePanel, threshold: float = 0.30
 ) -> tuple[PricePanel, list[tuple[str, float]]]:
@@ -600,8 +607,7 @@ def apply_missing_data_policy(
     ValueError : threshold outside [0, 1].
     EmptyUniverseError : every ticker was excluded.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be within [0, 1], got {threshold}")
+    _check_threshold(threshold)
     fractions = list(zip(panel.tickers, np.isnan(panel.closes).mean(axis=1).tolist()))
     excluded = [(t, f) for t, f in fractions if f > threshold]
     retained = [t for t, f in fractions if f <= threshold]

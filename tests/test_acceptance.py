@@ -119,7 +119,8 @@ def test_summary_reproduces_winner_pattern(tmp_path):
 def test_variance_equals_55_term_expansion():
     rng = np.random.default_rng(20220103)
     tickers = [f"T{i}" for i in range(10)]
-    started = time.perf_counter()
+    # CPU time of this process, so a loaded host does not fail the bound
+    started = time.process_time()
     for _ in range(1000):
         a = rng.normal(scale=0.02, size=(10, 14))
         cov = CovarianceMatrix(tickers, a @ a.T / 13)
@@ -136,7 +137,7 @@ def test_variance_equals_55_term_expansion():
         assert len(terms) == 55
         expansion = math.fsum(terms)
         assert abs(quad - expansion) <= 1e-12 * max(abs(quad), abs(expansion))
-    assert time.perf_counter() - started < 1.0
+    assert time.process_time() - started < 1.0
 
 
 # --- criterion 4: frontier selection and thread determinism ---------------

@@ -892,6 +892,30 @@ def test_pipeline_all_rejects_a_risk_free_rate_that_is_not_finite_in_one_line(tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, value, reason", [
+    ("--samples", "0", "n_samples must be at least 1, got 0"),
+    ("--threshold", "1.5", "threshold must be within [0, 1], got 1.5"),
+    ("--capital", "nan", "capital must be positive and finite, got nan"),
+], ids=["samples", "threshold", "capital"])
+def test_pipeline_all_rejects_a_bad_option_in_one_line_before_any_sector_runs(
+        tmp_path, capsys, monkeypatch, option, value, reason):
+    configs = tmp_path / "configs"
+    _three_sectors_sharing_one_file(configs)
+    parsed = _count_parses(monkeypatch)
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--universe", configs, "--all", "--out", out, option, value) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"sectorfolio pipeline: {reason}\n"
+    assert captured.out == ""
+    assert parsed == []
+    assert not out.exists()
+    # one sector still names itself
+    assert run_cli("pipeline", "--universe", configs / "alpha.ini", "--out", out,
+                   option, value) == 1
+    assert capsys.readouterr().err == f"sectorfolio pipeline: Alpha: {reason}\n"
+    assert not out.exists()
+
+
 COMMANDS = ["stats", "weights", "frontier", "backtest", "pipeline", "pipeline --all", "summary"]
 
 

@@ -30,7 +30,7 @@ from sectorfolio import (
     read_frontier_csv,
     sample_frontier,
 )
-from sectorfolio.frontier import _BLOCK, _selection
+from sectorfolio.frontier import _BLOCK, _DIGIT_WORDS, _selection
 
 TICKERS3 = ["AAA", "BBB", "CCC"]
 MU3 = {"AAA": 0.08, "BBB": 0.15, "CCC": 0.30}
@@ -433,6 +433,53 @@ def test_export_flags_rows_across_chunks(mrp, orp):
     flagged = {i: row.rsplit(",", 1)[1] for i, row in enumerate(rows) if not row.endswith(",")}
     assert flagged == ({mrp: "mrp", orp: "orp"} if mrp != orp else {mrp: "mrp+orp"})
     assert "e" not in text.partition("\n")[2] and "%" not in text
+
+
+def _exported_both_ways(cloud, path):
+    """The export written to a path and to a stream, which must agree."""
+    export_frontier(cloud, path)
+    text = _exported(cloud)
+    assert path.read_bytes() == text.encode("ascii")
+    return text
+
+
+# a decade's double either side; the largest double below 1, which rounds
+# to 1; a value below 1e-4 that prints in fixed notation; the widest cells
+_EDGE_CELLS = [
+    *(np.nextafter(p, toward) for p in (1e-4, 1e-3, 1e-2, 1e-1) for toward in (0.0, 1.0)),
+    0.9999999999999999, 9.99999999999995e-05, -0.0, -1.79769313486e+308,
+]
+
+
+def test_export_spells_edge_cells_as_printf_does(tmp_path):
+    edges = np.array(_EDGE_CELLS + [-v for v in _EDGE_CELLS[:9]])
+    # every edge cell in every column, scores and weights alike
+    table = [np.roll(edges, k) for k in range(len(edges))]
+    cloud = _cloud_of(table)
+    assert _exported_both_ways(cloud, tmp_path / "frontier.csv") == _printf_export(cloud)
+
+
+def test_digit_words_spell_every_four_digit_group():
+    spelled = [b"%04d" % g for g in range(10_000)]
+    words = b"".join(d.ljust(4, b"\0") for d in spelled + [d.rstrip(b"0") for d in spelled])
+    assert _DIGIT_WORDS.tobytes() == words
+
+
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 2 * _BLOCK + 1])
+def test_export_of_any_length_flags_its_first_and_last_rows(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    table = rng.uniform(0.01, 0.9, (rows, 7))
+    table[0, 0] = 0.001  # the least risk: mrp
+    table[-1, 2] = 0.95  # the best Sharpe ratio: orp
+    cloud = _cloud_of(table)
+    lines = _exported_both_ways(cloud, tmp_path / "frontier.csv").split("\n")
+    # compared line by line, so a failure names its first line, not a diff of the whole
+    assert lines == _printf_export(cloud).split("\n")
+    assert len(lines) == rows + 2 and lines[-1] == ""
+    if rows == 1:
+        assert lines[1].endswith(",mrp+orp")
+    else:
+        assert lines[1].endswith(",mrp") and lines[-2].endswith(",orp")
 
 
 _BLAS_PROBE = """

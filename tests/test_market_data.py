@@ -821,6 +821,23 @@ def test_a_repeat_two_chunks_after_its_first_row_is_named_by_the_loop():
     assert str(caught.value) == f"<stream>: line {line}: duplicate observation for T00 on 2000-01-03"
 
 
+@pytest.mark.parametrize("line", ["", "   ", "# a note", "#2000-01-03,T00,7"],
+                         ids=["blank", "spaces", "comment", "comment-with-two-commas"])
+@pytest.mark.parametrize("where", ["second-chunk", "last-line"])
+def test_a_blank_or_comment_line_past_the_first_chunk_is_skipped_by_the_loop(line, where):
+    clean, body = _three_chunks()
+    if where == "last-line":
+        at = len(clean)
+    else:
+        at = clean.index("\n", body + market_data._CHUNK + 1000) + 1
+    text = clean[:at] + line + "\n" + clean[at:]
+    assert check_array_path(text) is False
+    panel, expected = parse_price_file(io.StringIO(text)), parse_price_file(io.StringIO(clean))
+    assert panel.tickers == expected.tickers
+    assert panel.dates == expected.dates
+    assert panel.closes.tobytes() == expected.closes.tobytes()
+
+
 def test_a_bad_close_on_a_last_line_without_newline_is_named_by_the_loop():
     text, _ = _three_chunks()
     text = text[:-1].rsplit(",", 1)[0] + ",x"
