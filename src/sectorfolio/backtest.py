@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import IO, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,57 +40,30 @@ __all__ = [
 MODES = ("simplex", "fixed-amount-per-stock")
 
 
-class Allocation:
-    """One ticker's line in a backtest book; equal to another when every field is."""
+class Allocation(NamedTuple):
+    """One ticker's fixed line in a backtest book; equal to another when every field is."""
 
-    def __init__(
-        self,
-        ticker: str,
-        weight: float,
-        buy_price: float,
-        amount_invested: float,
-        shares: float,
-        sell_price: float,
-        terminal_value: float,
-    ) -> None:
-        self.ticker = ticker
-        self.weight = weight
-        self.buy_price = buy_price
-        self.amount_invested = amount_invested
-        self.shares = shares
-        self.sell_price = sell_price
-        self.terminal_value = terminal_value
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return vars(self) == vars(other)
+    ticker: str
+    weight: float
+    buy_price: float
+    amount_invested: float
+    shares: float
+    sell_price: float
+    terminal_value: float
 
 
-class BacktestReport:
-    """A completed buy-and-hold run; equal to another when every field is.
+class BacktestReport(NamedTuple):
+    """A completed buy-and-hold run, fixed once built; equal to another when every field is.
 
     `holding_return` is a fraction of `initial_capital`, the money
     actually deployed (which is below the nominal capital in
     fixed-amount-per-stock mode with exclusions).
     """
 
-    def __init__(
-        self,
-        allocations: list[Allocation],
-        initial_capital: float,
-        terminal_capital: float,
-        holding_return: float,
-    ) -> None:
-        self.allocations = allocations
-        self.initial_capital = initial_capital
-        self.terminal_capital = terminal_capital
-        self.holding_return = holding_return
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return vars(self) == vars(other)
+    allocations: list[Allocation]
+    initial_capital: float
+    terminal_capital: float
+    holding_return: float
 
 
 def _check_capital(capital: float) -> None:

@@ -58,7 +58,7 @@ import math
 import operator
 import os
 from pathlib import Path
-from typing import IO, Callable, Mapping, Sequence
+from typing import IO, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,20 +87,17 @@ _BLOCK = 2048
 _EXPORT_ROWS = 256
 
 
-class FrontierSample:
-    """One random portfolio with its annual return, risk, and Sharpe.
+class FrontierSample(NamedTuple):
+    """One random portfolio with its annual return, risk, and Sharpe, fixed once built.
 
     `sharpe` is NaN when the sample's risk is exactly zero; selection by
     Sharpe refuses such clouds rather than guessing.
     """
 
-    def __init__(
-        self, weights: WeightVector, annual_return: float, annual_risk: float, sharpe: float
-    ) -> None:
-        self.weights = weights
-        self.annual_return = annual_return
-        self.annual_risk = annual_risk
-        self.sharpe = sharpe
+    weights: WeightVector
+    annual_return: float
+    annual_risk: float
+    sharpe: float
 
 
 class FrontierCloud:

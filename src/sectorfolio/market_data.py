@@ -32,13 +32,14 @@ test window begins.
 `parse_price_file` reads a whole file at once into a full-span panel:
 every ticker in the file over every date, NaN marking the gaps. The
 file is read and decoded once, and the csv module reads its header once.
-A long file is then parsed with array operations, about 256 KiB of lines
-at a time: each chunk is split into cells once, its closes converted by
-`float` and its tickers and date cells coded through dicts, and one
-scatter fills the matrix. Anything that path does not take as it stands
-(a quote, a blank or comment line, a bad cell, a repeat) leaves the text
-to the row-by-row loop, which reads on past the header and names the
-faulty line. One scan of the whole text finds a quote, a NUL or a stray
+A long file is then parsed with array operations, about 256 KiB of
+lines at a time: each chunk is split into cells once, its closes
+converted by `float` and its tickers and date cells coded through
+dicts; the chunks' arrays are joined once, and one scatter fills the
+matrix. Anything that path does not take as it stands (a quote, a
+blank or comment line, a bad cell, a repeat) leaves the text to the
+row-by-row loop, which reads on past the header and names the faulty
+line. One scan of the whole text finds a quote, a NUL or a stray
 ``\r``; a blank line is caught by its chunk's count of commas, and a
 comment line by its date cell.
 A wide file always goes through its loop. `PricePanel.window` cuts a
@@ -406,10 +407,10 @@ def _parse_long_arrays(text: str) -> _Parsed | None:
         return None
     tickers: dict[str, int] = {}  # ticker -> code, in file order
     cells: dict[str, int] = {}  # date cell -> code, in file order
-    # each line's ticker code, date-cell code and close
-    n = text.count("\n", start) + (not text.endswith("\n"))
-    rows, cols, closes = np.empty(n, np.intp), np.empty(n, np.intp), np.empty(n)
-    lo = 0
+    # each line's ticker code, date-cell code and close, one array of each per chunk
+    row_parts: list[np.ndarray] = []
+    col_parts: list[np.ndarray] = []
+    close_parts: list[np.ndarray] = []
     while start < len(text):
         end = text.find("\n", start + _CHUNK) + 1 or len(text)
         chunk, start = text[start:end], end
@@ -417,7 +418,6 @@ def _parse_long_arrays(text: str) -> _Parsed | None:
             chunk += "\n"
         raw = np.frombuffer(chunk.encode("utf-8", "surrogatepass"), np.uint8)
         ends = np.flatnonzero(raw == ord("\n"))
-        hi = lo + ends.size
         # line k (from 1) ends after exactly 2k commas; none is longer than a field may be
         commas = np.searchsorted(np.flatnonzero(raw == ord(",")), ends)
         if not np.array_equal(commas, np.arange(2, 2 * ends.size + 1, 2)):
@@ -426,15 +426,17 @@ def _parse_long_arrays(text: str) -> _Parsed | None:
             return None
         fields = chunk[:-1].replace("\n", ",").split(",")
         try:
-            closes[lo:hi] = np.fromiter(map(float, fields[2::3]), float, hi - lo)
+            close_parts.append(np.fromiter(map(float, fields[2::3]), float, ends.size))
         except ValueError:
             return None
-        for codes, column, out in ((tickers, fields[1::3], rows), (cells, fields[0::3], cols)):
+        for codes, column, out in (
+            (tickers, fields[1::3], row_parts), (cells, fields[0::3], col_parts)
+        ):
             for key in dict.fromkeys(column):
                 codes.setdefault(key, len(codes))
-            out[lo:hi] = np.fromiter(map(codes.__getitem__, column), np.intp, hi - lo)
-        lo = hi
+            out.append(np.fromiter(map(codes.__getitem__, column), np.intp, ends.size))
         del fields, column  # freed before the next chunk's cells are made, not after
+    rows, cols, closes = map(np.concatenate, (row_parts, col_parts, close_parts))
     if not np.all((closes > 0.0) & (closes < math.inf)):
         return None
     if any(not t or t != t.strip() or t.startswith("#") for t in tickers):
@@ -448,13 +450,11 @@ def _parse_long_arrays(text: str) -> _Parsed | None:
     order = sorted(range(len(days)), key=days.__getitem__)
     rank = np.empty(len(days), np.intp)  # the matrix column of each date cell
     rank[order] = np.arange(len(days))
-    rows *= len(days)  # each line's row becomes its flat index in the matrix
-    rows += rank[cols]
-    matrix = np.full(len(tickers) * len(days), np.nan)
-    matrix[rows] = closes
+    matrix = np.full((len(tickers), len(days)), np.nan)
+    matrix[rows, rank[cols]] = closes
     if np.count_nonzero(~np.isnan(matrix)) < closes.size:  # a repeated (ticker, date)
         return None
-    return list(tickers), [days[k] for k in order], matrix.reshape(len(tickers), len(days))
+    return list(tickers), [days[k] for k in order], matrix
 
 
 def _parse_wide(reader: Any, header: list[str]) -> _Parsed:

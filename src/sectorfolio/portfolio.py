@@ -8,7 +8,7 @@ scaled by the 250-day trading year where annual risk is needed.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,13 +81,12 @@ class WeightVector:
         return {t: float(w) for t, w in zip(self.tickers, self.weights)}
 
 
-class PortfolioStats:
-    """Annual return, annual risk, and Sharpe ratio of one portfolio."""
+class PortfolioStats(NamedTuple):
+    """Annual return, annual risk, and Sharpe ratio of one portfolio, fixed once built."""
 
-    def __init__(self, annual_return: float, annual_risk: float, sharpe: float) -> None:
-        self.annual_return = annual_return
-        self.annual_risk = annual_risk
-        self.sharpe = sharpe
+    annual_return: float
+    annual_risk: float
+    sharpe: float
 
 
 def equal_weights(tickers: Sequence[str]) -> WeightVector:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from datetime import date
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,16 +69,13 @@ class ReturnSeries:
         return self.returns.size
 
 
-class AssetStats:
-    """Annualized summary statistics for one asset."""
+class AssetStats(NamedTuple):
+    """Annualized summary statistics for one asset, fixed once built."""
 
-    def __init__(
-        self, ticker: str, annual_return: float, daily_volatility: float, annual_volatility: float
-    ) -> None:
-        self.ticker = ticker
-        self.annual_return = annual_return
-        self.daily_volatility = daily_volatility
-        self.annual_volatility = annual_volatility
+    ticker: str
+    annual_return: float
+    daily_volatility: float
+    annual_volatility: float
 
 
 class CovarianceMatrix:

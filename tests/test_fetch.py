@@ -99,6 +99,20 @@ def test_fetch_rejects_unusable_payloads(payload):
         fetch_history(["AAA"], START, END, transport=transport)
 
 
+def test_fetch_names_a_short_row_by_its_line():
+    transport, _ = canned(["Date,Open,Close\n2022-01-03,10,10\n2022-01-04,10\n"])
+    with pytest.raises(FetchError) as caught:
+        fetch_history(["AAA"], START, END, transport=transport)
+    assert str(caught.value) == "AAA: line 3: short row"
+
+
+def test_fetch_names_the_url_it_could_not_read(tmp_path):
+    template = f"file://{tmp_path}/{{symbol}}.csv"
+    with pytest.raises(FetchError) as caught:
+        fetch_history(["AAA"], START, END, url_template=template)
+    assert str(caught.value).startswith(f"file://{tmp_path}/aaa.csv: <urlopen error ")
+
+
 def test_fetch_rejects_inverted_window():
     with pytest.raises(ValueError):
         fetch_history(["AAA"], END, START, transport=lambda url: PAYLOAD)

@@ -23,6 +23,7 @@ from sectorfolio import (
     FrontierCloud,
     FrontierSample,
     RiskFreeAssumption,
+    WEIGHT_SAMPLERS,
     WeightVector,
     export_frontier,
     min_risk_portfolio,
@@ -406,8 +407,8 @@ def test_export_spells_any_float_as_printf_does():
 
 
 def test_export_prints_the_longest_cells_whole():
-    # cells printed one by one, each into a 24-byte slot of its chunk; the
-    # longest, -1.79769313486e+308 and its comma, takes 20 of those bytes
+    # cells printed by one template, each into a 20-byte slot of its chunk;
+    # the longest, -1.79769313486e+308 and its comma, fills its slot
     row = [-sys.float_info.max, -2.2250738585072014e-308, -5e-324, math.nan, -math.inf, -0.0]
     cloud = _cloud_of([row, row[::-1]])
     text = _exported(cloud)
@@ -600,6 +601,13 @@ def test_redrawn_rows_match_the_philox_draw_of_their_index(sampler, n_assets):
     pair = cloud.weight_rows(_BLOCK - 1, _BLOCK + 1)
     assert pair.tobytes() == np.stack([cloud.sample(i).weights.weights
                                        for i in (_BLOCK - 1, _BLOCK)]).tobytes()
+
+
+def test_a_sampler_that_draws_off_the_simplex_is_named(monkeypatch):
+    monkeypatch.setitem(WEIGHT_SAMPLERS, "half", lambda draws: draws / draws.sum(axis=1)[:, None] / 2)
+    with pytest.raises(ValueError) as caught:
+        sample_frontier(MU3, COV3, n_samples=10, seed=2, sampler="half")
+    assert str(caught.value) == "sampler 'half' drew weights off the simplex in samples 0..9"
 
 
 def test_weight_rows_range_is_checked():

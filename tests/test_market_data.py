@@ -291,6 +291,10 @@ def test_price_series_validation():
         PriceSeries("AAA", [D1, D2], np.array([1.0, -2.0]))
     with pytest.raises(ValueError):
         PriceSeries("AAA", [D1], np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="^ticker must be non-empty$"):
+        PriceSeries("", [D1], np.array([1.0]))
+    with pytest.raises(ValueError, match="^AAA: empty price series$"):
+        PriceSeries("AAA", [], np.array([]))
 
 
 def test_panel_validation():
@@ -300,6 +304,30 @@ def test_panel_validation():
         PricePanel([], [D1], np.ones((0, 1)))
     with pytest.raises(ValueError):
         PricePanel(["AAA"], [D1, D2], np.ones((1, 3)))
+    with pytest.raises(EmptyPanelError, match="^panel has no dates$"):
+        PricePanel(["AAA"], [], np.ones((1, 0)))
+    with pytest.raises(ValueError, match="^panel dates not strictly increasing at 2022-01-03$"):
+        PricePanel(["AAA"], [D2, D1], np.ones((1, 2)))
+    with pytest.raises(ValueError, match="^observed closes must be finite and positive$"):
+        PricePanel(["AAA"], [D1, D2], np.array([[1.0, 0.0]]))
+    gappy = PricePanel(["AAA", "BBB"], [D1], np.array([[1.0], [np.nan]]))
+    with pytest.raises(InsufficientDataError, match="^BBB: no observations in panel$"):
+        gappy.series("BBB")
+
+
+@pytest.mark.parametrize(
+    "sector, tickers, error, message",
+    [
+        ("", ["AAA"], ValueError, "sector name must be non-empty"),
+        ("Test", [], EmptyUniverseError, "Test: no tickers configured"),
+        ("Test", ["AAA", "BBB", "AAA"], ValueError, "Test: duplicate tickers in universe"),
+    ],
+    ids=["empty-sector", "no-tickers", "repeated-ticker"],
+)
+def test_universe_config_names_what_it_rejects(sector, tickers, error, message):
+    with pytest.raises(error) as caught:
+        make_universe(tickers, sector=sector)
+    assert str(caught.value) == message
 
 
 def test_universe_config_roundtrip(tmp_path):
@@ -332,6 +360,24 @@ def test_a_crlf_universe_reads_as_its_lf_twin(tmp_path):
     crlf.write_bytes(text.replace("\n", "\r\n").encode())
     assert read_universe_config(crlf) == read_universe_config(lf)
     assert read_universe_config(crlf).tickers == ["AAA", "BBB"]
+
+
+@pytest.mark.parametrize(
+    "text, prefix, suffix",
+    [
+        ("[universe]\nsector = X\nsector = Y\n", "While reading from ",
+         ": option 'sector' in section 'universe' already exists"),
+        ("[prices]\nsector = X\n", "missing [universe] section", ""),
+    ],
+    ids=["configparser-error", "no-universe-section"],
+)
+def test_a_universe_file_without_a_readable_universe_section(tmp_path, text, prefix, suffix):
+    path = tmp_path / "u.ini"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataFormatError) as caught:
+        read_universe_config(path)
+    message = str(caught.value)
+    assert message.startswith(f"{path}: {prefix}") and message.endswith(suffix)
 
 
 def test_universe_config_missing_key(tmp_path):

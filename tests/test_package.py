@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sectorfolio
 from sectorfolio import backtest, errors, frontier, market_data, portfolio, reports, return_stats
 
@@ -45,3 +47,26 @@ def test_no_class_of_the_package_carries_generated_dataclass_methods():
         for name, value in vars(module).items():
             if isinstance(value, type) and value.__module__ == module.__name__:
                 assert not hasattr(value, "__dataclass_fields__"), f"{module.__name__}.{name}"
+
+
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (sectorfolio.FrontierSample, ("weights", "annual_return", "annual_risk", "sharpe")),
+        (sectorfolio.AssetStats,
+         ("ticker", "annual_return", "daily_volatility", "annual_volatility")),
+        (sectorfolio.PortfolioStats, ("annual_return", "annual_risk", "sharpe")),
+        (sectorfolio.Allocation, ("ticker", "weight", "buy_price", "amount_invested", "shares",
+                                  "sell_price", "terminal_value")),
+        (sectorfolio.BacktestReport,
+         ("allocations", "initial_capital", "terminal_capital", "holding_return")),
+    ],
+    ids=["FrontierSample", "AssetStats", "PortfolioStats", "Allocation", "BacktestReport"],
+)
+def test_a_field_only_record_keeps_its_fields_and_cannot_be_reassigned(record, fields):
+    values = [float(k) for k in range(len(fields))]
+    built = record(**dict(zip(fields, values)))
+    assert built == record(*values)
+    assert [getattr(built, name) for name in fields] == values
+    with pytest.raises(AttributeError):
+        setattr(built, fields[0], -1.0)

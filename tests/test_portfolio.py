@@ -50,6 +50,8 @@ def test_weight_vector_validation():
         WeightVector(["A", "A"], np.array([0.5, 0.5]))
     with pytest.raises(EmptyUniverseError):
         WeightVector([], np.array([]))
+    with pytest.raises(ValueError, match=r"^2 tickers vs weight shape \(3,\)$"):
+        WeightVector(["A", "B"], np.array([0.5, 0.25, 0.25]))
     # a sum within 1e-9 of 1 is accepted
     ok = wv([0.5, 0.5 + 5e-10])
     assert ok.weight("T1") == 0.5 + 5e-10
@@ -180,8 +182,9 @@ def test_portfolio_return_rejects_an_expected_return_that_is_not_finite(bad):
         ([[math.nan, 0.0], [0.0, 1e-4]], "covariance entries must be finite"),
         ([[1e-4, 5e-3], [0.0, 1e-4]], "covariance matrix is not symmetric"),
         ([[1e-4, 5e-3], [5e-3, 1e-4]], "covariance matrix is not positive semidefinite"),
+        ([[-1e-4, 0.0], [0.0, 1e-4]], "negative variance on the covariance diagonal"),
     ],
-    ids=["nan", "asymmetric", "not-psd"],
+    ids=["nan", "asymmetric", "not-psd", "negative-variance"],
 )
 def test_a_covariance_array_gets_the_covariance_matrix_checks(entries, message):
     w = equal_weights(["A", "B"])

@@ -112,6 +112,8 @@ def test_return_series_validation():
         returns_of([0.5, -1.5])
     with pytest.raises(ValueError):
         ReturnSeries("AAA", weekdays(date(2022, 1, 3), 2), np.array([0.1]))
+    with pytest.raises(ValueError, match="^AAA: dates not strictly increasing at 2022-01-03$"):
+        ReturnSeries("AAA", [date(2022, 1, 4), date(2022, 1, 3)], np.array([0.1, 0.2]))
 
 
 def test_asset_stats_matches_per_series_pipeline():
@@ -200,6 +202,8 @@ def test_covariance_matrix_validation():
         CovarianceMatrix(["A"], np.array([[1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         CovarianceMatrix([], np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="^duplicate tickers in covariance matrix$"):
+        CovarianceMatrix(["A", "A"], np.eye(2))
 
 
 def test_correlation_of_identical_assets_is_one():
