@@ -55,20 +55,22 @@ def read_text(source: Target) -> SourceText:
 
     A path is opened once, in binary, and its bytes are decoded as UTF-8
     with no newline translation, as ``newline=""`` reads them. A stream
-    is read whole and left open for its owner. A byte that is not UTF-8
-    raises DataFormatError naming the source, and for a path its line.
+    is read whole and left open for its owner. One leading byte order
+    mark (U+FEFF, as Excel's "CSV UTF-8" writes) is dropped from either.
+    A byte that is not UTF-8 raises DataFormatError naming the source,
+    and for a path its line.
     """
     if not isinstance(source, (str, os.PathLike)):
         name = str(getattr(source, "name", "<stream>"))
         try:
-            return SourceText(name, source.read())
+            return SourceText(name, source.read().removeprefix("\ufeff"))
         except UnicodeDecodeError as exc:
             raise DataFormatError(_not_utf8(name, exc)) from None
     name = str(os.fspath(source))
     with open(source, "rb") as fh:
         raw = fh.read()
     try:
-        return SourceText(name, raw.decode("utf-8"))
+        return SourceText(name, raw.decode("utf-8").removeprefix("\ufeff"))
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise DataFormatError(_not_utf8(f"{name}: line {line}", exc)) from None

@@ -31,6 +31,7 @@ from collections.abc import Callable
 from datetime import date
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 from ._files import csv_writer
 from .backtest import MODES, _check_capital, backtest_from_panel, write_backtest_csv
@@ -39,6 +40,7 @@ from .frontier import (
     WEIGHT_SAMPLERS,
     FrontierCloud,
     _check_samples,
+    _check_seed,
     export_frontier,
     min_risk_portfolio,
     optimum_risk_portfolio,
@@ -84,41 +86,23 @@ __all__ = [
 _USER_ERRORS = (AnalyticsError, OSError, ValueError, ZeroDivisionError)
 
 
-class RunConfig:
-    """Everything one sector run needs. Its windows are the universe's own
-    (`--train`/`--test` replace them there, and `UniverseConfig` checks their
-    order); samples, threshold and capital are checked where used, before any write
-    (`pipeline --all` checks them once, before its first sector).
-    The defaults are class attributes, which the command-line options read."""
+class RunConfig(NamedTuple):
+    """Everything one sector run needs, fixed once built. Its windows are the
+    universe's own (`--train`/`--test` replace them there, and `UniverseConfig`
+    checks their order); samples, seed, threshold and capital are checked where
+    used, before any write (`pipeline --all` checks them once, before its first
+    sector). The command-line options take their defaults from
+    `RunConfig._field_defaults`."""
 
-    samples = 10_000
-    seed = 0
-    rf = RiskFreeAssumption()
-    sampler = "uniform"
-    threshold = 0.30
-    capital = 100_000.0
-
-    def __init__(
-        self,
-        universe: UniverseConfig,
-        prices: Path,
-        out_dir: Path,
-        samples: int = samples,
-        seed: int = seed,
-        rf: RiskFreeAssumption = rf,
-        sampler: str = sampler,
-        threshold: float = threshold,
-        capital: float = capital,
-    ) -> None:
-        self.universe = universe
-        self.prices = prices
-        self.out_dir = out_dir
-        self.samples = samples
-        self.seed = seed
-        self.rf = rf
-        self.sampler = sampler
-        self.threshold = threshold
-        self.capital = capital
+    universe: UniverseConfig
+    prices: Path
+    out_dir: Path
+    samples: int = 10_000
+    seed: int = 0
+    rf: RiskFreeAssumption = RiskFreeAssumption()
+    sampler: str = "uniform"
+    threshold: float = 0.30
+    capital: float = 100_000.0
 
 
 def _train(
@@ -300,8 +284,7 @@ def _run_options(args: argparse.Namespace) -> dict[str, object]:
 
     A subcommand that lacks an option keeps RunConfig's default for it.
     """
-    tunables = ("samples", "seed", "rf", "sampler", "threshold", "capital")
-    given = {k: v for k, v in vars(args).items() if k in tunables}
+    given = {k: v for k, v in vars(args).items() if k in RunConfig._field_defaults}
     if "rf" in given:
         given["rf"] = RiskFreeAssumption(given["rf"])
     return given
@@ -353,28 +336,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = RunConfig._field_defaults
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--universe", required=True, help="universe INI file (directory with pipeline --all)")
     run.add_argument("--prices", help="price CSV, or a directory of <config-stem>.csv files")
     run.add_argument("--train", type=_window_arg, help="training window START:END, default from the universe file")
     run.add_argument("--test", type=_window_arg, help="test window START:END, default from the universe file")
-    run.add_argument("--threshold", type=float, default=RunConfig.threshold,
+    run.add_argument("--threshold", type=float, default=defaults["threshold"],
                      help="missing-data exclusion threshold (default %(default).2f)")
     run.add_argument("--out", default=".", help="output directory (default .)")
 
     mc = argparse.ArgumentParser(add_help=False)
-    mc.add_argument("--samples", type=int, default=RunConfig.samples, help="cloud size (default %(default)s)")
-    mc.add_argument("--seed", type=int, default=RunConfig.seed, help="sampling seed (default %(default)s)")
-    mc.add_argument("--rf", type=float, default=RunConfig.rf.rate, help="annual risk-free rate (default %(default)s)")
+    mc.add_argument("--samples", type=int, default=defaults["samples"], help="cloud size (default %(default)s)")
+    mc.add_argument("--seed", type=int, default=defaults["seed"], help="sampling seed (default %(default)s)")
+    mc.add_argument("--rf", type=float, default=defaults["rf"].rate, help="annual risk-free rate (default %(default)s)")
     mc.add_argument("--workers", type=_ignored_count_arg, help="ignored (must be >= 1); kept so older command lines run")
     mc.add_argument(
-        "--sampler", choices=sorted(WEIGHT_SAMPLERS), default=RunConfig.sampler,
+        "--sampler", choices=sorted(WEIGHT_SAMPLERS), default=defaults["sampler"],
         help="uniform: iid uniforms over their sum, pulled toward 1/n; "
         "dirichlet: flat Dirichlet, uniform on the simplex (default %(default)s)",
     )
 
     money = argparse.ArgumentParser(add_help=False)
-    money.add_argument("--capital", type=float, default=RunConfig.capital,
+    money.add_argument("--capital", type=float, default=defaults["capital"],
                        help="capital to invest (default %(default)s)")
 
     p = sub.add_parser("stats", parents=[run], help="per-ticker training stats")
@@ -463,6 +447,7 @@ def _handle_pipeline(args: argparse.Namespace) -> int:
     options = _run_options(args)
     # each sector would fail on a bad value alike, so it fails once, here
     _check_samples(args.samples)
+    _check_seed(args.seed)
     _check_threshold(args.threshold)
     _check_capital(args.capital)
     configs: list[RunConfig] = []
@@ -474,7 +459,7 @@ def _handle_pipeline(args: argparse.Namespace) -> int:
             # an unreadable INI is reported and skipped, like a failed sector
             print(f"sectorfolio pipeline: {exc}", file=sys.stderr)
             continue
-        config.out_dir = out / _slug(config.universe.sector)
+        config = config._replace(out_dir=out / _slug(config.universe.sector))
         first = claimed.setdefault(config.out_dir, path)
         if first != path:
             raise ValueError(f"{first} and {path} both write to {config.out_dir}")

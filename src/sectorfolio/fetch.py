@@ -106,7 +106,8 @@ def fetch_history(
             start=start.strftime("%Y%m%d"),
             end=end.strftime("%Y%m%d"),
         )
-        reader = csv.reader(io.StringIO(get(url)))
+        # a leading byte order mark is dropped, as `read_text` drops it
+        reader = csv.reader(io.StringIO(get(url).removeprefix("\ufeff")))
         try:
             quotes[ticker] = _parse_rows(ticker, reader)
         except (csv.Error, ValueError) as exc:

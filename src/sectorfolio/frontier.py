@@ -195,6 +195,15 @@ def _check_samples(n_samples: int) -> None:
         raise EmptyCloudError(f"n_samples must be at least 1, got {n_samples}")
 
 
+def _check_seed(seed: int) -> None:
+    try:
+        seeded = 0 <= operator.index(seed) < 2**128  # Philox's key
+    except TypeError:
+        seeded = False
+    if not seeded:
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+
+
 def sample_frontier(
     expected_returns: Mapping[str, float] | Sequence[float] | np.ndarray,
     cov: CovarianceMatrix,
@@ -229,12 +238,7 @@ def sample_frontier(
         raise ValueError(
             f"unknown sampler {sampler!r}, known: {', '.join(sorted(WEIGHT_SAMPLERS))}"
         )
-    try:
-        seeded = 0 <= operator.index(seed) < 2**128  # Philox's key
-    except TypeError:
-        seeded = False
-    if not seeded:
-        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    _check_seed(seed)
     tickers = list(cov.tickers)
     mu = _aligned(expected_returns, tickers, "expected returns")
     rf = rf if isinstance(rf, RiskFreeAssumption) else RiskFreeAssumption(float(rf))

@@ -307,7 +307,8 @@ def read_universe_config(path: str | Path) -> UniverseConfig:
         # newline=None reads "\r\n" and "\r" as "\n", as a file opened in text mode does
         parser.read_file(io.StringIO(whole.text, newline=None), whole.name)
     except configparser.Error as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+        # its message may span lines; joined, it keeps the file and any line
+        raise DataFormatError(f"{path}: {' '.join(str(exc).split())}") from None
     if not parser.has_section("universe"):
         raise DataFormatError(f"{path}: missing [universe] section")
     sec = parser["universe"]

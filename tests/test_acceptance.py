@@ -4,6 +4,8 @@ Every test here carries a `criterion` marker; conftest rolls the
 outcomes into one PASS/FAIL line per criterion at the end of the run.
 Criterion 6 needs real downloaded price data and is skipped unless
 SECTORFOLIO_PRICES points at a close-price CSV for the auto sector.
+A timed test bounds this process's CPU time, not wall time, so a loaded
+host does not fail it; none starts a process or a thread.
 """
 
 import math
@@ -164,7 +166,7 @@ def toy_fixture_10():
 @pytest.mark.parametrize("fixture", [toy_fixture_3, toy_fixture_10], ids=["3-asset", "10-asset"])
 def test_cloud_selection_matches_brute_force_and_threads(fixture):
     mu, cov = fixture()
-    started = time.perf_counter()
+    started = time.process_time()
     cloud = sample_frontier(mu, cov, n_samples=10_000, seed=ACCEPTANCE_SEEDS[0])
     assert cloud.sample_count == 10_000
 
@@ -183,7 +185,7 @@ def test_cloud_selection_matches_brute_force_and_threads(fixture):
     rerun = sample_frontier(mu, cov, n_samples=10_000, seed=ACCEPTANCE_SEEDS[0])
     for name in ("annual_returns", "annual_risks", "sharpe_ratios"):
         assert getattr(rerun, name).tobytes() == getattr(cloud, name).tobytes(), name
-    assert time.perf_counter() - started < 5.0
+    assert time.process_time() - started < 5.0
 
 
 def toy_fixture_49():
@@ -225,7 +227,7 @@ def test_sampled_minimum_risk_beats_equal_weights(seed):
 def test_scale_invariance_suite():
     rng = np.random.default_rng(101)
     dates = weekdays(date(2020, 1, 6), 60)
-    started = time.perf_counter()
+    started = time.process_time()
     for _ in range(1000):
         n = int(rng.integers(3, 50))
         closes = np.exp(rng.normal(0.0, 0.02, n).cumsum()) * rng.uniform(5, 5000)
@@ -233,14 +235,14 @@ def test_scale_invariance_suite():
         base = daily_returns(PriceSeries("X", dates[:n], closes)).returns
         scaled = daily_returns(PriceSeries("X", dates[:n], closes * k)).returns
         assert np.allclose(scaled, base, rtol=1e-12, atol=1e-15)
-    assert time.perf_counter() - started < 10.0
+    assert time.process_time() - started < 10.0
 
 
 @pytest.mark.criterion(5)
 def test_annualization_suite():
     rng = np.random.default_rng(103)
     dates = weekdays(date(2020, 1, 6), 41)
-    started = time.perf_counter()
+    started = time.process_time()
     for _ in range(1000):
         n = int(rng.integers(2, 40))
         values = rng.normal(0.0005, 0.02, n).clip(-0.5, None)
@@ -249,13 +251,13 @@ def test_annualization_suite():
         dv = daily_volatility(rs)
         assert dv == pytest.approx(float(np.std(values, ddof=1)), rel=1e-12)
         assert annual_volatility(dv) == pytest.approx(dv * math.sqrt(250), rel=1e-15)
-    assert time.perf_counter() - started < 10.0
+    assert time.process_time() - started < 10.0
 
 
 @pytest.mark.criterion(5)
 def test_covariance_psd_symmetry_suite():
     rng = np.random.default_rng(107)
-    started = time.perf_counter()
+    started = time.process_time()
     for _ in range(1000):
         n = int(rng.integers(2, 6))
         days = int(rng.integers(4, 16))
@@ -269,13 +271,13 @@ def test_covariance_psd_symmetry_suite():
             assert entries[i, i] == pytest.approx(
                 float(np.var(rets[i], ddof=1)), rel=1e-10, abs=1e-20
             )
-    assert time.perf_counter() - started < 10.0
+    assert time.process_time() - started < 10.0
 
 
 @pytest.mark.criterion(5)
 def test_simplex_and_linearity_suite():
     rng = np.random.default_rng(109)
-    started = time.perf_counter()
+    started = time.process_time()
 
     mu3, cov3 = toy_fixture_3()
     for sampler in ("uniform", "dirichlet"):
@@ -301,7 +303,7 @@ def test_simplex_and_linearity_suite():
         assert portfolio_return(blend, mu + shift) == pytest.approx(
             blended + shift, rel=1e-12, abs=1e-12
         )
-    assert time.perf_counter() - started < 10.0
+    assert time.process_time() - started < 10.0
 
 
 # --- criterion 6: optional live-data integration --------------------------

@@ -338,6 +338,36 @@ def test_the_program_freezes_its_import_heap():
     assert before == 0 and after > 0
 
 
+_RANDOM_PROBE = """
+import sys
+from sectorfolio import cli
+try:
+    cli.main(sys.argv[1:])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_only_a_command_that_draws_a_cloud_loads_numpy_random(tmp_path):
+    # importing it is a fixed cost of every call that does; `--help` is the call
+    # `bench/run.py` times as set-up
+    ini, _ = build_sector(tmp_path)
+    src = str(Path(sectorfolio.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv, loaded in [
+        (["--help"], False),
+        (["stats", "--universe", ini, "--out", tmp_path / "stats"], False),
+        (["weights", "--universe", ini, "--out", tmp_path / "weights", "--samples", "50"], True),
+    ]:
+        run = subprocess.run(
+            [sys.executable, "-c", _RANDOM_PROBE, *map(str, argv)], env=env, capture_output=True,
+            encoding="utf-8", timeout=60, check=True,
+        )
+        assert run.stdout.splitlines()[-1] == str(loaded), argv[0]
+
+
 def _program(*argv):
     """The program entry, ``python -m sectorfolio.cli``, in dev mode with every warning an error."""
     src = str(Path(sectorfolio.__file__).resolve().parents[1])
@@ -894,9 +924,10 @@ def test_pipeline_all_rejects_a_risk_free_rate_that_is_not_finite_in_one_line(tm
 
 @pytest.mark.parametrize("option, value, reason", [
     ("--samples", "0", "n_samples must be at least 1, got 0"),
+    ("--seed", "-1", "seed must be an integer in [0, 2**128), got -1"),
     ("--threshold", "1.5", "threshold must be within [0, 1], got 1.5"),
     ("--capital", "nan", "capital must be positive and finite, got nan"),
-], ids=["samples", "threshold", "capital"])
+], ids=["samples", "seed", "threshold", "capital"])
 def test_pipeline_all_rejects_a_bad_option_in_one_line_before_any_sector_runs(
         tmp_path, capsys, monkeypatch, option, value, reason):
     configs = tmp_path / "configs"

@@ -38,6 +38,10 @@ def test_fetch_parses_date_and_close_columns():
     assert panel.dates == [date(2022, 1, 3), date(2022, 1, 4), date(2022, 1, 5)]
     assert panel.closes[0].tolist() == [100.5, 102.0, 99.75]
     assert len(calls) == 1
+    # a leading byte order mark is dropped before the header is read
+    transport, _ = canned(["\ufeff" + PAYLOAD])
+    with_bom = fetch_history(["AAA"], START, END, transport=transport)
+    assert (with_bom.dates, with_bom.closes.tolist()) == (panel.dates, panel.closes.tolist())
 
 
 def test_fetch_builds_urls_from_template():

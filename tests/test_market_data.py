@@ -355,10 +355,12 @@ def test_universe_config_roundtrip(tmp_path):
 def test_a_crlf_universe_reads_as_its_lf_twin(tmp_path):
     text = ("[universe]\nsector = Auto\ntickers = AAA,\n  BBB\ntrain = 2021-01-01:2021-12-31\n"
             "test = 2022-01-01:2022-12-31\nprices = auto.csv ; here\n")
-    lf, crlf = tmp_path / "lf.ini", tmp_path / "crlf.ini"
+    lf, crlf, bom = tmp_path / "lf.ini", tmp_path / "crlf.ini", tmp_path / "bom.ini"
     lf.write_bytes(text.encode())
     crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    bom.write_bytes(("\ufeff" + text).encode())
     assert read_universe_config(crlf) == read_universe_config(lf)
+    assert read_universe_config(bom) == read_universe_config(lf)
     assert read_universe_config(crlf).tickers == ["AAA", "BBB"]
 
 
@@ -367,9 +369,11 @@ def test_a_crlf_universe_reads_as_its_lf_twin(tmp_path):
     [
         ("[universe]\nsector = X\nsector = Y\n", "While reading from ",
          ": option 'sector' in section 'universe' already exists"),
+        ("sector = X\n[universe]\n", "File contains no section headers. file: ",
+         ", line: 1 'sector = X\\n'"),
         ("[prices]\nsector = X\n", "missing [universe] section", ""),
     ],
-    ids=["configparser-error", "no-universe-section"],
+    ids=["configparser-error", "no-section-header", "no-universe-section"],
 )
 def test_a_universe_file_without_a_readable_universe_section(tmp_path, text, prefix, suffix):
     path = tmp_path / "u.ini"
@@ -378,6 +382,7 @@ def test_a_universe_file_without_a_readable_universe_section(tmp_path, text, pre
         read_universe_config(path)
     message = str(caught.value)
     assert message.startswith(f"{path}: {prefix}") and message.endswith(suffix)
+    assert "\n" not in message
 
 
 def test_universe_config_missing_key(tmp_path):
@@ -568,6 +573,8 @@ def test_every_reader_keeps_the_one_dialect(name):
         return reader(io.StringIO("\n".join(lines) + "\n"))
 
     expected = result(read(header, *rows))
+    # a leading byte order mark, as Excel's "CSV UTF-8" writes, is dropped
+    assert result(read("\ufeff" + header, *rows)) == expected
     width = header.count(",") + 1
     # skipped between rows and at the end: blank, whitespace-only, all-empty, comment
     for junk in ["", "   ", "," * (width - 1), "# a note, with a comma"]:
@@ -921,6 +928,11 @@ def test_a_clean_long_file_never_reaches_the_loop(tmp_path, monkeypatch):
     assert from_path.tickers == from_stream.tickers == ["AAA", "BBB", "CCC"]
     assert from_path.dates == from_stream.dates
     assert from_path.closes.tobytes() == from_stream.closes.tobytes()
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    from_bom = parse_price_file(bom)
+    assert (from_bom.tickers, from_bom.dates) == (from_path.tickers, from_path.dates)
+    assert from_bom.closes.tobytes() == from_path.closes.tobytes()
     panel = parse_price_file(io.StringIO(LONG_CSV))
     assert panel.closes.tolist() == [[100.0, 110.0, 99.0], [50.0, 51.0, 52.0]]
 

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import sectorfolio
-from sectorfolio import backtest, errors, frontier, market_data, portfolio, reports, return_stats
+from sectorfolio import (
+    backtest, cli, errors, frontier, market_data, portfolio, reports, return_stats,
+)
 
 MODULES = (errors, market_data, return_stats, portfolio, frontier, backtest, reports)
 
@@ -30,7 +32,7 @@ def test_importing_the_package_leaves_fetch_and_the_cli_unloaded():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (
         "import sys, sectorfolio; "
-        "print(sorted({'sectorfolio.fetch', 'sectorfolio.cli'} & set(sys.modules)))"
+        "print(sorted({'sectorfolio.fetch', 'sectorfolio.cli', 'numpy.random'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60,
@@ -60,8 +62,11 @@ def test_no_class_of_the_package_carries_generated_dataclass_methods():
                                   "sell_price", "terminal_value")),
         (sectorfolio.BacktestReport,
          ("allocations", "initial_capital", "terminal_capital", "holding_return")),
+        (cli.RunConfig, ("universe", "prices", "out_dir", "samples", "seed", "rf", "sampler",
+                         "threshold", "capital")),
     ],
-    ids=["FrontierSample", "AssetStats", "PortfolioStats", "Allocation", "BacktestReport"],
+    ids=["FrontierSample", "AssetStats", "PortfolioStats", "Allocation", "BacktestReport",
+         "RunConfig"],
 )
 def test_a_field_only_record_keeps_its_fields_and_cannot_be_reassigned(record, fields):
     values = [float(k) for k in range(len(fields))]
