@@ -1,6 +1,7 @@
 """The package's one CSV dialect (UTF-8, ``\\n`` line ends), over a path or a stream.
 
-`read_text` is the only code that reads an input, each once and whole.
+`read_text` is the only code that reads an input, each once and whole,
+and `csv_reader` the only code that filters rows and names a faulty line.
 """
 
 from __future__ import annotations
@@ -9,45 +10,34 @@ import csv
 import io
 import os
 from contextlib import contextmanager
-from typing import IO, Any, Iterator, Sequence
+from typing import IO, Any, Iterator, NamedTuple, Sequence
 
 from .errors import DataFormatError
 
 Target = str | os.PathLike | IO[str]
+Rows = Iterator[tuple[int, list[str]]]  # a source's data rows as (line, fields)
 
 _LINES = 1 << 16  # characters of a `SourceText` turned into lines at a time
 
 
-class SourceText:
-    """A source read whole by `read_text`: its name and its text, both read-only.
+class SourceText(NamedTuple):
+    """A source read whole by `read_text`: its name and its text."""
 
-    It iterates over its lines as a file opened with ``newline=""`` gives
-    them, so `csv_reader` reads it like that file, under the same name.
-    """
+    name: str
+    text: str
 
-    __slots__ = ("_name", "_text")
 
-    def __init__(self, name: str, text: str) -> None:
-        self._name = name
-        self._text = text
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def text(self) -> str:
-        return self._text
-
-    def __iter__(self) -> Iterator[str]:
-        # a line always ends right after a "\n", "\r\n" included, so each
-        # piece cut there splits into the file's own lines; a piece at a time
-        # keeps the copy that does the splitting small
-        start = 0
-        while start < len(self.text):
-            end = self.text.find("\n", start + _LINES) + 1 or len(self.text)
-            yield from io.StringIO(self.text[start:end], newline="")
-            start = end
+def lines(text: str) -> Iterator[str]:
+    """The lines of `text` as a file opened with ``newline=""`` gives them,
+    so `csv_reader` reads a `SourceText` like that file."""
+    # a line always ends right after a "\n", "\r\n" included, so each
+    # piece cut there splits into the file's own lines; a piece at a time
+    # keeps the copy that does the splitting small
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _LINES) + 1 or len(text)
+        yield from io.StringIO(text[start:end], newline="")
+        start = end
 
 
 def read_text(source: Target) -> SourceText:
@@ -60,49 +50,58 @@ def read_text(source: Target) -> SourceText:
     A byte that is not UTF-8 raises DataFormatError naming the source,
     and for a path its line.
     """
-    if not isinstance(source, (str, os.PathLike)):
-        name = str(getattr(source, "name", "<stream>"))
-        try:
-            return SourceText(name, source.read().removeprefix("\ufeff"))
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(_not_utf8(name, exc)) from None
-    name = str(os.fspath(source))
-    with open(source, "rb") as fh:
-        raw = fh.read()
+    if isinstance(source, (str, os.PathLike)):
+        name = str(os.fspath(source))
+        with open(source, "rb") as fh:
+            raw = fh.read()
+    else:
+        name, raw = str(getattr(source, "name", "<stream>")), None
     try:
-        return SourceText(name, raw.decode("utf-8").removeprefix("\ufeff"))
+        text = source.read() if raw is None else raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise DataFormatError(_not_utf8(f"{name}: line {line}", exc)) from None
-
-
-def _not_utf8(where: str, exc: UnicodeDecodeError) -> str:
-    return f"{where}: not valid UTF-8 (byte 0x{exc.object[exc.start]:02x})"
+        line = 0 if raw is None else raw.count(b"\n", 0, exc.start) + 1
+        where = f"{name}: line {line}" if line else name
+        raise DataFormatError(f"{where}: not valid UTF-8 (byte 0x{exc.object[exc.start]:02x})") from None
+    return SourceText(name, text.removeprefix("\ufeff"))
 
 
 @contextmanager
-def csv_reader(source: Target | SourceText) -> Iterator[tuple[str, Any, list[str]]]:
-    """Yield the source's name, a csv reader past the header, and the header.
+def csv_reader(source: Target | SourceText) -> Iterator[tuple[str, Rows, list[str]]]:
+    """Yield the source's name, its data rows, and its header.
 
     A source other than a `SourceText` is read by `read_text` first.
-    This is the only code that says where a fault is. A ValueError or
-    csv module error (say, an over-long field) raised inside the block
+    This is the only code that filters rows and says where a fault is.
+    The rows are ``(line, fields)`` pairs, `line` being where that record
+    ends. A row of blank cells and a comment (first cell starting with
+    ``#``, such as the summary's win-count footer) are left out; any
+    other row not as wide as the header raises ValueError. A ValueError
+    or csv module error (say, an over-long field) raised inside the block
     is a fault of the header or of the row just read, and becomes
-    DataFormatError ``"<source>: line N: <reason>"``, N being the line
-    where that record ends. So a check of the whole file, which names no
-    line, runs after the block. An empty source raises DataFormatError
-    naming it.
+    DataFormatError ``"<source>: line N: <reason>"``. So a check of the
+    whole file, which names no line, runs after the block. An empty
+    source raises DataFormatError naming it.
     """
     if not isinstance(source, SourceText):
         source = read_text(source)
-    reader = csv.reader(source)
+    reader = csv.reader(lines(source.text))
     try:
         header = next(reader, None)
         if header is None:
             raise DataFormatError(f"{source.name}: empty file")
-        yield source.name, reader, header
+        yield source.name, _data_rows(reader, len(header)), header
     except (csv.Error, ValueError) as exc:
         raise DataFormatError(f"{source.name}: line {reader.line_num}: {exc}") from None
+
+
+def _data_rows(reader: Any, width: int) -> Rows:
+    for row in reader:
+        # most rows pass this cheaper test; any other gets the rule in full
+        if not (len(row) == width and row[0].strip() and row[0][0] != "#"):
+            if not any(map(str.strip, row)) or row[0].startswith("#"):
+                continue
+            if len(row) != width:
+                raise ValueError(f"expected {width} fields, got {len(row)}")
+        yield reader.line_num, row
 
 
 def header_names(names: Sequence[str]) -> list[str]:
@@ -116,19 +115,6 @@ def header_names(names: Sequence[str]) -> list[str]:
             raise ValueError(f"repeated column {name!r} in header")
         seen.add(name)
     return stripped
-
-
-def skip_row(row: list[str], width: int) -> bool:
-    """True for a row the dialect skips: all cells blank, or a comment (first
-    cell starting with ``#``, such as the summary's win-count footer).
-
-    Any other row without `width` fields raises ValueError.
-    """
-    if not any(cell.strip() for cell in row) or row[0].startswith("#"):
-        return True
-    if len(row) != width:
-        raise ValueError(f"expected {width} fields, got {len(row)}")
-    return False
 
 
 @contextmanager

@@ -412,7 +412,8 @@ def _run_sector(
 
     A failure is one ``sectorfolio <command>: <sector>: <reason>`` line on
     stderr, and None. `panels` holds each price file's panel, or the error
-    its one parse raised, so sectors sharing a file parse it once.
+    its one parse raised, so sectors sharing a file parse it once. A closed
+    stdout (BrokenPipeError) is raised, as no later sector could print either.
     """
     try:
         if config.prices not in panels:
@@ -424,6 +425,8 @@ def _run_sector(
         if isinstance(parsed, Exception):
             raise parsed
         return run(config, parsed)
+    except BrokenPipeError:
+        raise
     except _USER_ERRORS as exc:
         print(f"sectorfolio {command}: {config.universe.sector}: {exc}", file=sys.stderr)
         return None
@@ -522,9 +525,9 @@ def _program() -> None:
     Runs `main()`, flushes stdout and stderr and ends the process with its
     code through `os._exit`, which skips the interpreter's teardown: every
     output file is closed by then and the process holds nothing else to
-    release. argparse's exit (``--help``, a usage error) ends the same way.
-    An exception `main` does not handle, or a flush that fails, takes the
-    normal exit instead.
+    release. argparse's exit (``--help``, a usage error) ends the same way,
+    as does a flush on a closed pipe, with code 1 if `main` gave 0. Another
+    failed flush, or an exception `main` does not handle, exits normally.
     """
     try:
         code = main()
@@ -533,6 +536,8 @@ def _program() -> None:
     try:
         sys.stdout.flush()
         sys.stderr.flush()
+    except BrokenPipeError:
+        os._exit(code or 1)
     except (AttributeError, OSError, ValueError):  # no stream, or a closed or broken one
         sys.exit(code)
     os._exit(code)

@@ -3,19 +3,19 @@
 Talks to any quote endpoint that returns per-ticker CSV with date and
 close columns, stooq-style by default. The HTTP transport is injectable
 so tests (and offline use) never touch the network. Nothing else in the
-package imports this module.
+package imports this module. A payload is read in the package's one CSV
+dialect by `_files.csv_reader`, which filters its rows and names a faulty line.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from datetime import date
 from typing import Callable, Iterable
 from urllib import error, parse, request
 
-from .errors import FetchError
+from ._files import SourceText, csv_reader
+from .errors import DataFormatError, FetchError
 from .market_data import PricePanel, _quote_matrix, parse_iso_date
 
 __all__ = ["DEFAULT_URL_TEMPLATE", "fetch_history"]
@@ -35,35 +35,32 @@ def _http_get(url: str, timeout: float) -> str:
         raise FetchError(f"{url}: {exc}") from None
 
 
-def _parse_rows(ticker: str, reader) -> dict[date, float]:
-    """The payload's usable closes by date; a faulty row raises ValueError."""
-    try:
-        header = [h.strip().lower() for h in next(reader)]
-    except StopIteration:
-        raise FetchError(f"{ticker}: empty response") from None
-    try:
-        date_col = header.index("date")
-        close_col = header.index("close")
-    except ValueError:
-        raise FetchError(f"{ticker}: response has no date/close columns: {header!r}") from None
+def _parse_rows(ticker: str, payload: str) -> dict[date, float]:
+    """The payload's usable closes by date; an unusable payload raises FetchError."""
+    if not payload:
+        raise FetchError(f"{ticker}: empty response")
     rows: dict[date, float] = {}
-    for row in reader:
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) <= max(date_col, close_col):
-            raise ValueError("short row")
-        cell = row[close_col].strip()
-        if cell.lower() in _NO_DATA:
-            continue
-        day = parse_iso_date(row[date_col].strip())
-        close = float(cell)
-        if not math.isfinite(close):
-            raise ValueError(f"close {cell!r} is not finite")
-        if close <= 0.0:
-            continue
-        if day in rows:
-            raise ValueError(f"duplicate date {day}")
-        rows[day] = close
+    try:
+        with csv_reader(SourceText(ticker, payload)) as (_, data, header):
+            header = [h.strip().lower() for h in header]
+            if "date" not in header or "close" not in header:
+                raise FetchError(f"{ticker}: response has no date/close columns: {header!r}")
+            date_col, close_col = header.index("date"), header.index("close")
+            for _, row in data:
+                cell = row[close_col].strip()
+                if cell.lower() in _NO_DATA:
+                    continue
+                day = parse_iso_date(row[date_col].strip())
+                close = float(cell)
+                if not math.isfinite(close):
+                    raise ValueError(f"close {cell!r} is not finite")
+                if close <= 0.0:
+                    continue
+                if day in rows:
+                    raise ValueError(f"duplicate date {day}")
+                rows[day] = close
+    except DataFormatError as exc:
+        raise FetchError(str(exc)) from None
     if not rows:
         raise FetchError(f"{ticker}: no usable rows in response")
     return rows
@@ -107,10 +104,5 @@ def fetch_history(
             end=end.strftime("%Y%m%d"),
         )
         # a leading byte order mark is dropped, as `read_text` drops it
-        reader = csv.reader(io.StringIO(get(url).removeprefix("\ufeff")))
-        try:
-            quotes[ticker] = _parse_rows(ticker, reader)
-        except (csv.Error, ValueError) as exc:
-            # a fault of the row just read: the only place its line is named
-            raise FetchError(f"{ticker}: line {reader.line_num}: {exc}") from None
+        quotes[ticker] = _parse_rows(ticker, get(url).removeprefix("\ufeff"))
     return PricePanel(*_quote_matrix(quotes))

@@ -62,7 +62,7 @@ from typing import IO, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._files import csv_reader, csv_writer, header_names, skip_row
+from ._files import csv_reader, csv_writer, header_names
 from .errors import DegenerateSampleError, EmptyCloudError
 from .portfolio import _SUM_TOLERANCE, RiskFreeAssumption, WeightVector, _aligned
 from .portfolio import _annual_risks, _book_returns
@@ -424,7 +424,7 @@ def read_frontier_csv(
     DataFormatError on any malformed line, including weights that
     `WeightVector` rejects and a second row flagged ``mrp`` or ``orp``.
     """
-    with csv_reader(source) as (_, reader, header):
+    with csv_reader(source) as (_, data, header):
         if (
             len(header) < 5
             or header[:3] != ["annual_risk", "annual_return", "sharpe"]
@@ -435,9 +435,7 @@ def read_frontier_csv(
         tickers = header_names([h[2:] for h in header[3:-1]])
         rows = []
         flagged: dict[str, int] = {}  # "mrp" or "orp" -> line of its row
-        for row in reader:
-            if skip_row(row, len(header)):
-                continue
+        for line, row in data:
             if row[-1] not in _FLAG_WORDS:
                 raise ValueError(f"unknown flag {row[-1]!r}")
             values = [float(x) for x in row[:-1]]
@@ -445,6 +443,6 @@ def read_frontier_csv(
             for flag in filter(None, row[-1].split("+")):
                 if flag in flagged:
                     raise ValueError(f"flag {flag!r} repeats line {flagged[flag]}")
-                flagged[flag] = reader.line_num
+                flagged[flag] = line
             rows.append((values[0], values[1], values[2], weights, row[-1]))
         return tickers, rows

@@ -72,11 +72,11 @@ from array import array
 from bisect import bisect_left, bisect_right
 from datetime import date
 from pathlib import Path
-from typing import IO, Any, Iterable
+from typing import IO, Iterable
 
 import numpy as np
 
-from ._files import csv_reader, csv_writer, header_names, read_text, skip_row
+from ._files import Rows, csv_reader, csv_writer, header_names, read_text
 from .errors import (
     DataFormatError,
     EmptyPanelError,
@@ -306,12 +306,13 @@ def read_universe_config(path: str | Path) -> UniverseConfig:
     try:
         # newline=None reads "\r\n" and "\r" as "\n", as a file opened in text mode does
         parser.read_file(io.StringIO(whole.text, newline=None), whole.name)
+        if not parser.has_section("universe"):
+            raise DataFormatError(f"{path}: missing [universe] section")
+        # read here, so a bad "%" interpolation is caught like a parse error
+        sec = dict(parser["universe"])
     except configparser.Error as exc:
         # its message may span lines; joined, it keeps the file and any line
         raise DataFormatError(f"{path}: {' '.join(str(exc).split())}") from None
-    if not parser.has_section("universe"):
-        raise DataFormatError(f"{path}: missing [universe] section")
-    sec = parser["universe"]
     for key in ("sector", "tickers", "train", "test"):
         if key not in sec:
             raise DataFormatError(f"{path}: missing '{key}' in [universe]")
@@ -351,14 +352,12 @@ def _parse_close(text: str, ticker: str) -> float:
 _Parsed = tuple[list[str], list[date], np.ndarray]
 
 
-def _parse_long(reader: Any) -> _Parsed:
+def _parse_long(rows: Rows) -> _Parsed:
     quotes: dict[str, dict[date, float]] = {}  # ticker -> {date: close}, in file order
     day_cells: dict[str, date] = {}  # date cell text -> date
-    for row in reader:
-        day = day_cells.get(row[0]) if len(row) == 3 else None
+    for _, row in rows:
+        day = day_cells.get(row[0])
         if day is None:
-            if skip_row(row, 3):
-                continue
             day = day_cells[row[0]] = _parse_date(row[0])
         ticker = row[1].strip()
         if not ticker:
@@ -458,13 +457,11 @@ def _parse_long_arrays(text: str) -> _Parsed | None:
     return list(tickers), [days[k] for k in order], matrix
 
 
-def _parse_wide(reader: Any, header: list[str]) -> _Parsed:
+def _parse_wide(rows: Rows, header: list[str]) -> _Parsed:
     tickers = header_names(header[1:])
     days: dict[date, int] = {}  # date -> row of `values`
     values = array("d")
-    for row in reader:
-        if skip_row(row, len(header)):
-            continue
+    for _, row in rows:
         day = _parse_date(row[0])
         if day in days:
             raise ValueError(f"duplicate date {day}")
@@ -493,16 +490,16 @@ def parse_price_file(source: str | Path | IO[str]) -> PricePanel:
     EmptyPanelError : the file holds a header but no quote.
     """
     whole = read_text(source)
-    with csv_reader(whole) as (_, reader, header):
+    with csv_reader(whole) as (_, rows, header):
         names = [h.strip().lower() for h in header]
         if names[:1] != ["date"]:
             raise ValueError(f"first column must be 'date', got {header!r}")
         if names == _LONG_HEADER:
-            parsed = _parse_long_arrays(whole.text) or _parse_long(reader)
+            parsed = _parse_long_arrays(whole.text) or _parse_long(rows)
         elif len(names) < 2:
             raise ValueError(f"unrecognized header {header!r}")
         else:
-            parsed = _parse_wide(reader, header)
+            parsed = _parse_wide(rows, header)
     tickers, dates, closes = parsed
     if np.isnan(closes).all():
         raise EmptyPanelError(f"{whole.name}: no quotes")

@@ -12,7 +12,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from ._files import csv_reader, csv_writer, header_names, skip_row
+from ._files import csv_reader, csv_writer, header_names
 from .errors import AlignmentError, DataFormatError, EmptySummaryError
 from .portfolio import WeightVector
 from .return_stats import AssetStats
@@ -107,15 +107,13 @@ def read_weights_csv(source: str | Path | IO[str]) -> dict[str, WeightVector]:
     as corrupt. Ticker cells are stripped, and an empty or repeated
     ticker is rejected with its line.
     """
-    with csv_reader(source) as (path, reader, header):
+    with csv_reader(source) as (path, rows, header):
         if len(header) < 2 or header[0] != "ticker":
             raise ValueError("not a weights header")
         columns = header_names(header[1:])
         tickers: list[str] = []
         values: list[list[float]] = []
-        for row in reader:
-            if skip_row(row, len(header)):
-                continue
+        for _, row in rows:
             ticker = row[0].strip()
             if not ticker:
                 raise ValueError("empty ticker")
@@ -185,12 +183,10 @@ def read_sector_results(*sources: str | Path | IO[str]) -> list[SectorResult]:
     # where each sector was first read: source position, name and line
     first: dict[str, tuple[int, str, int]] = {}
     for k, source in enumerate(sources):
-        with csv_reader(source) as (path, reader, header):
+        with csv_reader(source) as (path, rows, header):
             if header != _RESULT_HEADER:
                 raise ValueError("not a sector-result header")
-            for row in reader:
-                if skip_row(row, len(_RESULT_HEADER)):
-                    continue
+            for line, row in rows:
                 sector, ewp_text, orp_text, winner = row
                 if winner not in WINNERS:
                     raise ValueError(f"unknown winner {winner!r}")
@@ -201,10 +197,10 @@ def read_sector_results(*sources: str | Path | IO[str]) -> list[SectorResult]:
                 if result.winner != winner and not tie:
                     raise ValueError(f"winner {winner!r} contradicts returns")
                 if result.sector in first:
-                    held, name, line = first[result.sector]
-                    where = f"line {line}" if held == k else f"{name} line {line}"
+                    held, name, seen = first[result.sector]
+                    where = f"line {seen}" if held == k else f"{name} line {seen}"
                     raise ValueError(f"sector {result.sector!r} repeats {where}")
-                first[result.sector] = (k, path, reader.line_num)
+                first[result.sector] = (k, path, line)
                 result.winner = winner if tie else result.winner
                 results.append(result)
     return results

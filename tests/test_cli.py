@@ -1,6 +1,7 @@
 """The sectorfolio command-line interface, run in-process."""
 
 import csv
+import errno
 import filecmp
 import gc
 import os
@@ -368,7 +369,7 @@ def test_only_a_command_that_draws_a_cloud_loads_numpy_random(tmp_path):
         assert run.stdout.splitlines()[-1] == str(loaded), argv[0]
 
 
-def _program(*argv):
+def _program(*argv, stdout=subprocess.PIPE):
     """The program entry, ``python -m sectorfolio.cli``, in dev mode with every warning an error."""
     src = str(Path(sectorfolio.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -377,7 +378,7 @@ def _program(*argv):
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", "-m", "sectorfolio.cli", *map(str, argv)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
     )
 
 
@@ -412,6 +413,20 @@ def test_the_program_writes_what_main_writes_and_exits_with_its_code(tmp_path, c
     assert (run.returncode, run.stdout) == (2, "")
     assert run.stderr.endswith(
         "sectorfolio pipeline: error: the following arguments are required: --universe\n")
+
+
+def test_the_program_ends_with_code_1_and_no_traceback_when_its_reader_is_gone(tmp_path):
+    ini, _ = build_sector(tmp_path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader left before the program started
+    try:
+        run = _program("pipeline", "--universe", ini, "--out", tmp_path / "out",
+                       "--samples", 200, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert run.returncode == 1
+    assert "Exception ignored" not in run.stderr and "Traceback" not in run.stderr
+    assert (tmp_path / "out" / "sector_result.csv").exists()
 
 
 def test_main_given_its_arguments_leaves_the_collector_alone(tmp_path):
@@ -823,6 +838,26 @@ def test_pipeline_all_parses_a_bad_shared_price_file_once(tmp_path, monkeypatch,
     assert capsys.readouterr().err == "".join(
         f"sectorfolio pipeline: {sector}: {reason}\n" for sector in ("Alpha", "Beta", "Gamma"))
     assert not out.exists()
+
+
+def test_pipeline_all_stops_at_a_closed_stdout_in_one_line(tmp_path, monkeypatch, capsys):
+    _three_sectors_sharing_one_file(tmp_path / "configs")
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--universe", tmp_path / "configs", "--all",
+                   "--out", out, "--samples", 200) == 1
+    assert capsys.readouterr().err == "sectorfolio pipeline: [Errno 32] Broken pipe\n"
+    # the first sector wrote one file before it could not say so; no other sector ran
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+        "alpha", "alpha/stats.csv"]
 
 
 def test_pipeline_all_jobs_do_not_change_a_byte(tmp_path):

@@ -107,7 +107,20 @@ def test_fetch_names_a_short_row_by_its_line():
     transport, _ = canned(["Date,Open,Close\n2022-01-03,10,10\n2022-01-04,10\n"])
     with pytest.raises(FetchError) as caught:
         fetch_history(["AAA"], START, END, transport=transport)
-    assert str(caught.value) == "AAA: line 3: short row"
+    assert str(caught.value) == "AAA: line 3: expected 3 fields, got 2"
+
+
+def test_fetch_names_a_row_wider_than_its_header_by_its_line():
+    transport, _ = canned(["Date,Close\n2022-01-03,10\n2022-01-04,10,11\n"])
+    with pytest.raises(FetchError) as caught:
+        fetch_history(["AAA"], START, END, transport=transport)
+    assert str(caught.value) == "AAA: line 3: expected 2 fields, got 3"
+
+
+def test_fetch_skips_a_comment_row():
+    transport, _ = canned(["Date,Close\n# as of 2022-01-05\n2022-01-03,10\n#2022-01-04,11\n"])
+    panel = fetch_history(["AAA"], START, END, transport=transport)
+    assert (panel.dates, panel.closes[0].tolist()) == ([date(2022, 1, 3)], [10.0])
 
 
 def test_fetch_names_the_url_it_could_not_read(tmp_path):

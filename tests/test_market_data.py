@@ -372,8 +372,11 @@ def test_a_crlf_universe_reads_as_its_lf_twin(tmp_path):
         ("sector = X\n[universe]\n", "File contains no section headers. file: ",
          ", line: 1 'sector = X\\n'"),
         ("[prices]\nsector = X\n", "missing [universe] section", ""),
+        ("[universe]\nsector = A%B\ntickers = AAA\n"
+         "train = 2021-01-01:2021-12-31\ntest = 2022-01-01:2022-12-31\n",
+         "'%' must be followed by '%' or '(', found: '%B'", ""),
     ],
-    ids=["configparser-error", "no-section-header", "no-universe-section"],
+    ids=["configparser-error", "no-section-header", "no-universe-section", "lone-percent-sign"],
 )
 def test_a_universe_file_without_a_readable_universe_section(tmp_path, text, prefix, suffix):
     path = tmp_path / "u.ini"
@@ -383,6 +386,16 @@ def test_a_universe_file_without_a_readable_universe_section(tmp_path, text, pre
     message = str(caught.value)
     assert message.startswith(f"{path}: {prefix}") and message.endswith(suffix)
     assert "\n" not in message
+
+
+def test_a_universe_value_reads_a_doubled_percent_sign_as_one(tmp_path):
+    path = tmp_path / "u.ini"
+    path.write_text(
+        "[universe]\nsector = A%%B\ntickers = AAA\n"
+        "train = 2021-01-01:2021-12-31\ntest = 2022-01-01:2022-12-31\n",
+        encoding="utf-8",
+    )
+    assert read_universe_config(path).sector == "A%B"
 
 
 def test_universe_config_missing_key(tmp_path):

@@ -155,4 +155,4 @@ def test_array_path_gives_the_loop_panel_or_leaves_the_text_to_it(text, chunk):
 def test_a_source_text_has_the_lines_of_a_file(text, size):
     as_file = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="")
     with mock.patch.object(_files, "_LINES", size):
-        assert list(_files.SourceText("<stream>", text)) == list(as_file)
+        assert list(_files.lines(text)) == list(as_file)
