@@ -7,6 +7,7 @@ and `csv_reader` the only code that filters rows and names a faulty line.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import os
 from contextlib import contextmanager
@@ -117,20 +118,25 @@ def header_names(names: Sequence[str]) -> list[str]:
     return stripped
 
 
+def beside(dest: str | os.PathLike, suffix: str) -> str:
+    """This process's ``.<name>.<pid>.<suffix>`` beside `dest`, which no directory may be."""
+    if os.path.isdir(dest) and not os.path.islink(dest):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(dest))
+    return os.path.join(os.path.dirname(dest), f".{os.path.basename(dest)}.{os.getpid()}.{suffix}")
+
+
 @contextmanager
 def csv_writer(dest: Target, header: Sequence[str]) -> Iterator[tuple[IO[str], Any]]:
     """Write `header` with ``\\n`` line ends; yield the open stream and a csv writer.
 
     A path is written whole or not at all: rows go to a temporary file
-    beside it, which replaces `dest` only when the block exits cleanly
+    `beside` it, which replaces `dest` only when the block exits cleanly
     and is deleted otherwise, leaving any earlier file as it was.
     """
     if not isinstance(dest, (str, os.PathLike)):
         yield _with_header(dest, header)
         return
-    dest = os.fspath(dest)
-    head, name = os.path.split(dest)
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    tmp = beside(dest, "tmp")
     # "x" rather than tempfile, whose files are private (0600): the
     # output keeps the permissions the umask gives a new file
     fh = open(tmp, "x", encoding="utf-8", newline="")

@@ -7,7 +7,7 @@ Subcommands:
 * ``frontier``  the sampled cloud -> frontier.csv
 * ``backtest``  buy-and-hold one book over the test window -> backtest_<column>.csv
 * ``pipeline``  all of the above plus both backtests and the sector
-  result; a failed sector writes nothing. ``--all`` iterates a directory
+  result; a failed sector changes no file. ``--all`` iterates a directory
   of universe configs, runs the rest after a failure, and adds a
   summary.csv of the sectors that finished
 * ``summary``   combine sector_result.csv files -> summary.csv
@@ -15,9 +15,9 @@ Subcommands:
 
 Each sector command parses its price file once, in one runner that hands
 the panel to its ``cmd_*`` function and reports a failure as one
-``sectorfolio <command>: <sector>: <reason>`` line. Commands print one
-``wrote <path>`` line per output file and exit 0 only when every
-requested output was written.
+``sectorfolio <command>: <sector>: <reason>`` line. A command writes its
+files, puts them in place together, then prints one ``wrote <path>``
+line per file, and exits 0 only when every requested output was written.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
-from ._files import csv_writer
+from ._files import beside, csv_writer
 from .backtest import MODES, _check_capital, backtest_from_panel, write_backtest_csv
 from .errors import AnalyticsError, EmptySummaryError, EmptyUniverseError
 from .frontier import (
@@ -129,30 +129,36 @@ def _books(panel: PricePanel, cloud: FrontierCloud) -> tuple[WeightVector, Weigh
     )
 
 
-def _write(path: Path, write: Callable[..., None], *args) -> Path:
-    """Write one output file with ``write(*args, path)`` and announce it."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write(*args, path)
-    print(f"wrote {path}")
-    return path
-
-
 def _exclusions_csv(excluded: list[tuple[str, float]], path: Path) -> None:
     with csv_writer(path, ["ticker", "missing_fraction"]) as (_, writer):
         writer.writerows([ticker, f"{fraction:.4f}"] for ticker, fraction in excluded)
 
 
 def _write_files(out_dir: Path, excluded: list[tuple[str, float]] | None, *files: tuple) -> Path:
-    """Write each ``(name, write, *args)`` of `files` under `out_dir`, in order, and
-    return the first path. Then write exclusions.log when a ticker was excluded,
-    or remove an old one; `excluded` is None for a backtest, which trains nothing
-    and leaves the log alone."""
-    paths = [_write(out_dir / name, write, *args) for name, write, *args in files]
-    if excluded:
-        _write(out_dir / "exclusions.log", _exclusions_csv, excluded)
-    elif excluded is not None:
+    """Write each ``(name, write, *args)`` of `files`, then exclusions.log when a
+    ticker was excluded, under `out_dir`; return the first path. Each is written by
+    ``write(*args, part)`` to a part file beside it; only when all are written are
+    they renamed into place, in order, so a failure (a directory in a file's place
+    included) deletes the part files and changes no file. Then an empty `excluded`
+    removes an old exclusions.log (None, for a backtest, which trains nothing,
+    leaves it alone), and last come the ``wrote <path>`` lines, one per file.
+    """
+    files += (("exclusions.log", _exclusions_csv, excluded),) if excluded else ()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    parts = {out_dir / name: beside(out_dir / name, "part") for name, *_ in files}
+    try:
+        for (_, write, *args), part in zip(files, parts.values()):
+            write(*args, part)
+        for path, part in parts.items():
+            os.replace(part, path)
+    except BaseException:
+        for part in parts.values():
+            Path(part).unlink(missing_ok=True)
+        raise
+    if excluded == []:
         (out_dir / "exclusions.log").unlink(missing_ok=True)
-    return paths[0]
+    print(*(f"wrote {path}" for path in parts), sep="\n")
+    return next(iter(parts))
 
 
 def cmd_stats(config: RunConfig, prices: PricePanel) -> Path:
@@ -224,7 +230,7 @@ def cmd_pipeline(config: RunConfig, prices: PricePanel) -> SectorResult:
     capital/n per configured ticker, so exclusions leave cash idle)
     against a full-capital ORP backtest. `prices` is `config.prices`
     parsed (`parse_price_file`); both windows are cut from it, and every
-    result is computed before the first write, so a failure writes nothing.
+    result is computed before `_write_files`, so a failure changes no file.
     """
     panel, excluded, stats = _train(config, prices)
     cloud = _cloud(config, panel, stats)
@@ -260,7 +266,7 @@ def cmd_summary(result_files: list[str | Path], out_dir: Path) -> Path:
     results = read_sector_results(*result_files)
     if not results:
         raise EmptySummaryError("no sector results in the given files")
-    return _write(out_dir / "summary.csv", write_summary, results)
+    return _write_files(out_dir, None, ("summary.csv", write_summary, results))
 
 
 def _slug(sector: str) -> str:
@@ -475,7 +481,7 @@ def _handle_pipeline(args: argparse.Namespace) -> int:
         if result is not None:
             results.append(result)
     if results:
-        _write(out / "summary.csv", write_summary, results)
+        _write_files(out, None, ("summary.csv", write_summary, results))
     return 0 if len(results) == len(config_paths) else 1
 
 
@@ -502,7 +508,7 @@ def _handle_fetch(args: argparse.Namespace) -> int:
         url_template=args.url_template or DEFAULT_URL_TEMPLATE,
         suffix=args.suffix, timeout=args.timeout,
     )
-    _write(Path(args.out), write_long_csv, panel)
+    _write_files(Path(args.out).parent, None, (Path(args.out).name, write_long_csv, panel))
     return 0
 
 

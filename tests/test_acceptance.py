@@ -110,7 +110,7 @@ def test_summary_reproduces_winner_pattern(tmp_path):
     assert ewp_winners == ref.EWP_WINNING_SECTORS
     assert orp_winners == ref.ORP_WINNING_SECTORS
     assert not any(r.winner == "TIE" for r in results)
-    footer = Path(summary_path).read_text().splitlines()[-1]
+    footer = Path(summary_path).read_text(encoding="utf-8").splitlines()[-1]
     assert footer == "# EWP wins: 7, ORP wins: 6"
 
 
@@ -368,11 +368,11 @@ def test_late_listing_excluded_and_pipeline_continues(tmp_path):
     assert len(retained) == 9
     assert "LATECOMER" not in retained
 
-    log_lines = (out / "exclusions.log").read_text().splitlines()
+    log_lines = (out / "exclusions.log").read_text(encoding="utf-8").splitlines()
     assert log_lines[0] == "ticker,missing_fraction"
     assert log_lines[1].startswith("LATECOMER,0.85")
 
-    stats_rows = (out / "stats.csv").read_text().splitlines()[1:]
+    stats_rows = (out / "stats.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert len(stats_rows) == 9
     (result,) = read_sector_results(out / "sector_result.csv")
     assert result.sector == "Mixed"

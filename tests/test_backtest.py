@@ -217,7 +217,7 @@ def test_write_backtest_csv_layout(tmp_path):
     report = run_backtest(w, {"A": 50.0, "B": 200.0}, {"A": 55.0, "B": 180.0}, 10_000.0)
     path = tmp_path / "backtest.csv"
     write_backtest_csv(report, path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == (
         "ticker,weight,buy_price,amount_invested,shares,sell_price,terminal_value,return_pct"
     )

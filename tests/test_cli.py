@@ -77,7 +77,7 @@ def test_stats_writes_per_ticker_table(tmp_path, capsys):
     ini, _ = build_sector(tmp_path)
     out = tmp_path / "out"
     assert run_cli("stats", "--universe", ini, "--out", out) == 0
-    lines = (out / "stats.csv").read_text().splitlines()
+    lines = (out / "stats.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "ticker,annual_return_pct,annual_risk_pct"
     assert [line.split(",")[0] for line in lines[1:]] == TICKERS
     assert f"wrote {out / 'stats.csv'}" in capsys.readouterr().out
@@ -96,7 +96,7 @@ def test_weights_then_backtest_roundtrip(tmp_path):
         "backtest", "--universe", ini, "--out", out,
         "--weights", out / "weights.csv", "--column", "orp",
     ) == 0
-    report_lines = (out / "backtest_orp.csv").read_text().splitlines()
+    report_lines = (out / "backtest_orp.csv").read_text(encoding="utf-8").splitlines()
     assert report_lines[-1].startswith("TOTAL,")
 
     # the CLI figure must match the library run on the same book
@@ -118,7 +118,7 @@ def test_backtest_rejects_unknown_column(tmp_path, capsys):
         "weights", "--universe", ini, "--out", out, "--samples", 200
     ) == 0
     (out / "tweaked.csv").write_text(
-        (out / "weights.csv").read_text().replace("ewp,mrp,orp", "ewp,mrp,best"),
+        (out / "weights.csv").read_text(encoding="utf-8").replace("ewp,mrp,orp", "ewp,mrp,best"),
         encoding="utf-8",
     )
     assert run_cli(
@@ -220,7 +220,7 @@ def test_pipeline_all_builds_summary(tmp_path):
     assert (out / "beta_sector" / "sector_result.csv").exists()
     results = read_sector_results(out / "summary.csv")
     assert [r.sector for r in results] == ["Alpha Sector", "Beta Sector"]
-    footer = (out / "summary.csv").read_text().splitlines()[-1]
+    footer = (out / "summary.csv").read_text(encoding="utf-8").splitlines()[-1]
     assert footer.startswith("# EWP wins: ")
 
 
@@ -253,7 +253,7 @@ def test_summary_from_result_files(tmp_path, capsys):
     assert run_cli("summary", r1, r2, "--out", out) == 0
     results = read_sector_results(out / "summary.csv")
     assert [r.winner for r in results] == ["ORP", "ORP"]
-    assert (out / "summary.csv").read_text().splitlines()[-1] == (
+    assert (out / "summary.csv").read_text(encoding="utf-8").splitlines()[-1] == (
         "# EWP wins: 0, ORP wins: 2"
     )
 
@@ -305,7 +305,7 @@ def test_summary_reports_an_over_long_field_in_one_line(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-m", "sectorfolio.cli", "summary", str(bad), "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=env, capture_output=True, encoding="utf-8", timeout=60,
     )
     assert run.returncode == 1
     assert run.stderr.startswith(f"sectorfolio summary: {bad}: line 2: ")
@@ -332,7 +332,7 @@ def test_the_program_freezes_its_import_heap():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-c", _FREEZE_PROBE], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", _FREEZE_PROBE], env=env, capture_output=True, encoding="utf-8",
         timeout=60, check=True,
     )
     before, after = map(int, run.stdout.split()[-2:])
@@ -378,7 +378,7 @@ def _program(*argv, stdout=subprocess.PIPE):
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", "-m", "sectorfolio.cli", *map(str, argv)],
-        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+        env=env, stdout=stdout, stderr=subprocess.PIPE, encoding="utf-8", timeout=120,
     )
 
 
@@ -576,7 +576,7 @@ def test_fetch_writes_a_long_file_that_reads_back_as_the_fetched_panel(tmp_path,
     assert panel.dates == [d1, d2, d3]
     np.testing.assert_array_equal(panel.closes, [[10.5, np.nan, 11.25], [20.0, 21.5, 19.75]])
     # rows come date by date
-    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == [
+    assert [line.split(",")[0] for line in out.read_text(encoding="utf-8").splitlines()[1:]] == [
         str(d1), str(d1), str(d2), str(d3), str(d3)]
 
 
@@ -660,7 +660,8 @@ def test_backtest_buys_a_suspended_ticker_at_its_last_pre_test_close(tmp_path):
     )
     out = tmp_path / "out"
     assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 200) == 0
-    rows = {r.split(",")[0]: r.split(",") for r in (out / "backtest_ewp.csv").read_text().splitlines()}
+    report = (out / "backtest_ewp.csv").read_text(encoding="utf-8")
+    rows = {r.split(",")[0]: r.split(",") for r in report.splitlines()}
     last_pre_test = closes[2, train_days - 1]
     assert rows["CCC"][2] == f"{last_pre_test:.2f}"
     assert rows["CCC"][2] != f"{closes[2, train_days + 10]:.2f}"
@@ -722,6 +723,48 @@ def test_a_failed_rerun_leaves_its_output_directory_byte_identical(tmp_path, cap
     assert captured.err == (
         "sectorfolio pipeline: Metal: backtest needs at least 2 dates, panel has 1\n")
     assert captured.out == ""
+
+
+def test_a_directory_in_place_of_an_output_file_leaves_every_older_file(tmp_path, capsys):
+    ini, _ = build_sector(tmp_path, sector="Metal")
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 200) == 0
+    (out / "frontier.csv").unlink()
+    (out / "frontier.csv").mkdir()
+    before = {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in out.iterdir()
+              if path.is_file()}
+    capsys.readouterr()
+    assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 300) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"sectorfolio pipeline: Metal: [Errno {errno.EISDIR}] "
+                            f"{os.strerror(errno.EISDIR)}: '{out / 'frontier.csv'}'\n")
+    assert captured.out == ""
+    # the same files, bytes and dates, and no part file beside them
+    assert {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in out.iterdir()
+            if path.is_file()} == before
+
+
+def test_a_writer_that_fails_midway_leaves_every_older_file(tmp_path, capsys, monkeypatch):
+    ini, _ = build_sector(tmp_path, sector="Metal")
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 200) == 0
+    before = _snapshot(out)
+    capsys.readouterr()
+
+    def disk_full(report, dest):
+        with open(dest, "w", encoding="utf-8") as fh:
+            fh.write("ticker,")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    # backtest_ewp.csv is the fourth file, after three part files are written
+    monkeypatch.setattr(cli, "write_backtest_csv", disk_full)
+    assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 300,
+                   "--seed", 5) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"sectorfolio pipeline: Metal: [Errno {errno.ENOSPC}] No space left on device\n")
+    assert captured.out == ""
+    assert _snapshot(out) == before
 
 
 def test_pipeline_all_writes_nothing_for_a_sector_that_fails_its_test_window(tmp_path, capsys):
@@ -842,6 +885,14 @@ def test_pipeline_all_parses_a_bad_shared_price_file_once(tmp_path, monkeypatch,
 
 def test_pipeline_all_stops_at_a_closed_stdout_in_one_line(tmp_path, monkeypatch, capsys):
     _three_sectors_sharing_one_file(tmp_path / "configs")
+    argv = ["pipeline", "--universe", tmp_path / "configs", "--all", "--samples", 200]
+    assert run_cli(*argv, "--out", tmp_path / "fresh") == 0
+    fresh = _snapshot(tmp_path / "fresh" / "alpha")
+    out = tmp_path / "out"
+    (out / "alpha").mkdir(parents=True)
+    for name in fresh:
+        (out / "alpha" / name).write_bytes(b"an earlier run\n")
+    capsys.readouterr()
 
     class ClosedPipe:
         def write(self, text):
@@ -851,13 +902,12 @@ def test_pipeline_all_stops_at_a_closed_stdout_in_one_line(tmp_path, monkeypatch
             pass
 
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
-    out = tmp_path / "out"
-    assert run_cli("pipeline", "--universe", tmp_path / "configs", "--all",
-                   "--out", out, "--samples", 200) == 1
+    assert run_cli(*argv, "--out", out) == 1
     assert capsys.readouterr().err == "sectorfolio pipeline: [Errno 32] Broken pipe\n"
-    # the first sector wrote one file before it could not say so; no other sector ran
-    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
-        "alpha", "alpha/stats.csv"]
+    # the first sector put all of its files in place before it could say so,
+    # none of them left from the earlier run; no other sector ran
+    assert [p.name for p in out.iterdir()] == ["alpha"]
+    assert _snapshot(out / "alpha") == fresh
 
 
 def test_pipeline_all_jobs_do_not_change_a_byte(tmp_path):
@@ -921,7 +971,7 @@ def test_a_rerun_that_excludes_nothing_removes_the_old_exclusions_log(tmp_path, 
     ini, _ = build_sector(tmp_path, seed=8, sparse_head=("CCC", 40))
     out = tmp_path / "out"
     assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 200) == 0
-    assert (out / "exclusions.log").read_text().splitlines()[1:] == ["CCC,0.6667"]
+    assert (out / "exclusions.log").read_text(encoding="utf-8").splitlines()[1:] == ["CCC,0.6667"]
     capsys.readouterr()
     assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 200,
                    "--threshold", 0.9) == 0

@@ -446,7 +446,7 @@ def test_write_long_csv_skips_gaps(tmp_path):
     panel = PricePanel(["AAA"], [D1, D2, D3], closes)
     path = tmp_path / "prices.csv"
     write_long_csv(panel, path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "date,ticker,close"
     assert len(lines) == 3  # header + two observed rows
 

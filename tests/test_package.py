@@ -35,7 +35,7 @@ def test_importing_the_package_leaves_fetch_and_the_cli_unloaded():
         "print(sorted({'sectorfolio.fetch', 'sectorfolio.cli', 'numpy.random'} & set(sys.modules)))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", probe], env=env, capture_output=True, encoding="utf-8", timeout=60,
         check=True,
     )
     assert out.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 """Report CSV writers and readers."""
 
+import errno
 import io
 import os
 
@@ -58,7 +59,7 @@ def test_stats_csv_two_decimal_percentages(tmp_path):
     ]
     path = tmp_path / "stats.csv"
     write_stats_csv(stats, path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "ticker,annual_return_pct,annual_risk_pct"
     assert lines[1] == "AAA,6.22,32.68"
     assert lines[2] == "BBB,-5.92,30.89"
@@ -85,7 +86,7 @@ def test_weights_csv_rows_follow_ewp_order(tmp_path):
     same = equal_weights(tickers)
     path = tmp_path / "weights.csv"
     write_weights_csv(same, same, same, path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "ticker,ewp,mrp,orp"
     assert lines[1].startswith("CCC,")
     assert lines[2].startswith("AAA,")
@@ -146,7 +147,7 @@ def test_weights_csv_names_the_file_of_a_bad_weight(tmp_path, rows, message):
 def test_sector_result_roundtrip(tmp_path):
     path = tmp_path / "result.csv"
     write_sector_result(SectorResult("Metal", 0.1438, 0.4197), path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "sector,ewp_test_return_pct,orp_test_return_pct,winner"
     assert lines[1] == "Metal,14.38,41.97,ORP"
     results = read_sector_results(path)
@@ -164,7 +165,7 @@ def test_summary_footer_counts(tmp_path):
     ]
     path = tmp_path / "summary.csv"
     write_summary(results, path)
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8")
     assert text.splitlines()[-1] == "# EWP wins: 2, ORP wins: 1"
     assert len(read_sector_results(path)) == 3
 
@@ -172,7 +173,7 @@ def test_summary_footer_counts(tmp_path):
 def test_summary_footer_reports_ties(tmp_path):
     path = tmp_path / "summary.csv"
     write_summary([SectorResult("A", 0.1, 0.1)], path)
-    assert path.read_text().splitlines()[-1] == "# EWP wins: 0, ORP wins: 0, ties: 1"
+    assert path.read_text(encoding="utf-8").splitlines()[-1] == "# EWP wins: 0, ORP wins: 0, ties: 1"
 
 
 def test_summary_requires_results():
@@ -263,6 +264,16 @@ def test_a_failed_write_leaves_the_earlier_file_untouched(tmp_path):
             raise RuntimeError("midway")
     assert path.read_bytes() == b"earlier,bytes\n"
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_write_onto_a_directory_names_it_and_leaves_no_temporary_file(tmp_path):
+    target = tmp_path / "stats.csv"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError) as caught:
+        write_stats_csv([AssetStats("AAA", 0.0622, 0.0206, 0.3268)], target)
+    assert str(caught.value) == f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{target}'"
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
 
 
 def test_a_finished_write_replaces_the_file_with_the_usual_permissions(tmp_path):

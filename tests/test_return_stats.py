@@ -253,7 +253,7 @@ def test_covariance_bits_do_not_depend_on_blas_threads():
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         run = subprocess.run(
             [sys.executable, "-c", _BLAS_PROBE, "100", str(Path(__file__).parent)],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=env, capture_output=True, encoding="utf-8", timeout=120,
         )
         assert run.returncode == 0, run.stderr
         outputs.append(run.stdout.split())
