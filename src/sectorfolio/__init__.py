@@ -19,7 +19,7 @@ from .portfolio import *
 from .reports import *
 from .return_stats import *
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = ["__version__", "errors"] + [
     name

@@ -131,7 +131,9 @@ def csv_writer(dest: Target, header: Sequence[str]) -> Iterator[tuple[IO[str], A
 
     A path is written whole or not at all: rows go to a temporary file
     `beside` it, which replaces `dest` only when the block exits cleanly
-    and is deleted otherwise, leaving any earlier file as it was.
+    and is deleted otherwise, leaving any earlier file as it was. An
+    OSError opening the temporary (say, a missing directory) names `dest`,
+    except a FileExistsError, which names the temporary in the way.
     """
     if not isinstance(dest, (str, os.PathLike)):
         yield _with_header(dest, header)
@@ -139,7 +141,12 @@ def csv_writer(dest: Target, header: Sequence[str]) -> Iterator[tuple[IO[str], A
     tmp = beside(dest, "tmp")
     # "x" rather than tempfile, whose files are private (0600): the
     # output keeps the permissions the umask gives a new file
-    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="")
+    except FileExistsError:
+        raise
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(dest)) from None
     try:
         with fh:
             yield _with_header(fh, header)

@@ -37,7 +37,7 @@ from ._files import beside, csv_writer
 from .backtest import MODES, _check_capital, backtest_from_panel, write_backtest_csv
 from .errors import AnalyticsError, EmptySummaryError, EmptyUniverseError
 from .frontier import (
-    WEIGHT_SAMPLERS,
+    SAMPLERS,
     FrontierCloud,
     _check_samples,
     _check_seed,
@@ -59,7 +59,7 @@ from .market_data import (
     read_universe_config,
     write_long_csv,
 )
-from .portfolio import RiskFreeAssumption, WeightVector, equal_weights
+from .portfolio import WeightVector, _risk_free, equal_weights
 from .reports import (
     SectorResult,
     read_sector_results,
@@ -99,7 +99,7 @@ class RunConfig(NamedTuple):
     out_dir: Path
     samples: int = 10_000
     seed: int = 0
-    rf: RiskFreeAssumption = RiskFreeAssumption()
+    rf: float = 0.01
     sampler: str = "uniform"
     threshold: float = 0.30
     capital: float = 100_000.0
@@ -292,7 +292,7 @@ def _run_options(args: argparse.Namespace) -> dict[str, object]:
     """
     given = {k: v for k, v in vars(args).items() if k in RunConfig._field_defaults}
     if "rf" in given:
-        given["rf"] = RiskFreeAssumption(given["rf"])
+        given["rf"] = _risk_free(given["rf"])
     return given
 
 
@@ -355,10 +355,10 @@ def _build_parser() -> argparse.ArgumentParser:
     mc = argparse.ArgumentParser(add_help=False)
     mc.add_argument("--samples", type=int, default=defaults["samples"], help="cloud size (default %(default)s)")
     mc.add_argument("--seed", type=int, default=defaults["seed"], help="sampling seed (default %(default)s)")
-    mc.add_argument("--rf", type=float, default=defaults["rf"].rate, help="annual risk-free rate (default %(default)s)")
+    mc.add_argument("--rf", type=float, default=defaults["rf"], help="annual risk-free rate (default %(default)s)")
     mc.add_argument("--workers", type=_ignored_count_arg, help="ignored (must be >= 1); kept so older command lines run")
     mc.add_argument(
-        "--sampler", choices=sorted(WEIGHT_SAMPLERS), default=defaults["sampler"],
+        "--sampler", choices=SAMPLERS, default=defaults["sampler"],
         help="uniform: iid uniforms over their sum, pulled toward 1/n; "
         "dirichlet: flat Dirichlet, uniform on the simplex (default %(default)s)",
     )

@@ -14,6 +14,7 @@ from datetime import date
 from typing import Callable, Iterable
 from urllib import error, parse, request
 
+from . import __version__
 from ._files import SourceText, csv_reader
 from .errors import DataFormatError, FetchError
 from .market_data import PricePanel, _quote_matrix, parse_iso_date
@@ -27,7 +28,7 @@ _NO_DATA = {"", "n/d", "nd", "null", "none", "-"}
 
 
 def _http_get(url: str, timeout: float) -> str:
-    req = request.Request(url, headers={"User-Agent": "sectorfolio/0.1"})
+    req = request.Request(url, headers={"User-Agent": f"sectorfolio/{__version__}"})
     try:
         with request.urlopen(req, timeout=timeout) as resp:
             return resp.read().decode("utf-8", errors="replace")

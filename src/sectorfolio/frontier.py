@@ -8,8 +8,8 @@ point) and the optimum-risk portfolio (ORP, maximum Sharpe ratio).
 
 Samplers
 --------
-Weight samplers are pluggable by name via `WEIGHT_SAMPLERS`. Each maps a
-block of iid U[0, 1) draws to simplex rows, each row on its own:
+The two samplers, named in `SAMPLERS`, map the same iid U[0, 1) draws to
+simplex rows, each row on its own:
 
 * ``uniform`` (the default, as in the paper) divides iid uniforms by
   their sum. Despite the name this is *not* uniform on the simplex: it
@@ -58,20 +58,19 @@ import math
 import operator
 import os
 from pathlib import Path
-from typing import IO, Callable, Mapping, NamedTuple, Sequence
+from typing import IO, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from ._files import csv_reader, csv_writer, header_names
 from .errors import DegenerateSampleError, EmptyCloudError
-from .portfolio import _SUM_TOLERANCE, RiskFreeAssumption, WeightVector, _aligned
-from .portfolio import _annual_risks, _book_returns
+from .portfolio import WeightVector, _aligned, _annual_risks, _book_returns, _risk_free
 from .return_stats import CovarianceMatrix
 
 __all__ = [
     "FrontierSample",
     "FrontierCloud",
-    "WEIGHT_SAMPLERS",
+    "SAMPLERS",
     "sample_frontier",
     "min_risk_portfolio",
     "optimum_risk_portfolio",
@@ -85,6 +84,8 @@ _BLOCK = 2048
 # rows per export chunk: at 2048 a 50-asset pipeline's peak RSS was
 # 56 MiB, against 43 MiB at 256 (the chunk's word and digit arrays)
 _EXPORT_ROWS = 256
+
+SAMPLERS = ("dirichlet", "uniform")
 
 
 class FrontierSample(NamedTuple):
@@ -115,7 +116,6 @@ class FrontierCloud:
         annual_risks: np.ndarray,
         sharpe_ratios: np.ndarray,
         seed: int,
-        rf: RiskFreeAssumption,
         sampler: str,
     ) -> None:
         self.tickers = tickers
@@ -123,7 +123,6 @@ class FrontierCloud:
         self.annual_risks = annual_risks
         self.sharpe_ratios = sharpe_ratios
         self.seed = seed
-        self.rf = rf
         self.sampler = sampler
 
     @property
@@ -150,44 +149,21 @@ class FrontierCloud:
         )
 
 
-def _simplex_uniform(u: np.ndarray) -> np.ndarray:
-    """Independent uniforms normalized by their sum (centre-heavy, not flat)."""
-    return u / u.sum(axis=1, keepdims=True)
-
-
-def _simplex_dirichlet(u: np.ndarray) -> np.ndarray:
-    """Flat Dirichlet, uniform on the simplex: normalized exponentials of `u`."""
-    e = -np.log1p(-u)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-WEIGHT_SAMPLERS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "uniform": _simplex_uniform,
-    "dirichlet": _simplex_dirichlet,
-}
-
-
 def _weight_rows(seed: int, sampler: str, lo: int, hi: int, n_assets: int) -> np.ndarray:
     """Weight rows of samples [lo, hi): the only place a row comes from.
 
     Each sample owns `per` consecutive Philox draws, n_assets rounded up
     to Philox's four-draw block, so `advance` jumps to any sample
-    exactly. The rows then get the checks `WeightVector` makes.
+    exactly. A row is its first n_assets draws u, or -log1p(-u) for
+    ``dirichlet``, over their sum: finite and non-negative, summing to 1
+    within a few ulps.
     """
     per = 4 * ((n_assets + 3) // 4)
     bits = np.random.Philox(key=seed)
     bits.advance(lo * (per // 4))
-    draws = np.random.Generator(bits).random((hi - lo, per))
-    rows = WEIGHT_SAMPLERS[sampler](draws[:, :n_assets])
-    if (
-        not np.all(np.isfinite(rows))
-        or np.any(rows < 0.0)
-        or np.any(np.abs(rows.sum(axis=1) - 1.0) > _SUM_TOLERANCE)
-    ):
-        raise ValueError(
-            f"sampler {sampler!r} drew weights off the simplex in samples {lo}..{hi - 1}"
-        )
-    return rows
+    u = np.random.Generator(bits).random((hi - lo, per))[:, :n_assets]
+    x = -np.log1p(-u) if sampler == "dirichlet" else u
+    return x / x.sum(axis=1, keepdims=True)
 
 
 def _check_samples(n_samples: int) -> None:
@@ -209,7 +185,7 @@ def sample_frontier(
     cov: CovarianceMatrix,
     n_samples: int = 10_000,
     seed: int = 0,
-    rf: RiskFreeAssumption | float = RiskFreeAssumption(),
+    rf: float = 0.01,
     sampler: str = "uniform",
 ) -> FrontierCloud:
     """Draw a cloud of random portfolios over the covariance's tickers.
@@ -221,27 +197,25 @@ def sample_frontier(
     cov : daily covariance matrix; defines the ticker order.
     n_samples : cloud size, at least 1.
     seed : generator seed, an integer in [0, 2**128); same seed, same cloud.
-    rf : risk-free assumption for per-sample Sharpe ratios.
-    sampler : name of a registered weight sampler (see the module docs
-        for what each one draws).
+    rf : annual risk-free rate for per-sample Sharpe ratios, finite.
+    sampler : one of `SAMPLERS` (see the module docs for what each one
+        draws).
 
     Raises
     ------
     EmptyCloudError : n_samples < 1.
     ValueError : unknown sampler name, a seed out of range or not an
-        integer, or an expected return that is not finite (naming its
-        ticker).
+        integer, an expected return that is not finite (naming its
+        ticker), or a risk-free rate that is not finite.
     AlignmentError : expected returns do not align with the covariance.
     """
     _check_samples(n_samples)
-    if sampler not in WEIGHT_SAMPLERS:
-        raise ValueError(
-            f"unknown sampler {sampler!r}, known: {', '.join(sorted(WEIGHT_SAMPLERS))}"
-        )
+    if sampler not in SAMPLERS:
+        raise ValueError(f"unknown sampler {sampler!r}, known: {', '.join(SAMPLERS)}")
     _check_seed(seed)
     tickers = list(cov.tickers)
     mu = _aligned(expected_returns, tickers, "expected returns")
-    rf = rf if isinstance(rf, RiskFreeAssumption) else RiskFreeAssumption(float(rf))
+    rf = _risk_free(rf)
 
     returns = np.empty(n_samples)
     risks = np.empty(n_samples)
@@ -251,8 +225,8 @@ def sample_frontier(
         w = _weight_rows(seed, sampler, lo, hi, len(tickers))
         ret = returns[lo:hi] = _book_returns(w, mu)
         risk = risks[lo:hi] = _annual_risks(w, cov.entries)
-        np.divide(ret - rf.rate, risk, out=sharpes[lo:hi], where=risk > 0.0)
-    return FrontierCloud(tickers, returns, risks, sharpes, seed, rf, sampler)
+        np.divide(ret - rf, risk, out=sharpes[lo:hi], where=risk > 0.0)
+    return FrontierCloud(tickers, returns, risks, sharpes, seed, sampler)
 
 
 def _selection(cloud: FrontierCloud, action: str = "select from") -> tuple[int, int | None]:

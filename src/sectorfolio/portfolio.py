@@ -16,7 +16,6 @@ from .errors import AlignmentError, EmptyUniverseError
 from .return_stats import TRADING_DAYS_PER_YEAR, CovarianceMatrix
 
 __all__ = [
-    "RiskFreeAssumption",
     "WeightVector",
     "PortfolioStats",
     "equal_weights",
@@ -30,19 +29,12 @@ __all__ = [
 _SUM_TOLERANCE = 1e-9
 
 
-class RiskFreeAssumption:
-    """Annual risk-free rate used in excess-return ratios, read-only. Default 1%."""
-
-    __slots__ = ("_rate",)
-
-    def __init__(self, rate: float = 0.01) -> None:
-        if not math.isfinite(rate):
-            raise ValueError("risk-free rate must be finite")
-        self._rate = rate
-
-    @property
-    def rate(self) -> float:
-        return self._rate
+def _risk_free(rf: float) -> float:
+    """`rf` as the annual risk-free rate of excess-return ratios: a float, finite."""
+    rate = float(rf)
+    if not math.isfinite(rate):
+        raise ValueError("risk-free rate must be finite")
+    return rate
 
 
 class WeightVector:
@@ -201,15 +193,15 @@ def portfolio_annual_risk(
 def sharpe_ratio(
     annual_return: float,
     annual_risk: float,
-    rf: RiskFreeAssumption | float = RiskFreeAssumption(),
+    rf: float = 0.01,
 ) -> float:
-    """Excess annual return per unit of annual risk.
+    """Excess annual return over the annual risk-free rate `rf`, per unit of annual risk.
 
     Raises
     ------
     ValueError
-        A return or risk that is not finite, a negative risk, or a
-        risk-free rate that `RiskFreeAssumption` rejects.
+        A return, risk or risk-free rate that is not finite, or a
+        negative risk.
     ZeroDivisionError
         Zero risk, where the ratio is undefined.
     """
@@ -219,20 +211,20 @@ def sharpe_ratio(
         raise ValueError(f"risk cannot be negative, got {annual_risk}")
     if annual_risk == 0.0:
         raise ZeroDivisionError("Sharpe ratio undefined at zero risk")
-    rf = rf if isinstance(rf, RiskFreeAssumption) else RiskFreeAssumption(float(rf))
-    return (annual_return - rf.rate) / annual_risk
+    return (annual_return - _risk_free(rf)) / annual_risk
 
 
 def portfolio_stats(
     weights: WeightVector,
     expected_returns: Mapping[str, float] | Sequence[float] | np.ndarray,
     cov: CovarianceMatrix | np.ndarray,
-    rf: RiskFreeAssumption | float = RiskFreeAssumption(),
+    rf: float = 0.01,
 ) -> PortfolioStats:
     """Annual return, annual risk, and Sharpe for one weight vector.
 
     `expected_returns` must be annual and `cov` daily, matching what
-    `return_stats` produces.
+    `return_stats` produces, and `rf` is the annual risk-free rate that
+    `sharpe_ratio` takes.
     """
     annual_return = portfolio_return(weights, expected_returns)
     annual_risk = portfolio_annual_risk(weights, cov)

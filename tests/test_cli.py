@@ -25,6 +25,7 @@ from sectorfolio import (
     read_weights_csv,
     write_long_csv,
     write_sector_result,
+    SAMPLERS,
     SectorResult,
 )
 import sectorfolio
@@ -1005,6 +1006,23 @@ def test_pipeline_all_rejects_a_risk_free_rate_that_is_not_finite_in_one_line(tm
     assert captured.err == "sectorfolio pipeline: risk-free rate must be finite\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_weights_rejects_a_risk_free_rate_that_is_not_finite_in_one_line(tmp_path, capsys):
+    ini, _ = build_sector(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("weights", "--universe", ini, "--out", out, "--rf", "inf") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "sectorfolio weights: risk-free rate must be finite\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["weights", "frontier", "pipeline"])
+def test_sampler_choices_are_the_samplers(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert f"--sampler {{{','.join(SAMPLERS)}}}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("option, value, reason", [

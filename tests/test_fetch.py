@@ -6,8 +6,9 @@ from datetime import date
 
 import pytest
 
+import sectorfolio
 from sectorfolio import FetchError, load_price_panel, write_long_csv
-from sectorfolio.fetch import DEFAULT_URL_TEMPLATE, fetch_history
+from sectorfolio.fetch import DEFAULT_URL_TEMPLATE, _http_get, fetch_history
 from sectorfolio.market_data import UniverseConfig
 
 START, END = date(2022, 1, 1), date(2022, 1, 10)
@@ -128,6 +129,18 @@ def test_fetch_names_the_url_it_could_not_read(tmp_path):
     with pytest.raises(FetchError) as caught:
         fetch_history(["AAA"], START, END, url_template=template)
     assert str(caught.value).startswith(f"file://{tmp_path}/aaa.csv: <urlopen error ")
+
+
+def test_the_default_transport_sends_the_package_version(monkeypatch):
+    sent = []
+
+    def urlopen(req, timeout):
+        sent.append((req.get_header("User-agent"), timeout))
+        return io.BytesIO(PAYLOAD.encode("utf-8"))
+
+    monkeypatch.setattr(sectorfolio.fetch.request, "urlopen", urlopen)
+    assert _http_get("https://quotes.invalid/aaa", 7.0) == PAYLOAD
+    assert sent == [(f"sectorfolio/{sectorfolio.__version__}", 7.0)]
 
 
 def test_fetch_rejects_inverted_window():

@@ -22,8 +22,7 @@ from sectorfolio import (
     EmptyCloudError,
     FrontierCloud,
     FrontierSample,
-    RiskFreeAssumption,
-    WEIGHT_SAMPLERS,
+    SAMPLERS,
     WeightVector,
     export_frontier,
     min_risk_portfolio,
@@ -65,7 +64,7 @@ def _cloud(tickers, rows):
     weights = np.array([row[0] for row in rows], float).reshape(len(rows), len(tickers))
     returns, risks, sharpes = (np.array([row[k] for row in rows], float) for k in (1, 2, 3))
     return _WrittenCloud(list(tickers), returns, risks, sharpes,
-                         seed=0, rf=RiskFreeAssumption(), sampler="uniform", rows=weights)
+                         seed=0, sampler="uniform", rows=weights)
 
 
 def test_single_asset_cloud_is_degenerate_point():
@@ -123,10 +122,29 @@ def test_sampler_distributions_differ():
 def test_sample_frontier_argument_validation():
     with pytest.raises(EmptyCloudError):
         sample_frontier(MU3, COV3, n_samples=0)
-    with pytest.raises(ValueError, match="sampler"):
+    with pytest.raises(ValueError) as caught:
         sample_frontier(MU3, COV3, n_samples=10, sampler="sobol")
+    assert str(caught.value) == "unknown sampler 'sobol', known: dirichlet, uniform"
     with pytest.raises(AlignmentError):
         sample_frontier({"AAA": 0.1}, COV3, n_samples=10)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sample_frontier_rejects_a_risk_free_rate_that_is_not_finite(monkeypatch, bad):
+    def no_draw(*args):
+        raise AssertionError("drew weights")
+
+    monkeypatch.setattr(sectorfolio.frontier, "_weight_rows", no_draw)
+    with pytest.raises(ValueError) as caught:
+        sample_frontier(MU3, COV3, n_samples=10, rf=bad)
+    assert str(caught.value) == "risk-free rate must be finite"
+
+
+def test_sample_frontier_takes_a_risk_free_rate_that_float_reads():
+    expect = sample_frontier(MU3, COV3, n_samples=50, seed=3, rf=0.05).sharpe_ratios
+    for rf in ("0.05", np.float64(0.05)):
+        cloud = sample_frontier(MU3, COV3, n_samples=50, seed=3, rf=rf)
+        assert cloud.sharpe_ratios.tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -601,13 +619,6 @@ def test_redrawn_rows_match_the_philox_draw_of_their_index(sampler, n_assets):
     pair = cloud.weight_rows(_BLOCK - 1, _BLOCK + 1)
     assert pair.tobytes() == np.stack([cloud.sample(i).weights.weights
                                        for i in (_BLOCK - 1, _BLOCK)]).tobytes()
-
-
-def test_a_sampler_that_draws_off_the_simplex_is_named(monkeypatch):
-    monkeypatch.setitem(WEIGHT_SAMPLERS, "half", lambda draws: draws / draws.sum(axis=1)[:, None] / 2)
-    with pytest.raises(ValueError) as caught:
-        sample_frontier(MU3, COV3, n_samples=10, seed=2, sampler="half")
-    assert str(caught.value) == "sampler 'half' drew weights off the simplex in samples 0..9"
 
 
 def test_weight_rows_range_is_checked():

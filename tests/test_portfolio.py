@@ -9,7 +9,6 @@ from sectorfolio import (
     AlignmentError,
     CovarianceMatrix,
     EmptyUniverseError,
-    RiskFreeAssumption,
     WeightVector,
     equal_weights,
     portfolio_annual_risk,
@@ -138,7 +137,9 @@ def test_sharpe_ratio_known_values():
     assert sharpe_ratio(0.21, 0.20) == pytest.approx(1.0, rel=1e-15)
     assert sharpe_ratio(0.2794, 0.2560) == pytest.approx((0.2794 - 0.01) / 0.2560, rel=1e-15)
     assert sharpe_ratio(0.15, 0.25, rf=0.05) == pytest.approx(0.4, rel=1e-15)
-    assert sharpe_ratio(0.15, 0.25, rf=RiskFreeAssumption(0.05)) == pytest.approx(0.4, rel=1e-15)
+    # float() reads the rate, so a numeric string and a numpy scalar pass too
+    assert sharpe_ratio(0.15, 0.25, rf="0.05") == sharpe_ratio(0.15, 0.25, rf=0.05)
+    assert sharpe_ratio(0.15, 0.25, rf=np.float64(0.05)) == sharpe_ratio(0.15, 0.25, rf=0.05)
 
 
 def test_sharpe_ratio_degenerate_risk():
@@ -149,9 +150,9 @@ def test_sharpe_ratio_degenerate_risk():
 
 
 def test_risk_free_default_is_one_percent():
-    assert RiskFreeAssumption().rate == 0.01
-    with pytest.raises(ValueError):
-        RiskFreeAssumption(math.inf)
+    assert sharpe_ratio(0.21, 0.20) == sharpe_ratio(0.21, 0.20, rf=0.01)
+    with pytest.raises(ValueError, match="^risk-free rate must be finite$"):
+        sharpe_ratio(0.21, 0.20, rf=math.inf)
 
 
 def test_portfolio_stats_consistent_with_components():
@@ -165,6 +166,13 @@ def test_portfolio_stats_consistent_with_components():
     assert stats.sharpe == pytest.approx(
         (stats.annual_return - 0.01) / stats.annual_risk, rel=1e-15
     )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_portfolio_stats_rejects_a_risk_free_rate_that_is_not_finite(bad):
+    w = equal_weights(["AAA", "BBB", "CCC"])
+    with pytest.raises(ValueError, match="^risk-free rate must be finite$"):
+        portfolio_stats(w, [0.1, 0.15, 0.2], np.eye(3) * 1e-4, rf=bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -276,6 +276,22 @@ def test_a_write_onto_a_directory_names_it_and_leaves_no_temporary_file(tmp_path
     assert list(target.iterdir()) == []
 
 
+def test_a_write_into_a_missing_directory_names_the_path_given(tmp_path):
+    target = tmp_path / "nodir" / "x.csv"
+    with pytest.raises(FileNotFoundError) as caught:
+        write_stats_csv([AssetStats("AAA", 0.0622, 0.0206, 0.3268)], target)
+    assert caught.value.errno == errno.ENOENT
+    assert str(caught.value) == f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{target}'"
+    assert list(tmp_path.iterdir()) == []
+    # a temporary already in the way is named as itself, not as the target
+    stale = tmp_path / f".x.csv.{os.getpid()}.tmp"
+    stale.touch()
+    with pytest.raises(FileExistsError) as caught:
+        write_stats_csv([AssetStats("AAA", 0.0622, 0.0206, 0.3268)], tmp_path / "x.csv")
+    assert caught.value.filename == str(stale)
+    assert list(tmp_path.iterdir()) == [stale]
+
+
 def test_a_finished_write_replaces_the_file_with_the_usual_permissions(tmp_path):
     path = tmp_path / "summary.csv"
     path.write_bytes(b"earlier,bytes\n")
