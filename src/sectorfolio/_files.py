@@ -1,7 +1,9 @@
 """The package's one CSV dialect (UTF-8, ``\\n`` line ends), over a path or a stream.
 
 `read_text` is the only code that reads an input, each once and whole,
-and `csv_reader` the only code that filters rows and names a faulty line.
+`csv_reader` the only code that filters rows and names a faulty line,
+and `staged` the only code that creates, renames or deletes an output
+temporary.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import csv
 import errno
 import io
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext, suppress
 from typing import IO, Any, Iterator, NamedTuple, Sequence
 
 from .errors import DataFormatError
@@ -118,45 +120,56 @@ def header_names(names: Sequence[str]) -> list[str]:
     return stripped
 
 
-def beside(dest: str | os.PathLike, suffix: str) -> str:
-    """This process's ``.<name>.<pid>.<suffix>`` beside `dest`, which no directory may be."""
-    if os.path.isdir(dest) and not os.path.islink(dest):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(dest))
-    return os.path.join(os.path.dirname(dest), f".{os.path.basename(dest)}.{os.getpid()}.{suffix}")
+@contextmanager
+def staged(*dests: str | os.PathLike) -> Iterator[list[IO[str]]]:
+    """Yield a new UTF-8 stream (``newline=""``) on a temporary beside each
+    dest; on a clean exit, close them all and rename each into place, in order.
+
+    The only code that creates, renames or deletes an output temporary. A
+    directory in a dest's place raises IsADirectoryError before anything is
+    opened, and an OSError opening a temporary names its dest. Each
+    ``.<name>.<pid>.<random>.tmp`` is opened with ``"x"``, so no two writers
+    share one and a file a killed run left is never in the way; unlike
+    tempfile's 0600 files, it gets the umask's permissions. Any exception
+    closes and deletes them all, leaving every earlier file as it was.
+    """
+    for dest in dests:
+        if os.path.isdir(dest) and not os.path.islink(dest):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(dest))
+    temps: list[str] = []
+    streams: list[IO[str]] = []
+    try:
+        for dest in dests:
+            head, name = os.path.split(dest)
+            temp = os.path.join(head, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+            try:
+                streams.append(open(temp, "x", encoding="utf-8", newline=""))
+            except OSError as exc:
+                raise type(exc)(exc.errno, exc.strerror, os.fspath(dest)) from None
+            temps.append(temp)
+        yield streams
+        for fh in streams:
+            fh.close()
+        for temp, dest in zip(temps, dests):
+            os.replace(temp, dest)
+    except BaseException:
+        for fh, temp in zip(streams, temps):
+            with suppress(OSError):  # a failed flush: the file goes anyway
+                fh.close()
+            with suppress(FileNotFoundError):  # already renamed into place
+                os.unlink(temp)
+        raise
 
 
 @contextmanager
 def csv_writer(dest: Target, header: Sequence[str]) -> Iterator[tuple[IO[str], Any]]:
     """Write `header` with ``\\n`` line ends; yield the open stream and a csv writer.
 
-    A path is written whole or not at all: rows go to a temporary file
-    `beside` it, which replaces `dest` only when the block exits cleanly
-    and is deleted otherwise, leaving any earlier file as it was. An
-    OSError opening the temporary (say, a missing directory) names `dest`,
-    except a FileExistsError, which names the temporary in the way.
+    A path is written whole or not at all, through `staged`; a stream is
+    written in place and left open for its owner.
     """
-    if not isinstance(dest, (str, os.PathLike)):
-        yield _with_header(dest, header)
-        return
-    tmp = beside(dest, "tmp")
-    # "x" rather than tempfile, whose files are private (0600): the
-    # output keeps the permissions the umask gives a new file
-    try:
-        fh = open(tmp, "x", encoding="utf-8", newline="")
-    except FileExistsError:
-        raise
-    except OSError as exc:
-        raise type(exc)(exc.errno, exc.strerror, os.fspath(dest)) from None
-    try:
-        with fh:
-            yield _with_header(fh, header)
-        os.replace(tmp, dest)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _with_header(fh: IO[str], header: Sequence[str]) -> tuple[IO[str], Any]:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    return fh, writer
+    staging = staged(dest) if isinstance(dest, (str, os.PathLike)) else nullcontext([dest])
+    with staging as [fh]:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        yield fh, writer

@@ -15,9 +15,10 @@ Subcommands:
 
 Each sector command parses its price file once, in one runner that hands
 the panel to its ``cmd_*`` function and reports a failure as one
-``sectorfolio <command>: <sector>: <reason>`` line. A command writes its
-files, puts them in place together, then prints one ``wrote <path>``
-line per file, and exits 0 only when every requested output was written.
+``sectorfolio <command>: <sector>: <reason>`` line. A command writes each
+of its files to its own temporary, renames them all into place together,
+then prints one ``wrote <path>`` line per file, and exits 0 only when
+every requested output was written.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from collections.abc import Callable
 from datetime import date
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple
+from typing import IO, NamedTuple
 
-from ._files import beside, csv_writer
+from ._files import csv_writer, staged
 from .backtest import MODES, _check_capital, backtest_from_panel, write_backtest_csv
 from .errors import AnalyticsError, EmptySummaryError, EmptyUniverseError
 from .frontier import (
@@ -83,7 +84,7 @@ __all__ = [
 ]
 
 # errors that end a command (or one sector of `pipeline`) in one stderr line
-_USER_ERRORS = (AnalyticsError, OSError, ValueError, ZeroDivisionError)
+_USER_ERRORS = (AnalyticsError, MemoryError, OSError, ValueError, ZeroDivisionError)
 
 
 class RunConfig(NamedTuple):
@@ -129,36 +130,29 @@ def _books(panel: PricePanel, cloud: FrontierCloud) -> tuple[WeightVector, Weigh
     )
 
 
-def _exclusions_csv(excluded: list[tuple[str, float]], path: Path) -> None:
-    with csv_writer(path, ["ticker", "missing_fraction"]) as (_, writer):
+def _exclusions_csv(excluded: list[tuple[str, float]], dest: IO[str]) -> None:
+    with csv_writer(dest, ["ticker", "missing_fraction"]) as (_, writer):
         writer.writerows([ticker, f"{fraction:.4f}"] for ticker, fraction in excluded)
 
 
 def _write_files(out_dir: Path, excluded: list[tuple[str, float]] | None, *files: tuple) -> Path:
     """Write each ``(name, write, *args)`` of `files`, then exclusions.log when a
-    ticker was excluded, under `out_dir`; return the first path. Each is written by
-    ``write(*args, part)`` to a part file beside it; only when all are written are
-    they renamed into place, in order, so a failure (a directory in a file's place
-    included) deletes the part files and changes no file. Then an empty `excluded`
-    removes an old exclusions.log (None, for a backtest, which trains nothing,
-    leaves it alone), and last come the ``wrote <path>`` lines, one per file.
+    ticker was excluded, under `out_dir`; return the first path. ``write(*args,
+    stream)`` writes each to its own `staged` stream, so all are put in place
+    together or, on a failure (a directory in a file's place included), none.
+    Then an empty `excluded` removes an old exclusions.log (None, for a backtest,
+    which trains nothing, leaves it alone); last come the ``wrote <path>`` lines.
     """
     files += (("exclusions.log", _exclusions_csv, excluded),) if excluded else ()
     out_dir.mkdir(parents=True, exist_ok=True)
-    parts = {out_dir / name: beside(out_dir / name, "part") for name, *_ in files}
-    try:
-        for (_, write, *args), part in zip(files, parts.values()):
-            write(*args, part)
-        for path, part in parts.items():
-            os.replace(part, path)
-    except BaseException:
-        for part in parts.values():
-            Path(part).unlink(missing_ok=True)
-        raise
+    paths = [out_dir / name for name, *_ in files]
+    with staged(*paths) as streams:
+        for (_, write, *args), stream in zip(files, streams):
+            write(*args, stream)
     if excluded == []:
         (out_dir / "exclusions.log").unlink(missing_ok=True)
-    print(*(f"wrote {path}" for path in parts), sep="\n")
-    return next(iter(parts))
+    print(*(f"wrote {path}" for path in paths), sep="\n")
+    return paths[0]
 
 
 def cmd_stats(config: RunConfig, prices: PricePanel) -> Path:

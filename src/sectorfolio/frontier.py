@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from pathlib import Path
 from typing import IO, Mapping, NamedTuple, Sequence
 
@@ -271,8 +270,8 @@ def export_frontier(cloud: FrontierCloud, dest: str | Path | IO[str]) -> None:
     so reloading reproduces selection and stats to numerical noise.
     Rows are redrawn and spelled 256 at a time; cells in [1e-4, 1) are
     spelled by array arithmetic and all others printed (see the module
-    docs for the tie margin that keeps them exact). A path gets the
-    spelled bytes on its binary buffer; a stream gets them as text.
+    docs for the tie margin that keeps them exact). A path is written
+    whole or not at all, as `csv_writer` writes it.
     """
     mrp, orp = _selection(cloud, "export")
     flags = {mrp: "mrp"}
@@ -282,13 +281,6 @@ def export_frontier(cloud: FrontierCloud, dest: str | Path | IO[str]) -> None:
     header = ["annual_risk", "annual_return", "sharpe"]
     header += [f"w_{t}" for t in cloud.tickers] + ["flag"]
     with csv_writer(dest, header) as (fh, _):
-        if isinstance(dest, (str, os.PathLike)):
-            # the file csv_writer opened: UTF-8 with no newline translation
-            fh.flush()
-            write = fh.buffer.write
-        else:
-            def write(spelled: bytes) -> None:
-                fh.write(spelled.decode("ascii"))
         for lo in range(0, cloud.sample_count, _EXPORT_ROWS):
             hi = min(lo + _EXPORT_ROWS, cloud.sample_count)
             table = np.column_stack((
@@ -297,8 +289,8 @@ def export_frontier(cloud: FrontierCloud, dest: str | Path | IO[str]) -> None:
             ))
             spelled = _spell_rows(table, {i - lo: f for i, f in flags.items() if lo <= i < hi})
             # the header's own newline ends it, so the first row's is dropped
-            write(spelled[1:] if lo == 0 else spelled)
-        write(b"\n")
+            fh.write((spelled[1:] if lo == 0 else spelled).decode("ascii"))
+        fh.write("\n")
 
 
 def _words(*texts: bytes) -> np.ndarray:

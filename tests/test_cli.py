@@ -30,6 +30,7 @@ from sectorfolio import (
 )
 import sectorfolio
 from sectorfolio import cli
+from sectorfolio._files import csv_writer
 from sectorfolio.cli import main
 
 from helpers import random_panel, write_universe
@@ -708,6 +709,11 @@ def _snapshot(directory):
     return {p.relative_to(directory): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
 
 
+def _files_and_dates(directory):
+    return {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in directory.iterdir()
+            if path.is_file()}
+
+
 def test_a_failed_rerun_leaves_its_output_directory_byte_identical(tmp_path, capsys):
     ini, prices = build_sector(tmp_path, sector="Metal", train_days=60, test_days=15)
     out = tmp_path / "out"
@@ -732,17 +738,15 @@ def test_a_directory_in_place_of_an_output_file_leaves_every_older_file(tmp_path
     assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 200) == 0
     (out / "frontier.csv").unlink()
     (out / "frontier.csv").mkdir()
-    before = {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in out.iterdir()
-              if path.is_file()}
+    before = _files_and_dates(out)
     capsys.readouterr()
     assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 300) == 1
     captured = capsys.readouterr()
     assert captured.err == (f"sectorfolio pipeline: Metal: [Errno {errno.EISDIR}] "
                             f"{os.strerror(errno.EISDIR)}: '{out / 'frontier.csv'}'\n")
     assert captured.out == ""
-    # the same files, bytes and dates, and no part file beside them
-    assert {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in out.iterdir()
-            if path.is_file()} == before
+    # the same files, bytes and dates, and no temporary beside them
+    assert _files_and_dates(out) == before
 
 
 def test_a_writer_that_fails_midway_leaves_every_older_file(tmp_path, capsys, monkeypatch):
@@ -753,11 +757,10 @@ def test_a_writer_that_fails_midway_leaves_every_older_file(tmp_path, capsys, mo
     capsys.readouterr()
 
     def disk_full(report, dest):
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write("ticker,")
+        dest.write("ticker,")
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    # backtest_ewp.csv is the fourth file, after three part files are written
+    # backtest_ewp.csv is the fourth file, after three are written
     monkeypatch.setattr(cli, "write_backtest_csv", disk_full)
     assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 300,
                    "--seed", 5) == 1
@@ -766,6 +769,58 @@ def test_a_writer_that_fails_midway_leaves_every_older_file(tmp_path, capsys, mo
         f"sectorfolio pipeline: Metal: [Errno {errno.ENOSPC}] No space left on device\n")
     assert captured.out == ""
     assert _snapshot(out) == before
+
+
+def test_an_interrupted_rerun_propagates_and_leaves_every_older_file(tmp_path, capsys, monkeypatch):
+    ini, _ = build_sector(tmp_path, sector="Metal")
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 200) == 0
+    before = _files_and_dates(out)
+    capsys.readouterr()
+
+    def interrupted(report, dest):
+        with csv_writer(dest, ["ticker", "weight"]) as (_, writer):
+            writer.writerow(["AAA", "0.5"])
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "write_backtest_csv", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 300, "--seed", 5)
+    assert capsys.readouterr() == ("", "")
+    # the same files, bytes and dates, and no dot file beside them
+    assert _files_and_dates(out) == before
+
+
+def test_a_temporary_left_by_a_killed_run_does_not_block_a_rerun(tmp_path, capsys):
+    ini, _ = build_sector(tmp_path, sector="Metal")
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 200) == 0
+    first = (out / "weights.csv").read_bytes()
+    # the name an earlier run of this pid gave the temporary of stats.csv's part file
+    stale = out / f"..stats.csv.{os.getpid()}.part.{os.getpid()}.tmp"
+    stale.write_bytes(b"ticker,")
+    assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 300) == 0
+    assert (out / "weights.csv").read_bytes() != first
+    assert stale.read_bytes() == b"ticker,"
+    assert [p.name for p in out.iterdir() if p.name.startswith(".")] == [stale.name]
+
+
+def test_a_cloud_too_large_to_allocate_fails_its_sector_in_one_line(tmp_path, capsys):
+    ini, _ = build_sector(tmp_path, sector="Metal")
+    out = tmp_path / "out"
+    # 7.11 PiB, beyond any address space, fails however memory is overcommitted
+    assert run_cli("weights", "--universe", ini, "--out", out, "--samples", 10**15) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sectorfolio weights: Metal: Unable to allocate 7.11 PiB")
+    assert err.count("\n") == 1
+    assert not out.exists()
+    _three_sectors_sharing_one_file(tmp_path / "configs")
+    assert run_cli("pipeline", "--universe", tmp_path / "configs", "--all",
+                   "--out", out, "--samples", 10**15) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[1:3] for line in lines] == [
+        [sector, "Unable to allocate 7.11 PiB for an array with shape (1000000000000000,) "
+         "and data type float64"] for sector in ("Alpha", "Beta", "Gamma")]
 
 
 def test_pipeline_all_writes_nothing_for_a_sector_that_fails_its_test_window(tmp_path, capsys):

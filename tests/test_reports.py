@@ -23,7 +23,7 @@ from sectorfolio import (
     write_summary,
     write_weights_csv,
 )
-from sectorfolio._files import csv_writer
+from sectorfolio._files import csv_writer, staged
 from sectorfolio.reports import WINNERS
 
 
@@ -283,13 +283,29 @@ def test_a_write_into_a_missing_directory_names_the_path_given(tmp_path):
     assert caught.value.errno == errno.ENOENT
     assert str(caught.value) == f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{target}'"
     assert list(tmp_path.iterdir()) == []
-    # a temporary already in the way is named as itself, not as the target
+
+
+def test_a_temporary_left_by_a_killed_run_neither_blocks_a_write_nor_is_touched(tmp_path):
+    # the name an earlier run of this pid would have given its temporary
     stale = tmp_path / f".x.csv.{os.getpid()}.tmp"
-    stale.touch()
-    with pytest.raises(FileExistsError) as caught:
-        write_stats_csv([AssetStats("AAA", 0.0622, 0.0206, 0.3268)], tmp_path / "x.csv")
-    assert caught.value.filename == str(stale)
-    assert list(tmp_path.iterdir()) == [stale]
+    stale.write_bytes(b"half a ro")
+    write_stats_csv([AssetStats("AAA", 0.0622, 0.0206, 0.3268)], tmp_path / "x.csv")
+    assert (tmp_path / "x.csv").read_bytes() == (
+        b"ticker,annual_return_pct,annual_risk_pct\nAAA,6.22,32.68\n")
+    assert stale.read_bytes() == b"half a ro"
+    assert sorted(tmp_path.iterdir()) == [stale, tmp_path / "x.csv"]
+
+
+def test_a_rename_that_fails_raises_its_own_error_and_leaves_no_temporary(tmp_path):
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    with pytest.raises(IsADirectoryError):
+        with staged(first, second) as [fh, gh]:
+            fh.write("a\n")
+            gh.write("b\n")
+            second.mkdir()  # after the check that refuses a directory
+    # the file renamed before the failure stays in place
+    assert first.read_text(encoding="utf-8") == "a\n"
+    assert sorted(tmp_path.iterdir()) == [first, second]
 
 
 def test_a_finished_write_replaces_the_file_with_the_usual_permissions(tmp_path):
