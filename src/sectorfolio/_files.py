@@ -2,8 +2,9 @@
 
 `read_text` is the only code that reads an input, each once and whole,
 `csv_reader` the only code that filters rows and names a faulty line,
-and `staged` the only code that creates, renames or deletes an output
-temporary.
+`names` the only code that refuses a blank, padded or repeated name in a
+list, and `staged` the only code that creates, renames or deletes an
+output temporary.
 """
 
 from __future__ import annotations
@@ -107,17 +108,20 @@ def _data_rows(reader: Any, width: int) -> Rows:
         yield reader.line_num, row
 
 
-def header_names(names: Sequence[str]) -> list[str]:
-    """`names` stripped; a blank or repeated name raises ValueError."""
-    stripped = [name.strip() for name in names]
+def names(given: list[str], what: str) -> list[str]:
+    """`given`, when each name is one that a CSV cell writes and reads back
+    unchanged: non-empty, its own `strip()` and not repeated. Any other name
+    raises ValueError naming `what` and that name."""
     seen: set[str] = set()
-    for name in stripped:
-        if not name:
-            raise ValueError("blank column name in header")
+    for name in given:
+        if not name.strip():
+            raise ValueError(f"{what} must be non-empty")
+        if name != name.strip():
+            raise ValueError(f"{what} {name!r} has surrounding whitespace")
         if name in seen:
-            raise ValueError(f"repeated column {name!r} in header")
+            raise ValueError(f"duplicate {what} {name!r}")
         seen.add(name)
-    return stripped
+    return given
 
 
 @contextmanager
@@ -130,8 +134,10 @@ def staged(*dests: str | os.PathLike) -> Iterator[list[IO[str]]]:
     opened, and an OSError opening a temporary names its dest. Each
     ``.<name>.<pid>.<random>.tmp`` is opened with ``"x"``, so no two writers
     share one and a file a killed run left is never in the way; unlike
-    tempfile's 0600 files, it gets the umask's permissions. Any exception
-    closes and deletes them all, leaving every earlier file as it was.
+    tempfile's 0600 files, it gets the umask's permissions. Every file is
+    written before the first rename, and any exception deletes each
+    temporary not yet renamed: a failure before the renames changes no
+    file, and a rename that fails partway leaves those before it in place.
     """
     for dest in dests:
         if os.path.isdir(dest) and not os.path.islink(dest):

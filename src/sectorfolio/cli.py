@@ -16,9 +16,9 @@ Subcommands:
 Each sector command parses its price file once, in one runner that hands
 the panel to its ``cmd_*`` function and reports a failure as one
 ``sectorfolio <command>: <sector>: <reason>`` line. A command writes each
-of its files to its own temporary, renames them all into place together,
-then prints one ``wrote <path>`` line per file, and exits 0 only when
-every requested output was written.
+of its files to its own temporary, renames them into place one after
+another once all are written, then prints one ``wrote <path>`` line per
+file, and exits 0 only when every requested output was written.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .market_data import (
     PricePanel,
     UniverseConfig,
     _check_threshold,
+    _check_windows,
     apply_missing_data_policy,
     fill_gaps,
     load_price_panel,
@@ -91,8 +92,8 @@ class RunConfig(NamedTuple):
     """Everything one sector run needs, fixed once built. Its windows are the
     universe's own (`--train`/`--test` replace them there, and `UniverseConfig`
     checks their order); samples, seed, threshold and capital are checked where
-    used, before any write (`pipeline --all` checks them once, before its first
-    sector). The command-line options take their defaults from
+    used, before any write. `pipeline --all` checks each of these options once,
+    before its first sector. The command-line options take their defaults from
     `RunConfig._field_defaults`."""
 
     universe: UniverseConfig
@@ -138,8 +139,8 @@ def _exclusions_csv(excluded: list[tuple[str, float]], dest: IO[str]) -> None:
 def _write_files(out_dir: Path, excluded: list[tuple[str, float]] | None, *files: tuple) -> Path:
     """Write each ``(name, write, *args)`` of `files`, then exclusions.log when a
     ticker was excluded, under `out_dir`; return the first path. ``write(*args,
-    stream)`` writes each to its own `staged` stream, so all are put in place
-    together or, on a failure (a directory in a file's place included), none.
+    stream)`` writes each to its own `staged` stream, so a failure while they
+    are written (a directory in a file's place included) puts none in place.
     Then an empty `excluded` removes an old exclusions.log (None, for a backtest,
     which trains nothing, leaves it alone); last come the ``wrote <path>`` lines.
     """
@@ -453,6 +454,7 @@ def _handle_pipeline(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
     _check_threshold(args.threshold)
     _check_capital(args.capital)
+    _check_windows(args.train, args.test)
     configs: list[RunConfig] = []
     claimed: dict[Path, Path] = {}  # output directory -> the INI that claimed it
     for path in config_paths:

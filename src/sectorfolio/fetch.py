@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 from urllib import error, parse, request
 
 from . import __version__
-from ._files import SourceText, csv_reader
+from ._files import SourceText, csv_reader, names
 from .errors import DataFormatError, FetchError
 from .market_data import PricePanel, _quote_matrix, parse_iso_date
 
@@ -85,17 +85,12 @@ def fetch_history(
     the default uses urllib with the given timeout.
 
     Raises FetchError when a request fails or a payload is unusable, and
-    ValueError, before any request, for an inverted window or a repeated
-    or blank ticker.
+    ValueError, before any request, for an inverted window or a ticker
+    that `_files.names` refuses.
     """
-    tickers = list(tickers)
     if start > end:
         raise ValueError(f"start {start} is after end {end}")
-    repeated = sorted({t for t in tickers if tickers.count(t) > 1})
-    if repeated:
-        raise ValueError(f"duplicate tickers: {', '.join(repeated)}")
-    if not all(t.strip() for t in tickers):
-        raise ValueError("ticker must be non-empty")
+    tickers = names(list(tickers), "ticker")
     get = transport if transport is not None else (lambda url: _http_get(url, timeout))
     quotes: dict[str, dict[date, float]] = {}
     for ticker in tickers:

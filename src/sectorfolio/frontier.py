@@ -61,7 +61,7 @@ from typing import IO, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._files import csv_reader, csv_writer, header_names
+from ._files import csv_reader, csv_writer, names
 from .errors import DegenerateSampleError, EmptyCloudError
 from .portfolio import WeightVector, _aligned, _annual_risks, _book_returns, _risk_free
 from .return_stats import CovarianceMatrix
@@ -398,7 +398,7 @@ def read_frontier_csv(
             or any(not h.startswith("w_") for h in header[3:-1])
         ):
             raise ValueError("not a frontier export header")
-        tickers = header_names([h[2:] for h in header[3:-1]])
+        tickers = names([h[2:].strip() for h in header[3:-1]], "column")
         rows = []
         flagged: dict[str, int] = {}  # "mrp" or "orp" -> line of its row
         for line, row in data:

@@ -76,7 +76,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from ._files import Rows, csv_reader, csv_writer, header_names, read_text
+from ._files import Rows, csv_reader, csv_writer, names, read_text
 from .errors import (
     DataFormatError,
     EmptyPanelError,
@@ -117,8 +117,7 @@ class PriceSeries:
     """Closing prices for one ticker on strictly increasing dates."""
 
     def __init__(self, ticker: str, dates: list[date], closes: np.ndarray) -> None:
-        if not ticker:
-            raise ValueError("ticker must be non-empty")
+        names([ticker], "ticker")
         self.ticker = ticker
         self.dates = dates
         self.closes = np.asarray(closes, dtype=float)
@@ -149,14 +148,12 @@ class PricePanel:
     def __init__(self, tickers: list[str], dates: list[date], closes: np.ndarray) -> None:
         if not tickers:
             raise EmptyPanelError("panel has no tickers")
-        if len(set(tickers)) != len(tickers):
-            raise ValueError("duplicate tickers in panel")
+        self.tickers = names(tickers, "ticker")
         if not dates:
             raise EmptyPanelError("panel has no dates")
         for a, b in zip(dates, dates[1:]):
             if a >= b:
                 raise ValueError(f"panel dates not strictly increasing at {b}")
-        self.tickers = tickers
         self.dates = dates
         self.closes = np.asarray(closes, dtype=float)
         if self.closes.shape != (len(self.tickers), len(self.dates)):
@@ -257,20 +254,13 @@ class UniverseConfig:
         test_window: tuple[date, date],
         prices: str | None = None,
     ) -> None:
-        if not sector:
-            raise ValueError("sector name must be non-empty")
+        names([sector], "sector name")
         if not tickers:
             raise EmptyUniverseError(f"{sector}: no tickers configured")
-        if len(set(tickers)) != len(tickers):
-            raise ValueError(f"{sector}: duplicate tickers in universe")
-        for ticker in tickers:
-            if ticker.strip().startswith("#"):
+        for ticker in names(tickers, f"{sector}: ticker"):
+            if ticker.startswith("#"):
                 raise ValueError(f"{sector}: ticker {ticker!r} reads as a CSV comment")
-        for name, window in (("train", train_window), ("test", test_window)):
-            if window[0] > window[1]:
-                raise ValueError(f"{sector}: {name} window starts after it ends")
-        if train_window[1] >= test_window[0]:
-            raise ValueError(f"{sector}: training window must end before the test window begins")
+        _check_windows(train_window, test_window, f"{sector}: ")
         self.sector = sector
         self.tickers = tickers
         self.train_window = train_window
@@ -283,10 +273,19 @@ class UniverseConfig:
         return vars(self) == vars(other)
 
 
+def _check_windows(train: tuple[date, date] | None, test: tuple[date, date] | None, where: str = "") -> None:
+    """Each window given runs forward, and training ends before the test begins."""
+    for name, window in (("train", train), ("test", test)):
+        if window and window[0] > window[1]:
+            raise ValueError(f"{where}{name} window starts after it ends")
+    if train and test and train[1] >= test[0]:
+        raise ValueError(f"{where}training window must end before the test window begins")
+
+
 def parse_window(text: str) -> tuple[date, date]:
     """A ``START:END`` pair of ``YYYY-MM-DD`` dates; anything else raises ValueError.
 
-    The pair's order is checked by `UniverseConfig`, not here.
+    The pair's order is checked by `_check_windows`, not here.
     """
     start, colon, end = text.strip().partition(":")
     if not colon:
@@ -458,7 +457,7 @@ def _parse_long_arrays(text: str) -> _Parsed | None:
 
 
 def _parse_wide(rows: Rows, header: list[str]) -> _Parsed:
-    tickers = header_names(header[1:])
+    tickers = names([h.strip() for h in header[1:]], "column")
     days: dict[date, int] = {}  # date -> row of `values`
     values = array("d")
     for _, row in rows:
@@ -491,12 +490,12 @@ def parse_price_file(source: str | Path | IO[str]) -> PricePanel:
     """
     whole = read_text(source)
     with csv_reader(whole) as (_, rows, header):
-        names = [h.strip().lower() for h in header]
-        if names[:1] != ["date"]:
+        columns = [h.strip().lower() for h in header]
+        if columns[:1] != ["date"]:
             raise ValueError(f"first column must be 'date', got {header!r}")
-        if names == _LONG_HEADER:
+        if columns == _LONG_HEADER:
             parsed = _parse_long_arrays(whole.text) or _parse_long(rows)
-        elif len(names) < 2:
+        elif len(columns) < 2:
             raise ValueError(f"unrecognized header {header!r}")
         else:
             parsed = _parse_wide(rows, header)

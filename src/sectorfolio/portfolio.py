@@ -12,6 +12,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from ._files import names
 from .errors import AlignmentError, EmptyUniverseError
 from .return_stats import TRADING_DAYS_PER_YEAR, CovarianceMatrix
 
@@ -46,9 +47,7 @@ class WeightVector:
     def __init__(self, tickers: list[str], weights: np.ndarray) -> None:
         if not tickers:
             raise EmptyUniverseError("weight vector needs at least one ticker")
-        if len(set(tickers)) != len(tickers):
-            raise ValueError("duplicate tickers in weight vector")
-        self.tickers = tickers
+        self.tickers = names(tickers, "ticker")
         self.weights = np.asarray(weights, dtype=float)
         if self.weights.shape != (len(self.tickers),):
             raise ValueError(

@@ -12,7 +12,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from ._files import csv_reader, csv_writer, header_names
+from ._files import csv_reader, csv_writer, names
 from .errors import AlignmentError, DataFormatError, EmptySummaryError
 from .portfolio import WeightVector
 from .return_stats import AssetStats
@@ -42,10 +42,9 @@ class SectorResult:
     """
 
     def __init__(self, sector: str, ewp_test_return: float, orp_test_return: float) -> None:
-        if not sector:
-            raise ValueError("sector name must be non-empty")
         if sector.strip().startswith("#"):
             raise ValueError(f"sector name {sector!r} reads as a CSV comment")
+        names([sector], "sector name")
         if not np.isfinite([ewp_test_return, orp_test_return]).all():
             raise ValueError("test returns must be finite")
         self.sector = sector
@@ -110,7 +109,7 @@ def read_weights_csv(source: str | Path | IO[str]) -> dict[str, WeightVector]:
     with csv_reader(source) as (path, rows, header):
         if len(header) < 2 or header[0] != "ticker":
             raise ValueError("not a weights header")
-        columns = header_names(header[1:])
+        columns = names([h.strip() for h in header[1:]], "column")
         tickers: list[str] = []
         values: list[list[float]] = []
         for _, row in rows:
@@ -147,10 +146,11 @@ def write_sector_result(result: SectorResult, dest: str | Path | IO[str]) -> Non
 def write_summary(results: Sequence[SectorResult], dest: str | Path | IO[str]) -> None:
     """All sectors side by side, plus a win-count footer comment.
 
-    Raises EmptySummaryError when `results` is empty.
+    Raises EmptySummaryError when `results` is empty, ValueError on a repeated sector.
     """
     if not results:
         raise EmptySummaryError("no sector results to summarize")
+    names([r.sector for r in results], "sector name")
     _write_result_rows(results, dest, footer=True)
 
 

@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._files import names
 from .errors import DegenerateAssetError, InsufficientDataError
 from .market_data import PricePanel, PriceSeries
 
@@ -90,9 +91,7 @@ class CovarianceMatrix:
         n = len(tickers)
         if n == 0:
             raise ValueError("covariance needs at least one ticker")
-        if len(set(tickers)) != n:
-            raise ValueError("duplicate tickers in covariance matrix")
-        self.tickers = tickers
+        self.tickers = names(tickers, "ticker")
         self.entries = np.asarray(entries, dtype=float)
         if self.entries.shape != (n, n):
             raise ValueError(

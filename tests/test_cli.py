@@ -611,9 +611,22 @@ def test_fetch_refuses_a_repeated_ticker_and_writes_nothing(tmp_path, capsys):
     assert run_cli("fetch", "--tickers", "AAA", "AAA", "--start", "2022-01-03",
                    "--end", "2022-01-05", "--out", out, "--url-template", template) == 1
     captured = capsys.readouterr()
-    assert captured.err == "sectorfolio fetch: duplicate tickers: AAA\n"
+    assert captured.err == "sectorfolio fetch: duplicate ticker 'AAA'\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_fetch_refuses_a_padded_ticker_and_writes_nothing(tmp_path, capsys):
+    # " AAA" has its own quote file, but its rows would read back as AAA's repeats
+    quote = [(date(2022, 1, 3), 10.0)]
+    template = _quote_files(tmp_path / "quotes", {"AAA": quote, " AAA": quote})
+    out = tmp_path / "prices.csv"
+    assert run_cli("fetch", "--tickers", "AAA", " AAA", "--start", "2022-01-03",
+                   "--end", "2022-01-05", "--out", out, "--url-template", template) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "sectorfolio fetch: ticker ' AAA' has surrounding whitespace\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [tmp_path / "quotes"]
 
 
 def test_exclusions_log_written_for_sparse_ticker(tmp_path):
@@ -1080,27 +1093,31 @@ def test_sampler_choices_are_the_samplers(capsys, command):
     assert f"--sampler {{{','.join(SAMPLERS)}}}" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("option, value, reason", [
-    ("--samples", "0", "n_samples must be at least 1, got 0"),
-    ("--seed", "-1", "seed must be an integer in [0, 2**128), got -1"),
-    ("--threshold", "1.5", "threshold must be within [0, 1], got 1.5"),
-    ("--capital", "nan", "capital must be positive and finite, got nan"),
-], ids=["samples", "seed", "threshold", "capital"])
+@pytest.mark.parametrize("options, reason", [
+    (["--samples", "0"], "n_samples must be at least 1, got 0"),
+    (["--seed", "-1"], "seed must be an integer in [0, 2**128), got -1"),
+    (["--threshold", "1.5"], "threshold must be within [0, 1], got 1.5"),
+    (["--capital", "nan"], "capital must be positive and finite, got nan"),
+    (["--train", "2021-03-01:2021-01-04"], "train window starts after it ends"),
+    (["--test", "2021-04-20:2021-04-01"], "test window starts after it ends"),
+    (["--train", "2021-01-04:2021-04-01", "--test", "2021-03-01:2021-04-20"],
+     "training window must end before the test window begins"),
+], ids=["samples", "seed", "threshold", "capital", "inverted-train", "inverted-test",
+        "overlapping-windows"])
 def test_pipeline_all_rejects_a_bad_option_in_one_line_before_any_sector_runs(
-        tmp_path, capsys, monkeypatch, option, value, reason):
+        tmp_path, capsys, monkeypatch, options, reason):
     configs = tmp_path / "configs"
     _three_sectors_sharing_one_file(configs)
     parsed = _count_parses(monkeypatch)
     out = tmp_path / "out"
-    assert run_cli("pipeline", "--universe", configs, "--all", "--out", out, option, value) == 1
+    assert run_cli("pipeline", "--universe", configs, "--all", "--out", out, *options) == 1
     captured = capsys.readouterr()
     assert captured.err == f"sectorfolio pipeline: {reason}\n"
     assert captured.out == ""
     assert parsed == []
     assert not out.exists()
     # one sector still names itself
-    assert run_cli("pipeline", "--universe", configs / "alpha.ini", "--out", out,
-                   option, value) == 1
+    assert run_cli("pipeline", "--universe", configs / "alpha.ini", "--out", out, *options) == 1
     assert capsys.readouterr().err == f"sectorfolio pipeline: Alpha: {reason}\n"
     assert not out.exists()
 

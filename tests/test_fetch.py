@@ -150,9 +150,10 @@ def test_fetch_rejects_inverted_window():
 
 @pytest.mark.parametrize(
     "tickers, message",
-    [(["AAA", "BBB", "AAA"], "duplicate tickers: AAA"),
-     (["AAA", " "], "ticker must be non-empty")],
-    ids=["repeated", "blank"],
+    [(["AAA", "BBB", "AAA"], "duplicate ticker 'AAA'"),
+     (["AAA", " "], "ticker must be non-empty"),
+     (["AAA", " AAA"], "ticker ' AAA' has surrounding whitespace")],
+    ids=["repeated", "blank", "padded"],
 )
 def test_fetch_refuses_a_ticker_before_any_request(tickers, message):
     transport, calls = canned([PAYLOAD, PAYLOAD, PAYLOAD])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sectorfolio import (
+    CovarianceMatrix,
     DataFormatError,
     EmptyPanelError,
     EmptyUniverseError,
@@ -18,8 +19,12 @@ from sectorfolio import (
     MissingTickerError,
     PricePanel,
     PriceSeries,
+    SectorResult,
     UniverseConfig,
+    WeightVector,
     apply_missing_data_policy,
+    equal_weights,
+    export_frontier,
     fill_gaps,
     load_price_panel,
     parse_price_file,
@@ -27,7 +32,10 @@ from sectorfolio import (
     read_sector_results,
     read_universe_config,
     read_weights_csv,
+    sample_frontier,
     write_long_csv,
+    write_summary,
+    write_weights_csv,
 )
 
 from sectorfolio import market_data
@@ -320,7 +328,7 @@ def test_panel_validation():
     [
         ("", ["AAA"], ValueError, "sector name must be non-empty"),
         ("Test", [], EmptyUniverseError, "Test: no tickers configured"),
-        ("Test", ["AAA", "BBB", "AAA"], ValueError, "Test: duplicate tickers in universe"),
+        ("Test", ["AAA", "BBB", "AAA"], ValueError, "duplicate Test: ticker 'AAA'"),
     ],
     ids=["empty-sector", "no-tickers", "repeated-ticker"],
 )
@@ -597,10 +605,66 @@ def test_every_reader_keeps_the_one_dialect(name):
     assert str(caught.value) == f"<stream>: line 3: expected {width} fields, got 2"
     if bad_headers is not None:
         blank, repeated = bad_headers
-        with pytest.raises(DataFormatError, match="^<stream>: line 1: blank column name"):
+        with pytest.raises(DataFormatError, match="^<stream>: line 1: column must be non-empty$"):
             read(blank, *rows)
-        with pytest.raises(DataFormatError, match="^<stream>: line 1: repeated column '(AAA|ewp)'"):
+        with pytest.raises(DataFormatError, match="^<stream>: line 1: duplicate column '(AAA|ewp)'$"):
             read(repeated, *rows)
+
+
+def _round_trip(write, read, value):
+    buf = io.StringIO()
+    write(value, buf)
+    buf.seek(0)
+    return read(buf)
+
+
+# each writer and its reader: what to write over a list of names, and the names read back
+_NAME_WRITERS = {
+    "long-prices": (
+        lambda names: PricePanel(names, [D1], np.ones((len(names), 1))),
+        write_long_csv, parse_price_file, lambda panel: panel.tickers,
+    ),
+    "weights": (
+        lambda names: [equal_weights(names)] * 3,
+        lambda books, dest: write_weights_csv(*books, dest), read_weights_csv,
+        lambda books: books["ewp"].tickers,
+    ),
+    "summary": (
+        lambda names: [SectorResult(name, 0.1, 0.2) for name in names],
+        write_summary, read_sector_results, lambda results: [r.sector for r in results],
+    ),
+    "frontier": (
+        lambda names: sample_frontier(
+            [0.1] * len(names), CovarianceMatrix(names, np.eye(len(names)) * 1e-4), 20, 3),
+        export_frontier, read_frontier_csv, lambda out: out[0],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ["M&M", "BAJAJ-AUTO", "A,B", 'A"B', "Ünï"])
+@pytest.mark.parametrize("pair", list(_NAME_WRITERS))
+def test_a_name_reads_back_as_written(pair, name):
+    build, write, read, names_of = _NAME_WRITERS[pair]
+    names = [name, "ZZZ"]
+    assert names_of(_round_trip(write, read, build(names))) == names
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SectorResult("  ", 0.1, 0.2), "sector name must be non-empty"),
+        (lambda: PricePanel(["", "B"], [D1], np.ones((2, 1))), "ticker must be non-empty"),
+        (lambda: WeightVector([" A"], np.ones(1)), "ticker ' A' has surrounding whitespace"),
+        (lambda: CovarianceMatrix(["A "], np.eye(1)), "ticker 'A ' has surrounding whitespace"),
+        (lambda: UniverseConfig(" Auto", ["AAA"], (D1, D1), (D2, D2)),
+         "sector name ' Auto' has surrounding whitespace"),
+    ],
+    ids=["blank-sector", "empty-ticker", "padded-weight", "padded-covariance", "padded-sector"],
+)
+def test_no_record_takes_a_name_that_would_not_read_back(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 def test_a_byte_that_is_not_utf8_is_placed_on_its_line(tmp_path):
@@ -731,16 +795,16 @@ _FETCH_JUNK = ["", "2022-01-04,n/d"]
         # a header fault names line 1
         (parse_price_file, ["day,ticker,close"],
          "<stream>: line 1: first column must be 'date', got ['day', 'ticker', 'close']"),
-        (parse_price_file, ["date,AAA,AAA"], "<stream>: line 1: repeated column 'AAA' in header"),
+        (parse_price_file, ["date,AAA,AAA"], "<stream>: line 1: duplicate column 'AAA'"),
         (read_weights_csv, ["tick,ewp"], "<stream>: line 1: not a weights header"),
         (read_sector_results, ["sector,ewp"], "<stream>: line 1: not a sector-result header"),
         (read_frontier_csv, ["annual_risk,annual_return,sharpe,w_,flag"],
-         "<stream>: line 1: blank column name in header"),
+         "<stream>: line 1: column must be non-empty"),
         (_fetch, ["Date,Close," + "x" * (csv.field_size_limit() + 1)],
          f"AAA: line 1: field larger than field limit ({csv.field_size_limit()})"),
         # a header record split by a quoted newline ends, and is named, at line 2
         (parse_price_file, ['"date', '",A,A', "2022-01-03,1,2"],
-         "<stream>: line 2: repeated column 'A' in header"),
+         "<stream>: line 2: duplicate column 'A'"),
         # a fault of the whole file names no line
         (parse_price_file, ["date,ticker,close", *_JUNK], "<stream>: no quotes"),
         (read_weights_csv, ["ticker,ewp", *_JUNK], "<stream>: no weight rows"),

@@ -181,6 +181,14 @@ def test_summary_requires_results():
         write_summary([], io.StringIO())
 
 
+def test_summary_refuses_a_repeated_sector_and_writes_nothing(tmp_path):
+    # read_sector_results would reject the file it wrote
+    path = tmp_path / "summary.csv"
+    with pytest.raises(ValueError, match="^duplicate sector name 'A'$"):
+        write_summary([SectorResult("A", 0.1, 0.2), SectorResult("A", 0.2, 0.1)], path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_read_sector_results_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "summary.csv"
     path.write_text(

@@ -202,7 +202,7 @@ def test_covariance_matrix_validation():
         CovarianceMatrix(["A"], np.array([[1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         CovarianceMatrix([], np.zeros((0, 0)))
-    with pytest.raises(ValueError, match="^duplicate tickers in covariance matrix$"):
+    with pytest.raises(ValueError, match="^duplicate ticker 'A'$"):
         CovarianceMatrix(["A", "A"], np.eye(2))
 
 
