@@ -1,10 +1,10 @@
 """The package's one CSV dialect (UTF-8, ``\\n`` line ends), over a path or a stream.
 
-`read_text` is the only code that reads an input, each once and whole,
-`csv_reader` the only code that filters rows and names a faulty line,
-`names` the only code that refuses a blank, padded or repeated name in a
-list, and `staged` the only code that creates, renames or deletes an
-output temporary.
+`read_text` alone reads an input, each once and whole; `pieces` alone cuts a
+text into pieces; `csv_reader` alone filters rows and names a faulty line;
+`names` alone refuses a blank, padded or repeated name, and `first_cells` a
+first-cell name that opens with ``#``; `staged` alone creates, renames or
+deletes an output temporary.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import DataFormatError
 Target = str | os.PathLike | IO[str]
 Rows = Iterator[tuple[int, list[str]]]  # a source's data rows as (line, fields)
 
-_LINES = 1 << 16  # characters of a `SourceText` turned into lines at a time
+_PIECE = 1 << 18  # characters a piece of `pieces` holds at least, 256 KiB of ASCII
 
 
 class SourceText(NamedTuple):
@@ -31,17 +31,21 @@ class SourceText(NamedTuple):
     text: str
 
 
-def lines(text: str) -> Iterator[str]:
-    """The lines of `text` as a file opened with ``newline=""`` gives them,
-    so `csv_reader` reads a `SourceText` like that file."""
-    # a line always ends right after a "\n", "\r\n" included, so each
-    # piece cut there splits into the file's own lines; a piece at a time
-    # keeps the copy that does the splitting small
-    start = 0
+def pieces(text: str, start: int = 0) -> Iterator[str]:
+    """`text` from `start` on in pieces of whole lines, each ending at the first
+    ``\\n`` at least `_PIECE` characters past its start, or at the text's end."""
     while start < len(text):
-        end = text.find("\n", start + _LINES) + 1 or len(text)
-        yield from io.StringIO(text[start:end], newline="")
+        end = text.find("\n", start + _PIECE) + 1 or len(text)
+        yield text[start:end]
         start = end
+
+
+def lines(text: str) -> Iterator[str]:
+    """The lines of `text` as a file opened with ``newline=""`` gives them, split a
+    piece of about 256 KiB at a time, so `csv_reader` reads a `SourceText` like that file."""
+    # a line ends right after a "\n", "\r\n" too, so a piece splits into whole lines
+    for piece in pieces(text):
+        yield from io.StringIO(piece, newline="")
 
 
 def read_text(source: Target) -> SourceText:
@@ -99,12 +103,10 @@ def csv_reader(source: Target | SourceText) -> Iterator[tuple[str, Rows, list[st
 
 def _data_rows(reader: Any, width: int) -> Rows:
     for row in reader:
-        # most rows pass this cheaper test; any other gets the rule in full
-        if not (len(row) == width and row[0].strip() and row[0][0] != "#"):
-            if not any(map(str.strip, row)) or row[0].startswith("#"):
-                continue
-            if len(row) != width:
-                raise ValueError(f"expected {width} fields, got {len(row)}")
+        if not any(map(str.strip, row)) or row[0].startswith("#"):
+            continue
+        if len(row) != width:
+            raise ValueError(f"expected {width} fields, got {len(row)}")
         yield reader.line_num, row
 
 
@@ -122,6 +124,14 @@ def names(given: list[str], what: str) -> list[str]:
             raise ValueError(f"duplicate {what} {name!r}")
         seen.add(name)
     return given
+
+
+def first_cells(given: list[str], what: str) -> list[str]:
+    """`names(given, what)`, when no name strips to one a first cell reads as a comment."""
+    for name in given:
+        if name.strip().startswith("#"):
+            raise ValueError(f"{what} {name!r} reads as a CSV comment")
+    return names(given, what)
 
 
 @contextmanager

@@ -63,7 +63,7 @@ import numpy as np
 
 from ._files import csv_reader, csv_writer, names
 from .errors import DegenerateSampleError, EmptyCloudError
-from .portfolio import WeightVector, _aligned, _annual_risks, _book_returns, _risk_free
+from .portfolio import WeightVector, _aligned, _annual_risks, _book_returns, _check_simplex, _risk_free
 from .return_stats import CovarianceMatrix
 
 __all__ = [
@@ -117,7 +117,7 @@ class FrontierCloud:
         seed: int,
         sampler: str,
     ) -> None:
-        self.tickers = tickers
+        self.tickers = names(tickers, "ticker")
         self.annual_returns = annual_returns
         self.annual_risks = annual_risks
         self.sharpe_ratios = sharpe_ratios
@@ -388,7 +388,7 @@ def read_frontier_csv(
     Each row is (annual_risk, annual_return, sharpe, weights, flag), the
     flag one of ``mrp``, ``orp``, ``mrp+orp`` or empty. Raises
     DataFormatError on any malformed line, including weights that
-    `WeightVector` rejects and a second row flagged ``mrp`` or ``orp``.
+    are not a long-only book and a second row flagged ``mrp`` or ``orp``.
     """
     with csv_reader(source) as (_, data, header):
         if (
@@ -405,7 +405,8 @@ def read_frontier_csv(
             if row[-1] not in _FLAG_WORDS:
                 raise ValueError(f"unknown flag {row[-1]!r}")
             values = [float(x) for x in row[:-1]]
-            weights = WeightVector(tickers, values[3:]).weights
+            weights = np.array(values[3:])
+            _check_simplex(weights)
             for flag in filter(None, row[-1].split("+")):
                 if flag in flagged:
                     raise ValueError(f"flag {flag!r} repeats line {flagged[flag]}")

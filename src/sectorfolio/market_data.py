@@ -76,7 +76,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from ._files import Rows, csv_reader, csv_writer, names, read_text
+from ._files import Rows, csv_reader, csv_writer, first_cells, names, pieces, read_text
 from .errors import (
     DataFormatError,
     EmptyPanelError,
@@ -100,6 +100,12 @@ __all__ = [
 ]
 
 _DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
+
+
+def _increasing(dates: list[date], what: str) -> None:
+    for a, b in zip(dates, dates[1:]):
+        if a >= b:
+            raise ValueError(f"{what} not strictly increasing at {b}")
 
 
 def parse_iso_date(text: str) -> date:
@@ -127,9 +133,7 @@ class PriceSeries:
             )
         if self.closes.size == 0:
             raise ValueError(f"{self.ticker}: empty price series")
-        for a, b in zip(self.dates, self.dates[1:]):
-            if a >= b:
-                raise ValueError(f"{self.ticker}: dates not strictly increasing at {b}")
+        _increasing(self.dates, f"{self.ticker}: dates")
         if not np.all(np.isfinite(self.closes)) or np.any(self.closes <= 0.0):
             raise ValueError(f"{self.ticker}: closes must be finite and positive")
 
@@ -151,9 +155,7 @@ class PricePanel:
         self.tickers = names(tickers, "ticker")
         if not dates:
             raise EmptyPanelError("panel has no dates")
-        for a, b in zip(dates, dates[1:]):
-            if a >= b:
-                raise ValueError(f"panel dates not strictly increasing at {b}")
+        _increasing(dates, "panel dates")
         self.dates = dates
         self.closes = np.asarray(closes, dtype=float)
         if self.closes.shape != (len(self.tickers), len(self.dates)):
@@ -254,12 +256,10 @@ class UniverseConfig:
         test_window: tuple[date, date],
         prices: str | None = None,
     ) -> None:
-        names([sector], "sector name")
+        first_cells([sector], "sector name")
         if not tickers:
             raise EmptyUniverseError(f"{sector}: no tickers configured")
-        for ticker in names(tickers, f"{sector}: ticker"):
-            if ticker.startswith("#"):
-                raise ValueError(f"{sector}: ticker {ticker!r} reads as a CSV comment")
+        first_cells(tickers, f"{sector}: ticker")
         _check_windows(train_window, test_window, f"{sector}: ")
         self.sector = sector
         self.tickers = tickers
@@ -380,7 +380,6 @@ def _quote_matrix(quotes: dict[str, dict[date, float]]) -> _Parsed:
 
 
 _LONG_HEADER = ["date", "ticker", "close"]
-_CHUNK = 1 << 18  # characters of long-layout text, about 256 KiB, split at a time
 
 
 def _parse_long_arrays(text: str) -> _Parsed | None:
@@ -410,9 +409,7 @@ def _parse_long_arrays(text: str) -> _Parsed | None:
     row_parts: list[np.ndarray] = []
     col_parts: list[np.ndarray] = []
     close_parts: list[np.ndarray] = []
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK) + 1 or len(text)
-        chunk, start = text[start:end], end
+    for chunk in pieces(text, start):
         if not chunk.endswith("\n"):
             chunk += "\n"
         raw = np.frombuffer(chunk.encode("utf-8", "surrogatepass"), np.uint8)

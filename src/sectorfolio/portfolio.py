@@ -12,7 +12,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._files import names
+from ._files import first_cells
 from .errors import AlignmentError, EmptyUniverseError
 from .return_stats import TRADING_DAYS_PER_YEAR, CovarianceMatrix
 
@@ -38,6 +38,15 @@ def _risk_free(rf: float) -> float:
     return rate
 
 
+def _check_simplex(weights: np.ndarray) -> None:
+    """`weights` are finite, non-negative and sum to 1 within `_SUM_TOLERANCE`."""
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
+        raise ValueError("weights must be finite and non-negative")
+    total = float(weights.sum())
+    if abs(total - 1.0) > _SUM_TOLERANCE:
+        raise ValueError(f"weights must sum to 1 within {_SUM_TOLERANCE}, got {total!r}")
+
+
 class WeightVector:
     """Long-only portfolio weights aligned to a ticker list.
 
@@ -47,17 +56,13 @@ class WeightVector:
     def __init__(self, tickers: list[str], weights: np.ndarray) -> None:
         if not tickers:
             raise EmptyUniverseError("weight vector needs at least one ticker")
-        self.tickers = names(tickers, "ticker")
+        self.tickers = first_cells(tickers, "ticker")
         self.weights = np.asarray(weights, dtype=float)
         if self.weights.shape != (len(self.tickers),):
             raise ValueError(
                 f"{len(self.tickers)} tickers vs weight shape {self.weights.shape}"
             )
-        if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0.0):
-            raise ValueError("weights must be finite and non-negative")
-        total = float(self.weights.sum())
-        if abs(total - 1.0) > _SUM_TOLERANCE:
-            raise ValueError(f"weights must sum to 1 within {_SUM_TOLERANCE}, got {total!r}")
+        _check_simplex(self.weights)
 
     def __len__(self) -> int:
         return len(self.tickers)

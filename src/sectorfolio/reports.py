@@ -12,7 +12,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from ._files import csv_reader, csv_writer, names
+from ._files import csv_reader, csv_writer, first_cells, names
 from .errors import AlignmentError, DataFormatError, EmptySummaryError
 from .portfolio import WeightVector
 from .return_stats import AssetStats
@@ -42,9 +42,7 @@ class SectorResult:
     """
 
     def __init__(self, sector: str, ewp_test_return: float, orp_test_return: float) -> None:
-        if sector.strip().startswith("#"):
-            raise ValueError(f"sector name {sector!r} reads as a CSV comment")
-        names([sector], "sector name")
+        first_cells([sector], "sector name")
         if not np.isfinite([ewp_test_return, orp_test_return]).all():
             raise ValueError("test returns must be finite")
         self.sector = sector

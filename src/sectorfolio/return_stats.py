@@ -24,7 +24,7 @@ import numpy as np
 
 from ._files import names
 from .errors import DegenerateAssetError, InsufficientDataError
-from .market_data import PricePanel, PriceSeries
+from .market_data import PricePanel, PriceSeries, _increasing
 
 __all__ = [
     "TRADING_DAYS_PER_YEAR",
@@ -51,6 +51,7 @@ class ReturnSeries:
     """
 
     def __init__(self, ticker: str, dates: list[date], returns: np.ndarray) -> None:
+        names([ticker], "ticker")
         self.ticker = ticker
         self.dates = dates
         self.returns = np.asarray(returns, dtype=float)
@@ -58,9 +59,7 @@ class ReturnSeries:
             raise ValueError(
                 f"{self.ticker}: {len(self.dates)} dates vs {self.returns.size} returns"
             )
-        for a, b in zip(self.dates, self.dates[1:]):
-            if a >= b:
-                raise ValueError(f"{self.ticker}: dates not strictly increasing at {b}")
+        _increasing(self.dates, f"{self.ticker}: dates")
         if not np.all(np.isfinite(self.returns)) or np.any(self.returns <= -1.0):
             raise ValueError(
                 f"{self.ticker}: simple returns must be finite and greater than -1"

@@ -1049,20 +1049,46 @@ def test_a_rerun_that_excludes_nothing_removes_the_old_exclusions_log(tmp_path, 
     assert read_weights_csv(out / "weights.csv")["ewp"].tickers == TICKERS
 
 
-def test_pipeline_all_reports_an_unreadable_ini_and_runs_the_rest(tmp_path, capsys):
-    configs = tmp_path / "configs"
-    _three_sectors_sharing_one_file(configs)
-    bad = configs / "delta.ini"
-    bad.write_text("[universe]\nsector = Delta\ntickers = AAA\ntrain = 2021-01-04:2021-03-26\n",
+def test_pipeline_all_reports_an_unreadable_ini_and_runs_the_rest(tmp_path, monkeypatch, capsys):
+    for case, edit, reason in [
+        ("missing-key", lambda text: text.split("test =")[0], "missing 'test' in [universe]"),
+        ("comment-sector", lambda text: text.replace("sector = Delta", "sector=#Auto"),
+         "sector name '#Auto' reads as a CSV comment"),
+    ]:
+        (tmp_path / case).mkdir()
+        configs = tmp_path / case / "configs"
+        prices = _three_sectors_sharing_one_file(configs)
+        # a price file of its own, which a sector read from this INI would parse
+        own = configs / "delta.csv"
+        own.write_bytes(prices.read_bytes())
+        universe = read_universe_config(configs / "alpha.ini")
+        bad = write_universe(configs / "delta.ini", "Delta", ["AAA"], universe.train_window,
+                             universe.test_window, prices=own.name)
+        bad.write_text(edit(bad.read_text(encoding="utf-8")), encoding="utf-8")
+        parsed = _count_parses(monkeypatch)
+        out = tmp_path / case / "out"
+        assert run_cli("pipeline", "--universe", configs, "--all", "--out", out,
+                       "--samples", 200) == 1
+        assert parsed == [prices], case
+        captured = capsys.readouterr()
+        assert captured.err == f"sectorfolio pipeline: {bad}: {reason}\n"
+        assert f"wrote {out / 'summary.csv'}" in captured.out
+        assert [r.sector for r in read_sector_results(out / "summary.csv")] == [
+            "Alpha", "Beta", "Gamma"]
+
+
+@pytest.mark.parametrize("command", SECTOR_COMMANDS)
+def test_a_sector_name_that_reads_as_a_comment_is_refused_with_its_ini(tmp_path, capsys, command):
+    ini, _ = build_sector(tmp_path)
+    ini.write_text(ini.read_text(encoding="utf-8").replace("sector = Demo", "sector=#Auto"),
                    encoding="utf-8")
     out = tmp_path / "out"
-    assert run_cli("pipeline", "--universe", configs, "--all", "--out", out,
-                   "--samples", 200) == 1
+    assert run_cli(*_sector_argv(command, ini, out, tmp_path / "weights.csv")) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"sectorfolio pipeline: {bad}: missing 'test' in [universe]\n"
-    assert f"wrote {out / 'summary.csv'}" in captured.out
-    assert [r.sector for r in read_sector_results(out / "summary.csv")] == [
-        "Alpha", "Beta", "Gamma"]
+    assert captured.err == (
+        f"sectorfolio {command}: {ini}: sector name '#Auto' reads as a CSV comment\n")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_pipeline_all_rejects_a_risk_free_rate_that_is_not_finite_in_one_line(tmp_path, capsys):

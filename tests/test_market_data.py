@@ -15,10 +15,12 @@ from sectorfolio import (
     EmptyPanelError,
     EmptyUniverseError,
     FetchError,
+    FrontierCloud,
     InsufficientDataError,
     MissingTickerError,
     PricePanel,
     PriceSeries,
+    ReturnSeries,
     SectorResult,
     UniverseConfig,
     WeightVector,
@@ -38,7 +40,7 @@ from sectorfolio import (
     write_weights_csv,
 )
 
-from sectorfolio import market_data
+from sectorfolio import _files, market_data
 from sectorfolio.fetch import fetch_history
 
 from helpers import check_array_path, random_panel, weekdays
@@ -329,8 +331,9 @@ def test_panel_validation():
         ("", ["AAA"], ValueError, "sector name must be non-empty"),
         ("Test", [], EmptyUniverseError, "Test: no tickers configured"),
         ("Test", ["AAA", "BBB", "AAA"], ValueError, "duplicate Test: ticker 'AAA'"),
+        ("#Auto", ["AAA"], ValueError, "sector name '#Auto' reads as a CSV comment"),
     ],
-    ids=["empty-sector", "no-tickers", "repeated-ticker"],
+    ids=["empty-sector", "no-tickers", "repeated-ticker", "comment-sector"],
 )
 def test_universe_config_names_what_it_rejects(sector, tickers, error, message):
     with pytest.raises(error) as caught:
@@ -658,8 +661,14 @@ def test_a_name_reads_back_as_written(pair, name):
         (lambda: CovarianceMatrix(["A "], np.eye(1)), "ticker 'A ' has surrounding whitespace"),
         (lambda: UniverseConfig(" Auto", ["AAA"], (D1, D1), (D2, D2)),
          "sector name ' Auto' has surrounding whitespace"),
+        (lambda: ReturnSeries("", [D1], np.zeros(1)), "ticker must be non-empty"),
+        (lambda: ReturnSeries(" X", [D1], np.zeros(1)), "ticker ' X' has surrounding whitespace"),
+        (lambda: FrontierCloud([" A", "B"], *np.zeros((3, 1)), 0, "uniform"),
+         "ticker ' A' has surrounding whitespace"),
+        (lambda: WeightVector(["#X", "A"], np.full(2, 0.5)), "ticker '#X' reads as a CSV comment"),
     ],
-    ids=["blank-sector", "empty-ticker", "padded-weight", "padded-covariance", "padded-sector"],
+    ids=["blank-sector", "empty-ticker", "padded-weight", "padded-covariance", "padded-sector",
+         "empty-returns", "padded-returns", "padded-cloud", "comment-weight"],
 )
 def test_no_record_takes_a_name_that_would_not_read_back(build, message):
     with pytest.raises(ValueError) as caught:
@@ -914,12 +923,12 @@ def _random_long_text(rng, anomaly=None, newline="\n"):
     return text.removesuffix(newline) if anomaly == "no-final-newline" else text
 
 
-@pytest.mark.parametrize("chunk", [1, 40, market_data._CHUNK])
+@pytest.mark.parametrize("chunk", [1, 40, _files._PIECE])
 def test_array_path_gives_the_loop_panel_or_leaves_the_text_to_it(chunk):
     rng = random.Random(20261019 + chunk)
     for newline in ("\n", "\r\n"):
         taken = {name: 0 for name in [None, *_ANOMALIES]}
-        with mock.patch.object(market_data, "_CHUNK", chunk):
+        with mock.patch.object(_files, "_PIECE", chunk):
             for _ in range(40):
                 for anomaly in taken:
                     taken[anomaly] += check_array_path(_random_long_text(rng, anomaly, newline))
@@ -935,14 +944,14 @@ def _three_chunks():
     days = weekdays(date(2000, 1, 3), 1800)
     lines = [f"{d},T{i:02d},{100 + i + j / 8}" for j, d in enumerate(days) for i in range(20)]
     text = "date,ticker,close\n" + "".join(line + "\n" for line in lines)
-    assert len(text) > 3 * market_data._CHUNK
+    assert len(text) > 3 * _files._PIECE
     return text, text.index("\n") + 1
 
 
 def test_a_repeat_two_chunks_after_its_first_row_is_named_by_the_loop():
     text, body = _three_chunks()
     first = text[body:text.index("\n", body)]  # 2000-01-03,T00,100.0, on line 2
-    at = text.index("\n", body + 2 * market_data._CHUNK + 1000) + 1  # inside chunk 3
+    at = text.index("\n", body + 2 * _files._PIECE + 1000) + 1  # inside chunk 3
     text = text[:at] + first.replace(",100.0", ",7") + "\n" + text[at:]
     assert check_array_path(text) is False
     with pytest.raises(DataFormatError) as caught:
@@ -959,7 +968,7 @@ def test_a_blank_or_comment_line_past_the_first_chunk_is_skipped_by_the_loop(lin
     if where == "last-line":
         at = len(clean)
     else:
-        at = clean.index("\n", body + market_data._CHUNK + 1000) + 1
+        at = clean.index("\n", body + _files._PIECE + 1000) + 1
     text = clean[:at] + line + "\n" + clean[at:]
     assert check_array_path(text) is False
     panel, expected = parse_price_file(io.StringIO(text)), parse_price_file(io.StringIO(clean))
@@ -982,7 +991,7 @@ def test_a_line_across_a_chunk_boundary_is_read_whole():
     text, body = _three_chunks()
     # the first chunk takes whole lines up to the newline at or after `cut`,
     # so the line from `lo` to `hi` is cut by a plain split at `cut`
-    cut = body + market_data._CHUNK
+    cut = body + _files._PIECE
     lo, hi = text.rindex("\n", 0, cut) + 1, text.index("\n", cut)
     assert lo < cut < hi
     assert check_array_path(text) is True
@@ -1039,7 +1048,7 @@ _UNIVERSE_INI = (
 
 def _counted_opens(monkeypatch):
     """Every path the reading modules open, and the arguments of every read of it."""
-    from sectorfolio import _files, frontier, reports
+    from sectorfolio import frontier, reports
 
     opens, reads = [], []
 

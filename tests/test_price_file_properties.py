@@ -21,7 +21,7 @@ from sectorfolio import (  # noqa: E402
     parse_price_file,
     write_long_csv,
 )
-from sectorfolio import _files, market_data  # noqa: E402
+from sectorfolio import _files  # noqa: E402
 
 from helpers import check_array_path  # noqa: E402
 
@@ -143,10 +143,10 @@ def _long_texts(draw):
     return text if draw(st.booleans()) else text.removesuffix(newline)
 
 
-@given(text=_long_texts(), chunk=st.sampled_from([1, 16, market_data._CHUNK]))
+@given(text=_long_texts(), chunk=st.sampled_from([1, 16, _files._PIECE]))
 @settings(max_examples=300, deadline=None)
 def test_array_path_gives_the_loop_panel_or_leaves_the_text_to_it(text, chunk):
-    with mock.patch.object(market_data, "_CHUNK", chunk):
+    with mock.patch.object(_files, "_PIECE", chunk):
         check_array_path(text)
 
 
@@ -154,5 +154,5 @@ def test_array_path_gives_the_loop_panel_or_leaves_the_text_to_it(text, chunk):
 @settings(max_examples=300, deadline=None)
 def test_a_source_text_has_the_lines_of_a_file(text, size):
     as_file = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="")
-    with mock.patch.object(_files, "_LINES", size):
+    with mock.patch.object(_files, "_PIECE", size):
         assert list(_files.lines(text)) == list(as_file)
