@@ -13,9 +13,11 @@ Subcommands:
 * ``summary``   combine sector_result.csv files -> summary.csv
 * ``fetch``     download close histories -> canonical long CSV
 
-Each sector command parses its price file once, in one runner that hands
-the panel to its ``cmd_*`` function and reports a failure as one
-``sectorfolio <command>: <sector>: <reason>`` line. A command writes each
+The five sector commands run through one runner. It checks each option
+once, before any file is read, so a bad one is one ``sectorfolio
+<command>: <reason>`` line; then it parses each price file once, hands the
+panel to the command's ``cmd_*`` function and reports a failed sector as
+one ``sectorfolio <command>: <sector>: <reason>`` line. A command writes each
 of its files to its own temporary, renames them into place one after
 another once all are written, then prints one ``wrote <path>`` line per
 file, and exits 0 only when every requested output was written.
@@ -28,7 +30,6 @@ import gc
 import os
 import re
 import sys
-from collections.abc import Callable
 from datetime import date
 from functools import partial
 from pathlib import Path
@@ -91,10 +92,10 @@ _USER_ERRORS = (AnalyticsError, MemoryError, OSError, ValueError, ZeroDivisionEr
 class RunConfig(NamedTuple):
     """Everything one sector run needs, fixed once built. Its windows are the
     universe's own (`--train`/`--test` replace them there, and `UniverseConfig`
-    checks their order); samples, seed, threshold and capital are checked where
-    used, before any write. `pipeline --all` checks each of these options once,
-    before its first sector. The command-line options take their defaults from
-    `RunConfig._field_defaults`."""
+    checks their order). The command line checks samples, seed, rf, threshold
+    and capital once, before any file is read; the library calls that use them
+    check them again, before any write. The command-line options take their
+    defaults from `RunConfig._field_defaults`."""
 
     universe: UniverseConfig
     prices: Path
@@ -281,30 +282,20 @@ def _resolve_prices(prices_arg: str | None, universe: UniverseConfig, config_pat
 
 
 def _run_options(args: argparse.Namespace) -> dict[str, object]:
-    """The RunConfig fields that `args` sets, built once for every universe file.
+    """The RunConfig fields that `args` sets, built and checked once for every
+    universe file, before any file is read.
 
-    A subcommand that lacks an option keeps RunConfig's default for it.
+    A subcommand that lacks an option keeps RunConfig's default for it. The
+    `--train`/`--test` pair is checked on its own here; a window that clashes
+    only with a universe file's other window is found by `UniverseConfig`.
     """
     given = {k: v for k, v in vars(args).items() if k in RunConfig._field_defaults}
-    if "rf" in given:
-        given["rf"] = _risk_free(given["rf"])
+    for name, check in (("rf", _risk_free), ("samples", _check_samples), ("seed", _check_seed),
+                        ("threshold", _check_threshold), ("capital", _check_capital)):
+        if name in given:
+            check(given[name])
+    _check_windows(args.train, args.test)
     return given
-
-
-def _config_from_args(
-    args: argparse.Namespace, config_path: Path, options: dict[str, object]
-) -> RunConfig:
-    read = read_universe_config(config_path)
-    universe = UniverseConfig(
-        read.sector, read.tickers, args.train or read.train_window,
-        args.test or read.test_window, read.prices,
-    )
-    return RunConfig(
-        universe=universe,
-        prices=_resolve_prices(args.prices, universe, config_path),
-        out_dir=Path(args.out),
-        **options,
-    )
 
 
 def _window_arg(text: str) -> tuple[date, date]:
@@ -382,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", parents=[run, mc, money], help="full sector run")
     p.add_argument("--all", action="store_true", help="--universe is a directory of universe INI files")
     p.add_argument("--jobs", type=_ignored_count_arg, help="ignored (must be >= 1); kept so older command lines run")
-    p.set_defaults(handler=_handle_pipeline, cmd=cmd_pipeline)
+    p.set_defaults(handler=_handle_sector, cmd=cmd_pipeline)
 
     p = sub.add_parser("summary", help="combine sector results")
     p.add_argument("results", nargs="+", help="sector_result.csv files")
@@ -403,80 +394,63 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_sector(
-    command: str,
-    config: RunConfig,
-    panels: dict[Path, PricePanel | Exception],
-    run: Callable[[RunConfig, PricePanel], object],
-) -> object:
-    """One sector command: ``run(config, prices)`` on its parsed price file.
-
-    A failure is one ``sectorfolio <command>: <sector>: <reason>`` line on
-    stderr, and None. `panels` holds each price file's panel, or the error
-    its one parse raised, so sectors sharing a file parse it once. A closed
-    stdout (BrokenPipeError) is raised, as no later sector could print either.
-    """
-    try:
-        if config.prices not in panels:
-            try:
-                panels[config.prices] = parse_price_file(config.prices)
-            except _USER_ERRORS as exc:
-                panels[config.prices] = exc
-        parsed = panels[config.prices]
-        if isinstance(parsed, Exception):
-            raise parsed
-        return run(config, parsed)
-    except BrokenPipeError:
-        raise
-    except _USER_ERRORS as exc:
-        print(f"sectorfolio {command}: {config.universe.sector}: {exc}", file=sys.stderr)
-        return None
-
-
 def _handle_sector(args: argparse.Namespace) -> int:
+    """A sector command on `--universe`, or under ``pipeline --all`` on every
+    `*.ini` of that directory in sorted order, each sector in its slug
+    directory, then summary.csv of the sectors that finished.
+
+    An INI that cannot be read is one ``sectorfolio <command>: <message>``
+    line and a failed sector one ``sectorfolio <command>: <sector>: <reason>``
+    line; the rest still run. `panels` holds each price file's panel, or the
+    error its one parse raised, so sectors sharing a file parse it once. A
+    closed stdout (BrokenPipeError) is raised, as no later sector could print
+    either.
+    """
+    options = _run_options(args)
     run = args.cmd
     if run is cmd_backtest:
         run = partial(cmd_backtest, weights_file=args.weights, column=args.column, mode=args.mode)
-    config = _config_from_args(args, Path(args.universe), _run_options(args))
-    return 0 if _run_sector(args.command, config, {}, run) is not None else 1
-
-
-def _handle_pipeline(args: argparse.Namespace) -> int:
-    if not args.all:
-        return _handle_sector(args)
-    config_paths = sorted(Path(args.universe).glob("*.ini"))
+    every = getattr(args, "all", False)
+    config_paths = sorted(Path(args.universe).glob("*.ini")) if every else [Path(args.universe)]
     if not config_paths:
         raise EmptyUniverseError(f"no universe configs (*.ini) in {args.universe}")
     out = Path(args.out)
-    options = _run_options(args)
-    # each sector would fail on a bad value alike, so it fails once, here
-    _check_samples(args.samples)
-    _check_seed(args.seed)
-    _check_threshold(args.threshold)
-    _check_capital(args.capital)
-    _check_windows(args.train, args.test)
     configs: list[RunConfig] = []
     claimed: dict[Path, Path] = {}  # output directory -> the INI that claimed it
     for path in config_paths:
         try:
-            config = _config_from_args(args, path, options)
+            read = read_universe_config(path)
+            universe = UniverseConfig(
+                read.sector, read.tickers, args.train or read.train_window,
+                args.test or read.test_window, read.prices,
+            )
+            prices = _resolve_prices(args.prices, universe, path)
         except _USER_ERRORS as exc:
-            # an unreadable INI is reported and skipped, like a failed sector
-            print(f"sectorfolio pipeline: {exc}", file=sys.stderr)
+            print(f"sectorfolio {args.command}: {exc}", file=sys.stderr)
             continue
-        config = config._replace(out_dir=out / _slug(config.universe.sector))
-        first = claimed.setdefault(config.out_dir, path)
+        out_dir = out / _slug(universe.sector) if every else out
+        first = claimed.setdefault(out_dir, path)
         if first != path:
-            raise ValueError(f"{first} and {path} both write to {config.out_dir}")
-        configs.append(config)
+            raise ValueError(f"{first} and {path} both write to {out_dir}")
+        configs.append(RunConfig(universe, prices, out_dir, **options))
     panels: dict[Path, PricePanel | Exception] = {}
-    # one failed sector is reported and skipped; the rest still run
-    results: list[SectorResult] = []
+    results = []
     for config in configs:
-        result = _run_sector("pipeline", config, panels, cmd_pipeline)
-        if result is not None:
-            results.append(result)
-    if results:
+        try:
+            if config.prices not in panels:
+                try:
+                    panels[config.prices] = parse_price_file(config.prices)
+                except _USER_ERRORS as exc:
+                    panels[config.prices] = exc
+            parsed = panels[config.prices]
+            if isinstance(parsed, Exception):
+                raise parsed
+            results.append(run(config, parsed))
+        except BrokenPipeError:
+            raise
+        except _USER_ERRORS as exc:
+            print(f"sectorfolio {args.command}: {config.universe.sector}: {exc}", file=sys.stderr)
+    if every and results:
         _write_files(out, None, ("summary.csv", write_summary, results))
     return 0 if len(results) == len(config_paths) else 1
 

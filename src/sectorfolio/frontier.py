@@ -61,7 +61,7 @@ from typing import IO, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._files import csv_reader, csv_writer, names
+from ._files import csv_reader, csv_writer, first_cells, names
 from .errors import DegenerateSampleError, EmptyCloudError
 from .portfolio import WeightVector, _aligned, _annual_risks, _book_returns, _check_simplex, _risk_free
 from .return_stats import CovarianceMatrix
@@ -117,7 +117,7 @@ class FrontierCloud:
         seed: int,
         sampler: str,
     ) -> None:
-        self.tickers = names(tickers, "ticker")
+        self.tickers = first_cells(tickers, "ticker")
         self.annual_returns = annual_returns
         self.annual_risks = annual_risks
         self.sharpe_ratios = sharpe_ratios

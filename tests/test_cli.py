@@ -26,6 +26,7 @@ from sectorfolio import (
     write_long_csv,
     write_sector_result,
     SAMPLERS,
+    EmptyCloudError,
     SectorResult,
 )
 import sectorfolio
@@ -156,7 +157,7 @@ def test_a_negative_seed_fails_in_one_line_naming_it(tmp_path, capsys):
     assert run_cli("weights", "--universe", ini, "--out", out, "--seed", -1) == 1
     captured = capsys.readouterr()
     assert captured.err == (
-        "sectorfolio weights: Demo: seed must be an integer in [0, 2**128), got -1\n")
+        "sectorfolio weights: seed must be an integer in [0, 2**128), got -1\n")
     assert captured.out == "" and not out.exists()
 
 
@@ -469,11 +470,25 @@ def test_pipeline_rejects_capital_that_is_not_finite_before_writing(tmp_path, ca
     assert run_cli("pipeline", "--universe", ini, "--out", out, f"--capital={capital}") == 1
     captured = capsys.readouterr()
     assert captured.err == (
-        f"sectorfolio pipeline: Capital Sector: capital must be positive and finite, "
+        "sectorfolio pipeline: capital must be positive and finite, "
         f"got {float(capital)}\n"
     )
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option, error, reason", [
+    ({"samples": 0}, EmptyCloudError, "n_samples must be at least 1, got 0"),
+    ({"capital": float("nan")}, ValueError, "capital must be positive and finite, got nan"),
+], ids=["samples", "capital"])
+def test_cmd_pipeline_still_checks_a_bad_option_before_writing(tmp_path, option, error, reason):
+    # the command line checks options first; a library caller has only these checks
+    ini, prices = build_sector(tmp_path)
+    config = cli.RunConfig(read_universe_config(ini), prices, tmp_path / "out", **option)
+    with pytest.raises(error) as caught:
+        cli.cmd_pipeline(config, parse_price_file(prices))
+    assert str(caught.value) == reason
+    assert not config.out_dir.exists()
 
 
 def test_backtest_names_a_book_ticker_outside_the_universe(tmp_path, capsys):
@@ -1132,20 +1147,24 @@ def test_sampler_choices_are_the_samplers(capsys, command):
         "overlapping-windows"])
 def test_pipeline_all_rejects_a_bad_option_in_one_line_before_any_sector_runs(
         tmp_path, capsys, monkeypatch, options, reason):
+    # one sector, on every command that takes the option, fails alike, reading no file
     configs = tmp_path / "configs"
     _three_sectors_sharing_one_file(configs)
     parsed = _count_parses(monkeypatch)
     out = tmp_path / "out"
-    assert run_cli("pipeline", "--universe", configs, "--all", "--out", out, *options) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"sectorfolio pipeline: {reason}\n"
-    assert captured.out == ""
-    assert parsed == []
-    assert not out.exists()
-    # one sector still names itself
-    assert run_cli("pipeline", "--universe", configs / "alpha.ini", "--out", out, *options) == 1
-    assert capsys.readouterr().err == f"sectorfolio pipeline: Alpha: {reason}\n"
-    assert not out.exists()
+    takers = {"--samples": ["weights", "frontier", "pipeline"],
+              "--seed": ["weights", "frontier", "pipeline"],
+              "--capital": ["backtest", "pipeline"]}.get(options[0], SECTOR_COMMANDS)
+    runs = [("pipeline", ["pipeline", "--universe", configs, "--all", "--out", out])]
+    runs += [(command, _sector_argv(command, configs / "alpha.ini", out, tmp_path / "weights.csv"))
+             for command in takers]
+    for command, argv in runs:
+        assert run_cli(*argv, *options) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"sectorfolio {command}: {reason}\n"
+        assert captured.out == ""
+        assert parsed == []
+        assert not out.exists()
 
 
 COMMANDS = ["stats", "weights", "frontier", "backtest", "pipeline", "pipeline --all", "summary"]

@@ -666,9 +666,11 @@ def test_a_name_reads_back_as_written(pair, name):
         (lambda: FrontierCloud([" A", "B"], *np.zeros((3, 1)), 0, "uniform"),
          "ticker ' A' has surrounding whitespace"),
         (lambda: WeightVector(["#X", "A"], np.full(2, 0.5)), "ticker '#X' reads as a CSV comment"),
+        (lambda: sample_frontier([0.1, 0.2], CovarianceMatrix(["#X", "A"], np.eye(2))),
+         "ticker '#X' reads as a CSV comment"),
     ],
     ids=["blank-sector", "empty-ticker", "padded-weight", "padded-covariance", "padded-sector",
-         "empty-returns", "padded-returns", "padded-cloud", "comment-weight"],
+         "empty-returns", "padded-returns", "padded-cloud", "comment-weight", "comment-cloud"],
 )
 def test_no_record_takes_a_name_that_would_not_read_back(build, message):
     with pytest.raises(ValueError) as caught:
