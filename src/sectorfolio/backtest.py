@@ -156,7 +156,7 @@ def backtest_from_panel(
         raise InsufficientDataError(
             f"backtest needs at least 2 dates, panel has {panel.n_dates}"
         )
-    closes = panel.restrict(weights.tickers).closes
+    closes = panel.window(weights.tickers).closes
     return run_backtest(weights, closes[:, 0], closes[:, -1], capital, mode, nominal_universe_size)
 
 

@@ -178,15 +178,14 @@ def cmd_frontier(config: RunConfig, prices: PricePanel) -> Path:
 
 
 def _test_panel(config: RunConfig, prices: PricePanel, tickers: list[str]) -> PricePanel:
-    """A book's complete test-window closes.
-
-    A leading gap carries the ticker's last close on or before the test
-    start, taken from the full-span `prices`, never a later quote. A
-    ticker without such a close, or without any test quote, fails the
-    sector.
+    """A book's complete test-window closes, from the first test date on
+    which a book ticker trades. A leading gap carries the ticker's last
+    close on or before the test start, taken from the full-span `prices`,
+    never a later quote. A ticker without such a close, or without any
+    test quote, fails the sector.
     """
     window = config.universe.test_window
-    panel = load_price_panel(prices, config.universe, window).restrict(tickers)
+    panel = load_price_panel(prices, config.universe, window).window(tickers)
     return fill_gaps(panel, prices.last_closes(tickers, window[0]))
 
 

@@ -41,7 +41,7 @@ class MissingTickerError(AnalyticsError):
 
 
 class EmptyPanelError(AnalyticsError):
-    """Loading or restricting a panel produced no dates or no tickers."""
+    """Loading or cutting a panel produced no dates or no tickers."""
 
 
 class EmptyUniverseError(AnalyticsError):

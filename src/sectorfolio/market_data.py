@@ -42,23 +42,26 @@ row-by-row loop, which reads on past the header and names the faulty
 line. One scan of the whole text finds a quote, a NUL or a stray
 ``\r``; a blank line is caught by its chunk's count of commas, and a
 comment line by its date cell.
-A wide file always goes through its loop. `PricePanel.window` cuts a
-universe's tickers and one date window from it by slicing, keeping the
-union of in-window dates on which those tickers trade. The CLI parses
-each price file once per invocation and cuts every window it needs from
-that one panel with `load_price_panel`, which also takes a file and
-parses it whole.
+A wide file always goes through its loop. `PricePanel.window` is the
+one way to cut a panel: some tickers, in the order given, over an
+optional date window, keeping only the dates on which one of them
+trades. The CLI parses each price file once per invocation and cuts
+every window from that one panel with `load_price_panel`. A panel holds
+its closes, and `CovarianceMatrix` its entries, in C order, so equal
+values give equal bits however a panel was built or cut.
 
 `apply_missing_data_policy` drops tickers whose missing fraction over
-the panel's dates exceeds the threshold, then fills the remaining gaps:
-forward from the last traded price, and backward only at the head of a
-series (a late listing has no earlier price to carry). The test window
-is never back-filled: `fill_gaps` with an ``opening`` price fills a
-book ticker's leading test gap with its last close on or before the
-test start (`PricePanel.last_closes` on the full-span panel), so a
-backtest never buys at a quote from after its buy date. A book ticker
-with no quote in the test window is not filled at all: it raises
-InsufficientDataError.
+the panel's dates exceeds the threshold and cuts the panel to the rest
+(a date on which only an excluded ticker traded goes too), then fills
+the remaining gaps: forward from the last traded price, and backward
+only at the head of a series (a late listing has no earlier price to
+carry). A book's test panel, cut to the book's tickers, opens on the
+first test date on which one of them trades and is never back-filled:
+`fill_gaps` with an ``opening`` price fills a book ticker's leading
+test gap with its last close on or before the test start
+(`PricePanel.last_closes` on the full-span panel), so a backtest never
+buys at a quote from after its buy date. A book ticker with no quote in
+the test window is not filled at all: it raises InsufficientDataError.
 """
 
 from __future__ import annotations
@@ -146,7 +149,7 @@ class PricePanel:
 
     ``closes[i, j]`` is the close of ``tickers[i]`` on ``dates[j]``, or
     NaN if that ticker has no observation on that date. Observed cells
-    are always finite and positive.
+    are always finite and positive; `closes` is held in C order.
     """
 
     def __init__(self, tickers: list[str], dates: list[date], closes: np.ndarray) -> None:
@@ -157,7 +160,7 @@ class PricePanel:
             raise EmptyPanelError("panel has no dates")
         _increasing(dates, "panel dates")
         self.dates = dates
-        self.closes = np.asarray(closes, dtype=float)
+        self.closes = np.ascontiguousarray(closes, dtype=float)
         if self.closes.shape != (len(self.tickers), len(self.dates)):
             raise ValueError(
                 f"closes shape {self.closes.shape} does not match "
@@ -194,13 +197,6 @@ class PricePanel:
         dates = [d for d, keep in zip(self.dates, mask) if keep]
         return PriceSeries(ticker, dates, row[mask])
 
-    def restrict(self, tickers: Iterable[str]) -> "PricePanel":
-        """Sub-panel holding `tickers` in the given order, dates unchanged."""
-        wanted = list(tickers)
-        if not wanted:
-            raise EmptyUniverseError("cannot restrict panel to zero tickers")
-        return PricePanel(wanted, list(self.dates), self.closes[self._rows(wanted)])
-
     def window(
         self,
         tickers: Iterable[str],
@@ -209,13 +205,14 @@ class PricePanel:
     ) -> "PricePanel":
         """Sub-panel of `tickers`, in the given order, over one date window.
 
-        The window is inclusive; None leaves that end open. Its dates are
-        the window's dates on which at least one of `tickers` has a quote.
+        The one way to cut a panel. The window is inclusive; None leaves
+        that end open. Its dates are the window's dates on which at least
+        one of `tickers` has a quote, so fewer tickers can mean fewer dates.
 
         Raises
         ------
         MissingTickerError : some ticker is not in this panel.
-        EmptyPanelError : none of `tickers` has a quote in the window.
+        EmptyPanelError : `tickers` is empty or has no quote in the window.
         """
         wanted = list(tickers)
         rows = self._rows(wanted)
@@ -226,7 +223,7 @@ class PricePanel:
         if quoted.size == 0:
             where = "" if start is None and end is None else f" in {start}:{end}"
             raise EmptyPanelError(f"no observations for any configured ticker{where}")
-        return PricePanel(wanted, [self.dates[lo + j] for j in quoted], block[:, quoted])
+        return PricePanel(wanted, [self.dates[lo + j] for j in quoted], block.take(quoted, 1))
 
     def last_closes(self, tickers: Iterable[str], on_or_before: date) -> np.ndarray:
         """Each ticker's last close on or before a date; NaN where it has none."""
@@ -468,7 +465,7 @@ def _parse_wide(rows: Rows, header: list[str]) -> _Parsed:
         )
     dates = sorted(days)
     by_date = np.frombuffer(values).reshape(len(dates), len(tickers))
-    return tickers, dates, by_date[[days[d] for d in dates]].T.copy()
+    return tickers, dates, by_date[[days[d] for d in dates]].T
 
 
 def parse_price_file(source: str | Path | IO[str]) -> PricePanel:
@@ -507,7 +504,7 @@ def load_price_panel(
     universe: UniverseConfig,
     window: tuple[date, date] | None = None,
 ) -> PricePanel:
-    """Load, restrict, and align closing prices for a universe.
+    """Load closing prices for a universe and cut one window from them.
 
     Parses a file source whole with `parse_price_file` and cuts one
     window from it (`PricePanel.window`). A caller that needs several
@@ -523,8 +520,8 @@ def load_price_panel(
 
     Returns
     -------
-    PricePanel over the union of in-window observation dates, in universe
-    ticker order, with NaN where a ticker has no observation.
+    PricePanel over the in-window dates on which a universe ticker has a
+    quote, in universe ticker order, NaN where a ticker has none.
 
     Raises
     ------
@@ -589,7 +586,7 @@ def apply_missing_data_policy(
     A ticker is excluded when its missing fraction over the panel's
     dates is strictly greater than `threshold` (default 0.30). The
     returned panel is complete: every cell holds a finite positive
-    price.
+    price, on the dates on which a retained ticker has a quote.
 
     Returns
     -------
@@ -610,7 +607,7 @@ def apply_missing_data_policy(
             "all tickers exceed the missing-data threshold: "
             + ", ".join(f"{t} ({f:.0%})" for t, f in excluded)
         )
-    return fill_gaps(panel.restrict(retained)), excluded
+    return fill_gaps(panel.window(retained)), excluded
 
 
 def write_long_csv(panel: PricePanel, dest: str | Path | IO[str]) -> None:

@@ -81,9 +81,10 @@ class AssetStats(NamedTuple):
 class CovarianceMatrix:
     """Sample covariance of daily returns across a set of assets.
 
-    `entries` is in daily units. `annualized()` scales by the trading
-    year for annual-variance arithmetic. Construction validates symmetry
-    and rejects matrices that are materially non-positive-semidefinite.
+    `entries` is in daily units and held in C order. `annualized()`
+    scales by the trading year for annual-variance arithmetic.
+    Construction validates symmetry and rejects matrices that are
+    materially non-positive-semidefinite.
     """
 
     def __init__(self, tickers: list[str], entries: np.ndarray) -> None:
@@ -91,7 +92,7 @@ class CovarianceMatrix:
         if n == 0:
             raise ValueError("covariance needs at least one ticker")
         self.tickers = names(tickers, "ticker")
-        self.entries = np.asarray(entries, dtype=float)
+        self.entries = np.ascontiguousarray(entries, dtype=float)
         if self.entries.shape != (n, n):
             raise ValueError(
                 f"covariance shape {self.entries.shape} does not match {n} tickers"

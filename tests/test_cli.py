@@ -15,7 +15,11 @@ import pytest
 
 from sectorfolio import (
     PricePanel,
+    annual_volatility,
+    apply_missing_data_policy,
     backtest_from_panel,
+    daily_returns,
+    daily_volatility,
     fill_gaps,
     load_price_panel,
     parse_price_file,
@@ -102,12 +106,13 @@ def test_weights_then_backtest_roundtrip(tmp_path):
     report_lines = (out / "backtest_orp.csv").read_text(encoding="utf-8").splitlines()
     assert report_lines[-1].startswith("TOTAL,")
 
-    # the CLI figure must match the library run on the same book
+    # the CLI figure must match the library run on the same book, its
+    # leading test gaps filled by the rule README documents
     universe = read_universe_config(ini)
+    tickers = books["orp"].tickers
+    test = load_price_panel(prices, universe, universe.test_window).window(tickers)
     test_panel = fill_gaps(
-        load_price_panel(prices, universe, universe.test_window).restrict(
-            books["orp"].tickers
-        )
+        test, parse_price_file(prices).last_closes(tickers, universe.test_window[0])
     )
     expected = backtest_from_panel(books["orp"], test_panel, 100_000.0)
     total = report_lines[-1].split(",")
@@ -731,6 +736,62 @@ def test_book_ticker_without_any_test_quote_fails_the_sector(tmp_path, capsys):
     assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 200) == 1
     assert "Delisted: CCC: no observations to fill from" in capsys.readouterr().err
     assert not (out / "backtest_ewp.csv").exists()
+
+
+# CCC alone trades on 2021-01-06 and 2021-01-12; the screen excludes it
+SCREENED_CSV = """date,ticker,close
+2021-01-04,AAA,10
+2021-01-05,AAA,11
+2021-01-07,AAA,12
+2021-01-08,AAA,12.5
+2021-01-11,AAA,13
+2021-01-13,AAA,15
+2021-01-14,AAA,16
+2021-01-04,BBB,20
+2021-01-05,BBB,21
+2021-01-07,BBB,20.5
+2021-01-08,BBB,21.5
+2021-01-11,BBB,22
+2021-01-13,BBB,23
+2021-01-14,BBB,24
+2021-01-06,CCC,30
+2021-01-12,CCC,31
+"""
+
+
+def _screened_sector(tmp_path):
+    (tmp_path / "screened.csv").write_text(SCREENED_CSV, encoding="utf-8")
+    return write_universe(
+        tmp_path / "screened.ini", "Screened", ["AAA", "BBB", "CCC"],
+        (date(2021, 1, 1), date(2021, 1, 11)), (date(2021, 1, 12), date(2021, 1, 31)),
+        prices="screened.csv",
+    )
+
+
+def test_the_training_panel_keeps_no_date_on_which_only_an_excluded_ticker_traded(tmp_path):
+    ini = _screened_sector(tmp_path)
+    universe = read_universe_config(ini)
+    raw = load_price_panel(tmp_path / "screened.csv", universe, universe.train_window)
+    panel, excluded = apply_missing_data_policy(raw)
+    assert [t for t, _ in excluded] == ["CCC"]
+    assert panel.dates == [date(2021, 1, d) for d in (4, 5, 7, 8, 11)]
+    # AAA's risk is that of its own five closes, with no zero-return day added
+    out = tmp_path / "out"
+    assert run_cli("stats", "--universe", ini, "--out", out) == 0
+    rows = (out / "stats.csv").read_text(encoding="utf-8").splitlines()
+    risk = annual_volatility(daily_volatility(daily_returns(raw.series("AAA"))))
+    assert rows[1].split(",")[::2] == ["AAA", f"{risk * 100.0:.2f}"]
+
+
+def test_the_test_window_opens_on_the_first_date_a_book_ticker_trades(tmp_path):
+    # AAA last closed at 13.00 before the window and first trades in it at 15.00
+    ini = _screened_sector(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 200) == 0
+    report = (out / "backtest_ewp.csv").read_text(encoding="utf-8")
+    rows = {r.split(",")[0]: r.split(",") for r in report.splitlines()}
+    assert (rows["AAA"][2], rows["BBB"][2]) == ("15.00", "23.00")
+    assert (rows["AAA"][5], rows["BBB"][5]) == ("16.00", "24.00")
 
 
 def _snapshot(directory):

@@ -96,9 +96,12 @@ def test_sample_stats_match_portfolio_arithmetic():
 
 def test_same_seed_reproduces_cloud_bitwise():
     a = sample_frontier(MU3, COV3, n_samples=500, seed=11)
-    b = sample_frontier(MU3, COV3, n_samples=500, seed=11)
-    assert np.array_equal(a.annual_risks, b.annual_risks)
-    assert np.array_equal(a.weight_rows(0, 500), b.weight_rows(0, 500))
+    # the same entries in Fortran order
+    fortran = CovarianceMatrix(TICKERS3, np.asfortranarray(COV3.entries))
+    for cov in (COV3, fortran):
+        b = sample_frontier(MU3, cov, n_samples=500, seed=11)
+        assert np.array_equal(a.annual_risks, b.annual_risks)
+        assert np.array_equal(a.weight_rows(0, 500), b.weight_rows(0, 500))
 
 
 def test_different_seeds_differ():

@@ -270,22 +270,21 @@ def test_policy_exclusion_monotone_in_threshold():
         assert {t for t, _ in excluded_high} <= {t for t, _ in excluded_low}
 
 
-def test_restrict_preserves_requested_order():
+def test_window_preserves_requested_order():
     panel = load_price_panel(io.StringIO(LONG_CSV), make_universe(["AAA", "BBB"]))
-    sub = panel.restrict(["BBB"])
-    assert sub.tickers == ["BBB"]
-    assert sub.closes.tolist() == [[50.0, 51.0, 52.0]]
+    sub = panel.window(["BBB", "AAA"])
+    assert sub.tickers == ["BBB", "AAA"]
+    assert sub.closes.tolist() == [[50.0, 51.0, 52.0], [100.0, 110.0, 99.0]]
     with pytest.raises(MissingTickerError):
-        panel.restrict(["AAA", "ZZZ"])
-    with pytest.raises(EmptyUniverseError):
-        panel.restrict([])
+        panel.window(["AAA", "ZZZ"])
+    with pytest.raises(EmptyPanelError):
+        panel.window([])
 
 
 @pytest.mark.parametrize("cut", [
     lambda panel, tickers: panel.window(tickers),
-    lambda panel, tickers: panel.restrict(tickers),
     lambda panel, tickers: panel.last_closes(tickers, D3),
-], ids=["window", "restrict", "last_closes"])
+], ids=["window", "last_closes"])
 def test_every_absent_ticker_is_named(cut):
     panel = PricePanel(["AAA", "BBB"], [D1, D2, D3], np.ones((2, 3)))
     with pytest.raises(MissingTickerError) as info:

@@ -22,6 +22,7 @@ from sectorfolio import (
     ReturnSeries,
     annual_volatility,
     annualize_return,
+    apply_missing_data_policy,
     asset_stats,
     correlation_matrix,
     covariance_matrix,
@@ -132,18 +133,23 @@ def test_asset_stats_matches_per_series_pipeline():
 def test_stats_and_covariance_bits_are_pinned():
     # digests taken from the per-ticker implementation, before asset_stats
     # read the returns matrix; a change in how returns are divided or
-    # reduced moves them
+    # reduced moves them. Equal closes give equal bits however they sit in
+    # memory, and the quick start's window gives the CLI's filled panel's bits
     panel = random_panel([f"T{i:02d}" for i in range(49)], 1250, seed=49)
-    stats = np.array(
-        [(s.annual_return, s.daily_volatility, s.annual_volatility) for s in asset_stats(panel)]
-    )
-    entries = covariance_matrix(panel).entries
-    assert hashlib.sha256(stats.tobytes()).hexdigest() == (
-        "19878a4a2056c489cc47144a627dcb20f539fb9c129b4273b1a69df9f565d37a"
-    )
-    assert hashlib.sha256(entries.tobytes()).hexdigest() == (
-        "5d75738d29d4c5c78a1557acc66441fdb33d7d00cc1b91b5b3619a36d3842bfd"
-    )
+    fortran = PricePanel(panel.tickers, panel.dates, np.asfortranarray(panel.closes))
+    train = panel.window(panel.tickers, panel.dates[0], panel.dates[-1])
+    for case in (panel, fortran, train, apply_missing_data_policy(train)[0]):
+        stats = np.array(
+            [(s.annual_return, s.daily_volatility, s.annual_volatility)
+             for s in asset_stats(case)]
+        )
+        entries = covariance_matrix(case).entries
+        assert hashlib.sha256(stats.tobytes()).hexdigest() == (
+            "19878a4a2056c489cc47144a627dcb20f539fb9c129b4273b1a69df9f565d37a"
+        )
+        assert hashlib.sha256(entries.tobytes()).hexdigest() == (
+            "5d75738d29d4c5c78a1557acc66441fdb33d7d00cc1b91b5b3619a36d3842bfd"
+        )
 
 
 def test_asset_stats_requires_complete_panel():
