@@ -17,10 +17,12 @@ The five sector commands run through one runner. It checks each option
 once, before any file is read, so a bad one is one ``sectorfolio
 <command>: <reason>`` line; then it parses each price file once, hands the
 panel to the command's ``cmd_*`` function and reports a failed sector as
-one ``sectorfolio <command>: <sector>: <reason>`` line. A command writes each
-of its files to its own temporary, renames them into place one after
-another once all are written, then prints one ``wrote <path>`` line per
-file, and exits 0 only when every requested output was written.
+one ``sectorfolio <command>: <sector>: <reason>`` line. Each ``cmd_*`` but
+``backtest`` is one `_Sector` and the files it writes, so ``stats``
+samples nothing and ``frontier`` selects no book. A command writes each of
+its files to its own temporary, renames them into place one after another
+once all are written, then prints one ``wrote <path>`` line per file, and
+exits 0 only when every requested output was written.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ import os
 import re
 import sys
 from datetime import date
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import IO, NamedTuple
 
 from ._files import csv_writer, staged
-from .backtest import MODES, _check_capital, backtest_from_panel, write_backtest_csv
+from .backtest import MODES, BacktestReport, _check_capital, backtest_from_panel, write_backtest_csv
 from .errors import AnalyticsError, EmptySummaryError, EmptyUniverseError
 from .frontier import (
     SAMPLERS,
@@ -72,7 +74,7 @@ from .reports import (
     write_summary,
     write_weights_csv,
 )
-from .return_stats import AssetStats, asset_stats, covariance_matrix
+from .return_stats import asset_stats, covariance_matrix
 
 __all__ = [
     "RunConfig",
@@ -108,30 +110,6 @@ class RunConfig(NamedTuple):
     capital: float = 100_000.0
 
 
-def _train(
-    config: RunConfig, prices: PricePanel
-) -> tuple[PricePanel, list[tuple[str, float]], list[AssetStats]]:
-    """The training panel after the missing-data policy, its exclusions and its stats."""
-    raw = load_price_panel(prices, config.universe, config.universe.train_window)
-    panel, excluded = apply_missing_data_policy(raw, config.threshold)
-    return panel, excluded, asset_stats(panel)
-
-
-def _cloud(config: RunConfig, panel: PricePanel, stats: list[AssetStats]) -> FrontierCloud:
-    mu = [s.annual_return for s in stats]  # panel order, the covariance's order
-    cov = covariance_matrix(panel)
-    return sample_frontier(mu, cov, config.samples, config.seed, config.rf, sampler=config.sampler)
-
-
-def _books(panel: PricePanel, cloud: FrontierCloud) -> tuple[WeightVector, WeightVector, WeightVector]:
-    """The EWP, MRP and ORP books of one training run."""
-    return (
-        equal_weights(panel.tickers),
-        min_risk_portfolio(cloud).weights,
-        optimum_risk_portfolio(cloud).weights,
-    )
-
-
 def _exclusions_csv(excluded: list[tuple[str, float]], dest: IO[str]) -> None:
     with csv_writer(dest, ["ticker", "missing_fraction"]) as (_, writer):
         writer.writerows([ticker, f"{fraction:.4f}"] for ticker, fraction in excluded)
@@ -155,26 +133,6 @@ def _write_files(out_dir: Path, excluded: list[tuple[str, float]] | None, *files
         (out_dir / "exclusions.log").unlink(missing_ok=True)
     print(*(f"wrote {path}" for path in paths), sep="\n")
     return paths[0]
-
-
-def cmd_stats(config: RunConfig, prices: PricePanel) -> Path:
-    """Write training-window per-ticker stats; returns the file path."""
-    _, excluded, stats = _train(config, prices)
-    return _write_files(config.out_dir, excluded, ("stats.csv", write_stats_csv, stats))
-
-
-def cmd_weights(config: RunConfig, prices: PricePanel) -> Path:
-    """Write the EWP, MRP, and ORP books for one sector."""
-    panel, excluded, stats = _train(config, prices)
-    books = _books(panel, _cloud(config, panel, stats))
-    return _write_files(config.out_dir, excluded, ("weights.csv", write_weights_csv, *books))
-
-
-def cmd_frontier(config: RunConfig, prices: PricePanel) -> Path:
-    """Write the sampled frontier cloud with MRP/ORP flags."""
-    panel, excluded, stats = _train(config, prices)
-    cloud = _cloud(config, panel, stats)
-    return _write_files(config.out_dir, excluded, ("frontier.csv", export_frontier, cloud))
 
 
 def _test_panel(config: RunConfig, prices: PricePanel, tickers: list[str]) -> PricePanel:
@@ -217,36 +175,78 @@ def cmd_backtest(
     return _write_files(config.out_dir, None, (f"backtest_{column}.csv", write_backtest_csv, report))
 
 
+# bench/traced_cli.py times each layer by wrapping its name in this module,
+# so _Sector calls each layer function by that name when it runs, keeps no
+# reference to one, and cuts each window with its own load_price_panel call.
+class _Sector:
+    """One sector run on `prices`, `config.prices` parsed. Built, it trains;
+    its cloud, books, backtests and result are each computed when first read."""
+
+    def __init__(self, config: RunConfig, prices: PricePanel) -> None:
+        self.config, self.prices = config, prices
+        raw = load_price_panel(prices, config.universe, config.universe.train_window)
+        self.panel, self.excluded = apply_missing_data_policy(raw, config.threshold)
+        self.stats = asset_stats(self.panel)
+
+    @cached_property
+    def cloud(self) -> FrontierCloud:
+        mu = [s.annual_return for s in self.stats]  # panel order, the covariance's order
+        c, cov = self.config, covariance_matrix(self.panel)
+        return sample_frontier(mu, cov, c.samples, c.seed, c.rf, sampler=c.sampler)
+
+    @cached_property
+    def books(self) -> tuple[WeightVector, WeightVector, WeightVector]:
+        """The EWP, MRP and ORP books."""
+        return (equal_weights(self.panel.tickers), min_risk_portfolio(self.cloud).weights,
+                optimum_risk_portfolio(self.cloud).weights)
+
+    @cached_property
+    def backtests(self) -> tuple[BacktestReport, BacktestReport]:
+        """The EWP backtest, one ticket of capital/n per configured ticker (so
+        exclusions leave cash idle), and the ORP backtest on full capital."""
+        (ewp, _, orp), c = self.books, self.config
+        test_panel = _test_panel(c, self.prices, self.panel.tickers)
+        n = len(c.universe.tickers)
+        return (backtest_from_panel(ewp, test_panel, c.capital, "fixed-amount-per-stock", n),
+                backtest_from_panel(orp, test_panel, c.capital))
+
+    @cached_property
+    def result(self) -> SectorResult:
+        ewp, orp = self.backtests
+        return SectorResult(self.config.universe.sector, ewp.holding_return, orp.holding_return)
+
+
+def cmd_stats(config: RunConfig, prices: PricePanel) -> Path:
+    """Write training-window per-ticker stats; returns the file path."""
+    run = _Sector(config, prices)
+    return _write_files(config.out_dir, run.excluded, ("stats.csv", write_stats_csv, run.stats))
+
+
+def cmd_weights(config: RunConfig, prices: PricePanel) -> Path:
+    """Write the EWP, MRP, and ORP books for one sector."""
+    run = _Sector(config, prices)
+    return _write_files(config.out_dir, run.excluded, ("weights.csv", write_weights_csv, *run.books))
+
+
+def cmd_frontier(config: RunConfig, prices: PricePanel) -> Path:
+    """Write the sampled frontier cloud with MRP/ORP flags."""
+    run = _Sector(config, prices)
+    return _write_files(config.out_dir, run.excluded, ("frontier.csv", export_frontier, run.cloud))
+
+
 def cmd_pipeline(config: RunConfig, prices: PricePanel) -> SectorResult:
-    """Run one sector end to end and write all report files.
-
-    Training: stats, covariance, frontier cloud, candidate books.
-    Test: a fixed-amount-per-stock equal-weight backtest (one ticket of
-    capital/n per configured ticker, so exclusions leave cash idle)
-    against a full-capital ORP backtest. `prices` is `config.prices`
-    parsed (`parse_price_file`); both windows are cut from it, and every
-    result is computed before `_write_files`, so a failure changes no file.
-    """
-    panel, excluded, stats = _train(config, prices)
-    cloud = _cloud(config, panel, stats)
-    ewp, mrp, orp = _books(panel, cloud)
-    test_panel = _test_panel(config, prices, panel.tickers)
-    ewp_report = backtest_from_panel(
-        ewp, test_panel, config.capital,
-        mode="fixed-amount-per-stock", nominal_universe_size=len(config.universe.tickers),
-    )
-    orp_report = backtest_from_panel(orp, test_panel, config.capital)
-    result = SectorResult(
-        config.universe.sector, ewp_report.holding_return, orp_report.holding_return
-    )
-
+    """Run one sector end to end and write all report files. The result is
+    read first, so every stage is computed before the first file is written
+    and a failure changes no file."""
+    run = _Sector(config, prices)
+    result = run.result
     _write_files(
-        config.out_dir, excluded,
-        ("stats.csv", write_stats_csv, stats),
-        ("weights.csv", write_weights_csv, ewp, mrp, orp),
-        ("frontier.csv", export_frontier, cloud),
-        ("backtest_ewp.csv", write_backtest_csv, ewp_report),
-        ("backtest_orp.csv", write_backtest_csv, orp_report),
+        config.out_dir, run.excluded,
+        ("stats.csv", write_stats_csv, run.stats),
+        ("weights.csv", write_weights_csv, *run.books),
+        ("frontier.csv", export_frontier, run.cloud),
+        ("backtest_ewp.csv", write_backtest_csv, run.backtests[0]),
+        ("backtest_orp.csv", write_backtest_csv, run.backtests[1]),
         ("sector_result.csv", write_sector_result, result),
     )
     print(

@@ -4,6 +4,7 @@ import csv
 import errno
 import filecmp
 import gc
+import hashlib
 import os
 import subprocess
 import sys
@@ -38,7 +39,7 @@ from sectorfolio import cli
 from sectorfolio._files import csv_writer
 from sectorfolio.cli import main
 
-from helpers import random_panel, write_universe
+from helpers import random_panel, weekdays, write_universe
 
 TICKERS = ["AAA", "BBB", "CCC"]
 
@@ -1253,3 +1254,95 @@ def test_every_command_announces_exactly_the_files_it_writes(tmp_path, capsys, c
     if command in ("stats", "weights", "frontier", "pipeline"):
         # each command's own files come first, the exclusions log last
         assert wrote[-1] == out / "exclusions.log"
+    if command not in ("backtest", "summary"):
+        # a sector's files are the prep pipeline's, whichever command wrote them
+        sector_files = [p for p in wrote if p.name != "summary.csv"]
+        assert sector_files
+        for path in sector_files:
+            assert path.read_bytes() == (prep / path.name).read_bytes(), path.name
+
+
+def _constant_sector(tmp_path):
+    """Two tickers whose closes never move: every sample of the cloud has zero risk."""
+    tickers, days = ["AAA", "BBB"], 40
+    closes = np.array([[10.0] * days, [20.0] * days])
+    panel = PricePanel(tickers, weekdays(date(2021, 1, 4), days), closes)
+    write_long_csv(panel, tmp_path / "flat.csv")
+    return write_universe(
+        tmp_path / "flat.ini", "Flat", tickers, (panel.dates[0], panel.dates[29]),
+        (panel.dates[30], panel.dates[-1]), prices="flat.csv",
+    )
+
+
+def test_stats_and_frontier_run_on_a_zero_risk_cloud_which_has_no_orp(tmp_path):
+    # frontier samples but selects no book: the cloud exports with its MRP flagged
+    ini = _constant_sector(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("stats", "--universe", ini, "--out", out) == 0
+    assert run_cli("frontier", "--universe", ini, "--out", out, "--samples", 50) == 0
+    with open(out / "frontier.csv", encoding="utf-8", newline="") as fh:
+        flags = [row["flag"] for row in csv.DictReader(fh)]
+    assert (len(flags), flags.count("mrp"), flags.count("orp")) == (50, 1, 0)
+    assert "mrp+orp" not in flags
+
+
+@pytest.mark.parametrize("command", ["weights", "pipeline"])
+def test_a_command_that_selects_books_fails_a_zero_risk_cloud_in_one_line(
+        tmp_path, capsys, command):
+    ini = _constant_sector(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(command, "--universe", ini, "--out", out, "--samples", 50) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"sectorfolio {command}: Flat: cloud contains a zero-risk "
+                            "sample; Sharpe selection is undefined\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def _pinned_sector(root):
+    """Five tickers on 60 training and 20 test weekdays, closes from an integer
+    LCG so the file's bytes depend on no float. DDD lists 40 days into training
+    and is excluded; CCC does not trade on the first 5 test days, so its EWP
+    ticket is bought at its last training close."""
+    dates = weekdays(date(2021, 1, 4), 80)
+    x, rows = 20230101, ["date,ticker,close"]
+    for ticker in ("AAA", "BBB", "CCC", "DDD", "EEE"):
+        cents = 5000
+        for day, when in enumerate(dates):
+            x = (x * 1103515245 + 12345) % 2**31
+            cents = max(100, cents + (x >> 16) % 161 - 78)
+            if not (ticker == "DDD" and day < 40 or ticker == "CCC" and 60 <= day < 65):
+                rows.append(f"{when},{ticker},{cents // 100}.{cents % 100:02d}")
+    (root / "pinned.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return write_universe(
+        root / "pinned.ini", "Pinned", ["AAA", "BBB", "CCC", "DDD", "EEE"],
+        (dates[0], dates[59]), (dates[60], dates[79]), prices="pinned.csv",
+    )
+
+
+PINNED_SHA256 = {
+    "stats.csv": "b972d24749996e6057c35da14776390b743c94d52ca0f4d6209388ae9c4ac84f",
+    "weights.csv": "4faf4d9e697ecaff43eb2e37072ace0ab4bbf2c53e88dda3cb4f6a0bf1326674",
+    "frontier.csv": "71b68e649a4210e1e01b6997c205a546f482acf54cb74251e8f91b1990ae66fe",
+    "backtest_ewp.csv": "d748a54d8f45969386e9e750e21152a47f56d4fb6083b7ed0dce481e008832e2",
+    "backtest_orp.csv": "fa39118b3b511b4359a7026c21cf8a3afeeba8bbdc7065802a49a7b1b8863b41",
+    "sector_result.csv": "de5be8f01e260723a6ece5e5c61a10c4ff725d947311939313fb5b62053e013e",
+    "exclusions.log": "6c7ba424c956e4e302512abb587bb381d79d93b149a69c48d15d206e3cda4eb2",
+}
+
+
+def test_a_pipeline_run_writes_the_pinned_bytes(tmp_path, capsys):
+    ini = _pinned_sector(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--universe", ini, "--out", out, "--samples", 400,
+                   "--seed", 11) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "Pinned: EWP 2.63% vs ORP 2.05% -> EWP"
+    assert (out / "exclusions.log").read_text(encoding="utf-8").splitlines()[1:] == ["DDD,0.6667"]
+    ewp = {r.split(",")[0]: r.split(",") for r in
+           (out / "backtest_ewp.csv").read_text(encoding="utf-8").splitlines()}
+    ccc = [r.split(",")[2] for r in (tmp_path / "pinned.csv").read_text(
+        encoding="utf-8").splitlines() if ",CCC," in r]
+    assert ewp["CCC"][2] == f"{float(ccc[59]):.2f}"
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == PINNED_SHA256
