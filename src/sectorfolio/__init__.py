@@ -8,6 +8,10 @@ drives the same steps per sector and rolls results into a cross-sector
 summary.
 
 The package's public names are those its modules list in ``__all__``.
+
+No class is a dataclass, whose methods each import compiles by ``exec``
+(about 7 ms a call): a record of fields alone is a `typing.NamedTuple`
+(about 0.1 ms at import), and any other class writes out its ``__init__``.
 """
 
 from . import backtest, errors, frontier, market_data, portfolio, reports, return_stats

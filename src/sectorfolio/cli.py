@@ -32,10 +32,9 @@ import gc
 import os
 import re
 import sys
-from datetime import date
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from pathlib import Path
-from typing import IO, NamedTuple
+from typing import IO, Callable, NamedTuple
 
 from ._files import csv_writer, staged
 from .backtest import MODES, BacktestReport, _check_capital, backtest_from_panel, write_backtest_csv
@@ -297,18 +296,12 @@ def _run_options(args: argparse.Namespace) -> dict[str, object]:
     return given
 
 
-def _window_arg(text: str) -> tuple[date, date]:
+def _option(parse: Callable[[str], object], text: str) -> object:
+    """`parse(text)`, its ValueError made the option's error: an argparse type as a partial."""
     try:
-        return parse_window(text)
+        return parse(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _date_arg(text: str) -> date:
-    try:
-        return parse_iso_date(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an ISO date, got {text!r}") from None
 
 
 def _ignored_count_arg(text: str) -> int:
@@ -331,8 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--universe", required=True, help="universe INI file (directory with pipeline --all)")
     run.add_argument("--prices", help="price CSV, or a directory of <config-stem>.csv files")
-    run.add_argument("--train", type=_window_arg, help="training window START:END, default from the universe file")
-    run.add_argument("--test", type=_window_arg, help="test window START:END, default from the universe file")
+    run.add_argument("--train", type=partial(_option, parse_window), help="training window START:END, default from the universe file")
+    run.add_argument("--test", type=partial(_option, parse_window), help="test window START:END, default from the universe file")
     run.add_argument("--threshold", type=float, default=defaults["threshold"],
                      help="missing-data exclusion threshold (default %(default).2f)")
     run.add_argument("--out", default=".", help="output directory (default .)")
@@ -382,8 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fetch", help="download close histories")
     p.add_argument("--universe", help="take tickers and window from this universe file")
     p.add_argument("--tickers", nargs="+", help="explicit ticker list")
-    p.add_argument("--start", type=_date_arg, help="first date (default: training window start)")
-    p.add_argument("--end", type=_date_arg, help="last date (default: test window end)")
+    p.add_argument("--start", type=partial(_option, parse_iso_date), help="first date (default: training window start)")
+    p.add_argument("--end", type=partial(_option, parse_iso_date), help="last date (default: test window end)")
     p.add_argument("--out", required=True, help="output CSV path (long layout)")
     p.add_argument("--url-template", help="CSV endpoint with {symbol}/{start}/{end} fields")
     p.add_argument("--suffix", default="", help="symbol suffix, e.g. an exchange qualifier")
@@ -400,10 +393,8 @@ def _handle_sector(args: argparse.Namespace) -> int:
 
     An INI that cannot be read is one ``sectorfolio <command>: <message>``
     line and a failed sector one ``sectorfolio <command>: <sector>: <reason>``
-    line; the rest still run. `panels` holds each price file's panel, or the
-    error its one parse raised, so sectors sharing a file parse it once. A
-    closed stdout (BrokenPipeError) is raised, as no later sector could print
-    either.
+    line; the rest still run. A closed stdout (BrokenPipeError) is raised,
+    as no later sector could print either.
     """
     options = _run_options(args)
     run = args.cmd
@@ -432,16 +423,19 @@ def _handle_sector(args: argparse.Namespace) -> int:
         if first != path:
             raise ValueError(f"{first} and {path} both write to {out_dir}")
         configs.append(RunConfig(universe, prices, out_dir, **options))
-    panels: dict[Path, PricePanel | Exception] = {}
+
+    @cache
+    def panel(path: Path) -> PricePanel | Exception:
+        """The file's panel, or the error its one parse raised: sectors sharing it parse it once."""
+        try:
+            return parse_price_file(path)
+        except _USER_ERRORS as exc:
+            return exc
+
     results = []
     for config in configs:
         try:
-            if config.prices not in panels:
-                try:
-                    panels[config.prices] = parse_price_file(config.prices)
-                except _USER_ERRORS as exc:
-                    panels[config.prices] = exc
-            parsed = panels[config.prices]
+            parsed = panel(config.prices)
             if isinstance(parsed, Exception):
                 raise parsed
             results.append(run(config, parsed))
@@ -482,10 +476,6 @@ def _handle_fetch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        # run as the program: numpy's import heap lives until exit anyway,
-        # and frozen it is walked by no later collection
-        gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
@@ -497,13 +487,17 @@ def main(argv: list[str] | None = None) -> int:
 def _program() -> None:
     """The program: ``sectorfolio`` and ``python -m sectorfolio.cli``.
 
-    Runs `main()`, flushes stdout and stderr and ends the process with its
-    code through `os._exit`, which skips the interpreter's teardown: every
-    output file is closed by then and the process holds nothing else to
-    release. argparse's exit (``--help``, a usage error) ends the same way,
-    as does a flush on a closed pipe, with code 1 if `main` gave 0. Another
-    failed flush, or an exception `main` does not handle, exits normally.
+    The one owner of process state, so `main` is a function of its
+    arguments alone. Freezes the about 22,000 objects the imports left to
+    the collector, mostly numpy's, which live until exit anyway; runs
+    `main()`; flushes stdout and stderr; and exits with its code through
+    `os._exit`, which skips the interpreter's teardown (about 7 ms of a
+    ``weights`` call), as every output file is closed by then. argparse's
+    exit (``--help``, a usage error) ends the same way, as does a flush on a
+    closed pipe, with code 1 if `main` gave 0. Another failed flush, or an
+    exception `main` does not handle, exits normally.
     """
+    gc.freeze()
     try:
         code = main()
     except SystemExit as exc:

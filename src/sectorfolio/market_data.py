@@ -33,22 +33,26 @@ test window begins.
 every ticker in the file over every date, NaN marking the gaps. The
 file is read and decoded once, and the csv module reads its header once.
 A long file is then parsed with array operations, about 256 KiB of
-lines at a time: each chunk is split into cells once, its closes
-converted by `float` and its tickers and date cells coded through
-dicts; the chunks' arrays are joined once, and one scatter fills the
-matrix. Anything that path does not take as it stands (a quote, a
-blank or comment line, a bad cell, a repeat) leaves the text to the
-row-by-row loop, which reads on past the header and names the faulty
-line. One scan of the whole text finds a quote, a NUL or a stray
-``\r``; a blank line is caught by its chunk's count of commas, and a
-comment line by its date cell.
-A wide file always goes through its loop. `PricePanel.window` is the
-one way to cut a panel: some tickers, in the order given, over an
-optional date window, keeping only the dates on which one of them
-trades. The CLI parses each price file once per invocation and cuts
-every window from that one panel with `load_price_panel`. A panel holds
-its closes, and `CovarianceMatrix` its entries, in C order, so equal
-values give equal bits however a panel was built or cut.
+whole lines at a time (the pieces `_files.pieces` feeds the csv module):
+each chunk is split into cells once, its closes converted by `float`
+and its tickers and date cells given integer codes in file order through
+dicts; the chunks' arrays are joined once, and one scatter, by ticker
+code and date rank, fills the matrix. Anything that path does not take
+as it stands leaves the text to the row-by-row loop, which reads on past
+the header and names the faulty line: a quote, a NUL or a ``\\r`` that
+does not end a line, found by one scan of the whole text; a line without
+exactly three fields, blank lines among them, found by its chunk's count
+of commas; an empty, padded or ``#`` ticker; a close that is not a
+finite positive number; a date that fails to parse, a comment line's
+``#`` cell among them, or two date cells that strip to one date; or a
+repeated (ticker, date). A clean file never reaches the loop, and the
+panel is the same either way. A wide file always goes through its loop.
+
+`PricePanel.window` is the one way to cut a panel: some tickers, in the
+order given, over an optional date window, keeping only the dates on
+which one of them trades. A panel holds its closes, and
+`CovarianceMatrix` its entries, in C order, so equal values give equal
+bits however a panel was built or cut.
 
 `apply_missing_data_policy` drops tickers whose missing fraction over
 the panel's dates exceeds the threshold and cuts the panel to the rest
@@ -182,11 +186,6 @@ class PricePanel:
     def is_complete(self) -> bool:
         """True when every (ticker, date) cell holds a price."""
         return not np.any(np.isnan(self.closes))
-
-    def missing_fraction(self, ticker: str) -> float:
-        """Fraction of this panel's dates on which `ticker` has no observation."""
-        row = self.closes[self._rows([ticker])[0]]
-        return float(np.isnan(row).sum()) / self.n_dates
 
     def series(self, ticker: str) -> PriceSeries:
         """Observed prices for one ticker, gaps dropped."""

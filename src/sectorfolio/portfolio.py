@@ -67,12 +67,6 @@ class WeightVector:
     def __len__(self) -> int:
         return len(self.tickers)
 
-    def weight(self, ticker: str) -> float:
-        try:
-            return float(self.weights[self.tickers.index(ticker)])
-        except ValueError:
-            raise KeyError(ticker) from None
-
     def as_mapping(self) -> dict[str, float]:
         return {t: float(w) for t, w in zip(self.tickers, self.weights)}
 

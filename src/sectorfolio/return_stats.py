@@ -10,8 +10,8 @@ Conventions used throughout:
 All statistics expect a complete panel, so run
 `market_data.apply_missing_data_policy` (or `fill_gaps`) before calling
 the panel-level functions here. `asset_stats` and `covariance_matrix`
-share one returns matrix, the whole close matrix divided at once, and
-the per-series functions run the same row kernels on one row.
+each divide the whole close matrix at once into their own returns
+matrix, and the per-series functions run the same row kernels on one row.
 """
 
 from __future__ import annotations
@@ -81,10 +81,10 @@ class AssetStats(NamedTuple):
 class CovarianceMatrix:
     """Sample covariance of daily returns across a set of assets.
 
-    `entries` is in daily units and held in C order. `annualized()`
-    scales by the trading year for annual-variance arithmetic.
-    Construction validates symmetry and rejects matrices that are
-    materially non-positive-semidefinite.
+    `entries` is in daily units and held in C order; times
+    `TRADING_DAYS_PER_YEAR` they are annual. Construction validates
+    symmetry and rejects matrices that are materially
+    non-positive-semidefinite.
     """
 
     def __init__(self, tickers: list[str], entries: np.ndarray) -> None:
@@ -108,22 +108,6 @@ class CovarianceMatrix:
         floor = -1e-8 * max(1.0, float(np.max(np.diag(self.entries))))
         if float(np.min(np.linalg.eigvalsh(self.entries))) < floor:
             raise ValueError("covariance matrix is not positive semidefinite")
-
-    @property
-    def n_assets(self) -> int:
-        return len(self.tickers)
-
-    def annualized(self) -> np.ndarray:
-        """Covariance scaled to annual units (entries times 250)."""
-        return self.entries * TRADING_DAYS_PER_YEAR
-
-    def variance(self, ticker: str) -> float:
-        """Daily return variance of one ticker."""
-        try:
-            i = self.tickers.index(ticker)
-        except ValueError:
-            raise KeyError(ticker) from None
-        return float(self.entries[i, i])
 
 
 def daily_returns(series: PriceSeries) -> ReturnSeries:

@@ -324,15 +324,21 @@ def test_summary_reports_an_over_long_field_in_one_line(tmp_path):
 
 
 _FREEZE_PROBE = """
-import gc, sys
+import gc, os, sys
 from sectorfolio import cli
-before = gc.get_freeze_count()
+counts = [gc.get_freeze_count()]
 sys.argv = ["sectorfolio", "--help"]
 try:
     cli.main()
 except SystemExit as exc:
     assert exc.code == 0, exc.code
-print(before, gc.get_freeze_count())
+counts.append(gc.get_freeze_count())
+exit_ = os._exit
+def report_then_exit(code):
+    print(*counts, gc.get_freeze_count(), flush=True)
+    exit_(code)
+os._exit = report_then_exit
+cli._program()
 """
 
 
@@ -344,8 +350,9 @@ def test_the_program_freezes_its_import_heap():
         [sys.executable, "-c", _FREEZE_PROBE], env=env, capture_output=True, encoding="utf-8",
         timeout=60, check=True,
     )
-    before, after = map(int, run.stdout.split()[-2:])
-    assert before == 0 and after > 0
+    # main() alone leaves the collector as it found it; the program freezes it
+    before, after_main, after_program = map(int, run.stdout.split()[-3:])
+    assert before == after_main == 0 and after_program > 0
 
 
 _RANDOM_PROBE = """
@@ -569,7 +576,7 @@ def test_fetch_rejects_a_date_that_is_not_iso(tmp_path, capsys):
         run_cli("fetch", "--tickers", "AAA", "--start", "2022/01/03", "--end", "2022-01-05",
                 "--out", tmp_path / "x.csv")
     assert exc.value.code == 2
-    assert "--start: expected an ISO date, got '2022/01/03'" in capsys.readouterr().err
+    assert "--start: expected a YYYY-MM-DD date, got '2022/01/03'" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 

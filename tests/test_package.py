@@ -1,8 +1,10 @@
 """The package's public surface: the names its modules list, and nothing more imported."""
 
+import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ from sectorfolio import (
 )
 
 MODULES = (errors, market_data, return_stats, portfolio, frontier, backtest, reports)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_the_package_exports_what_its_modules_list():
@@ -75,3 +78,26 @@ def test_a_field_only_record_keeps_its_fields_and_cannot_be_reassigned(record, f
     assert [getattr(built, name) for name in fields] == values
     with pytest.raises(AttributeError):
         setattr(built, fields[0], -1.0)
+
+
+def _code_uses(path: Path) -> set[str]:
+    """The names a module reads, imports or looks up as an attribute; a
+    definition or an ``__all__`` string is none of these."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_public_name_has_a_caller_in_the_package_the_demos_or_readme():
+    used = set().union(*map(_code_uses, [*(ROOT / "src" / "sectorfolio").glob("*.py"),
+                                         *(ROOT / "demos").glob("*.py")]))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    unused = [name for name in sectorfolio.__all__
+              if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)]
+    assert unused == []

@@ -53,16 +53,13 @@ def test_weight_vector_validation():
         WeightVector(["A", "B"], np.array([0.5, 0.25, 0.25]))
     # a sum within 1e-9 of 1 is accepted
     ok = wv([0.5, 0.5 + 5e-10])
-    assert ok.weight("T1") == 0.5 + 5e-10
+    assert ok.weights[1] == 0.5 + 5e-10
 
 
 def test_weight_lookup_and_mapping():
     v = wv([0.25, 0.75], ["A", "B"])
-    assert v.weight("B") == 0.75
     assert v.as_mapping() == {"A": 0.25, "B": 0.75}
     assert len(v) == 2
-    with pytest.raises(KeyError):
-        v.weight("Z")
 
 
 def test_portfolio_return_basis_vector_picks_single_asset():
@@ -98,7 +95,7 @@ def test_portfolio_variance_hand_computed():
 def test_portfolio_variance_basis_vector_is_single_variance():
     cov = psd_cov(["A", "B", "C"], seed=31)
     v = wv([0.0, 0.0, 1.0], ["A", "B", "C"])
-    assert portfolio_variance(v, cov) == pytest.approx(cov.variance("C"), rel=1e-15)
+    assert portfolio_variance(v, cov) == pytest.approx(cov.entries[2, 2], rel=1e-15)
 
 
 def test_portfolio_variance_realigns_covariance_by_ticker():

@@ -170,7 +170,7 @@ def test_covariance_single_asset_is_variance():
     cov = covariance_matrix(panel)
     dv = daily_volatility(daily_returns(panel.series("AAA")))
     assert cov.entries.shape == (1, 1)
-    assert cov.variance("AAA") == pytest.approx(dv * dv, rel=1e-12)
+    assert cov.entries[0, 0] == pytest.approx(dv * dv, rel=1e-12)
 
 
 def test_covariance_matches_explicit_double_loop():
@@ -185,18 +185,6 @@ def test_covariance_matches_explicit_double_loop():
                 (rets[i, k] - means[i]) * (rets[j, k] - means[j]) for k in range(t)
             ) / (t - 1)
             assert cov.entries[i, j] == pytest.approx(expected, rel=1e-10, abs=1e-18)
-
-
-def test_covariance_annualized_scales_by_250():
-    panel = random_panel(["AAA", "BBB"], 25, seed=17)
-    cov = covariance_matrix(panel)
-    assert np.array_equal(cov.annualized(), cov.entries * 250)
-
-
-def test_covariance_unknown_ticker():
-    panel = random_panel(["AAA"], 10, seed=2)
-    with pytest.raises(KeyError):
-        covariance_matrix(panel).variance("ZZZ")
 
 
 def test_covariance_matrix_validation():
